@@ -117,6 +117,8 @@ def _cmd_groundstate(args) -> int:
             + " ".join(f"{v:.10g}" for v in spec.eigenvalues)
             + f" (gap {spec.gap:.10g})"
         )
+        lines.append(f"spectrum warnings: {len(spec.warnings)}")
+        lines.extend(f"  {w}" for w in spec.warnings)
         passed = passed and spec.converged
         payload["eigenvalues"] = spec.eigenvalues
         payload["gap"] = spec.gap

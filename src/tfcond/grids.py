@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import fft as sfft
 
 __all__ = [
     "Grid",
@@ -23,6 +24,7 @@ __all__ = [
     "make_grid",
     "field_from_function",
     "transform",
+    "apply_symbol",
     "inner",
     "norm",
     "gradient",
@@ -110,6 +112,11 @@ class Grid:
             out = out + k ** 2
         return out
 
+    @cached_property
+    def k2_half(self) -> np.ndarray:
+        """|k|^2 in ``rfftn`` layout: the last axis keeps its n//2 + 1 modes."""
+        return np.ascontiguousarray(self.k2[..., : self.n // 2 + 1])
+
     def k_along(self, axis: int) -> np.ndarray:
         return self.k_axis.reshape(
             (1,) * axis + (self.n,) + (1,) * (self.d - axis - 1)
@@ -188,6 +195,21 @@ def transform(f: Field) -> Field:
     if f.basis == "position":
         return Field(f.grid, np.fft.fftn(f.values, norm="ortho"), "frequency")
     return Field(f.grid, np.fft.ifftn(f.values, norm="ortho"), "position")
+
+
+def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Apply a Fourier multiplier to real samples: irfftn(symbol * rfftn(u)).
+
+    ``symbol`` is real and even in k, given in ``rfftn`` layout (as
+    :attr:`Grid.k2_half`), and ``u`` is one real field of the full spatial
+    shape or a batch of them stacked along one trailing axis. The result is
+    real and has the shape of ``u``.
+    """
+    d = symbol.ndim
+    axes = tuple(range(d))
+    hat = sfft.rfftn(u, axes=axes)
+    hat *= symbol.reshape(symbol.shape + (1,) * (u.ndim - d))
+    return sfft.irfftn(hat, s=u.shape[:d], axes=axes, overwrite_x=True)
 
 
 def inner(f: Field, g: Field) -> complex:

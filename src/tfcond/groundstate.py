@@ -14,13 +14,17 @@ interaction kernel, Agmon-type tail decay).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .grids import Field, Grid, convolve, gradient, norm
+from .grids import Field, Grid, apply_symbol, convolve, gradient, norm
 from .model import InteractionSpec, TrapSpec, sphere_area
 
 __all__ = [
@@ -167,7 +171,7 @@ def suggested_half_width(trap: TrapSpec, G: float, minimum: float = 8.0) -> floa
 
 
 def _energy_parts(vals, V, grid, G):
-    hat = np.fft.fftn(vals, norm="ortho")
+    hat = sfft.fftn(vals, norm="ortho")
     dv = grid.dv
     rho = np.abs(vals) ** 2
     kin = float(np.sum(grid.k2 * np.abs(hat) ** 2).real * dv)
@@ -198,7 +202,7 @@ def _newton_polish(vals, V, grid, G, tol, max_newton=14):
     preconditioned CG; steps are damped whenever they fail to shrink the
     residual. Returns (real field, residual, newton_steps).
     """
-    shape, k2, dv = grid.shape, grid.k2, grid.dv
+    k2h, dv = grid.k2_half, grid.dv
     j = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
     phase = vals[j] / abs(vals[j])
     phi = (vals / phase).real.copy()
@@ -208,7 +212,7 @@ def _newton_polish(vals, V, grid, G, tol, max_newton=14):
         return float(np.sum(a * b) * dv)
 
     def lap(u):
-        return np.fft.ifftn(k2 * np.fft.fftn(u)).real
+        return apply_symbol(k2h, u)
 
     res_norm = math.inf
     for step in range(1, max_newton + 1):
@@ -222,7 +226,7 @@ def _newton_polish(vals, V, grid, G, tol, max_newton=14):
         if res_norm < tol:
             return phi, res_norm, step - 1
 
-        c = max(1.0, mu)
+        inv_shifted = 1.0 / (max(1.0, mu) + k2h)
         diag = W - mu + 2.0 * G * rho
 
         def jv(u):
@@ -231,7 +235,7 @@ def _newton_polish(vals, V, grid, G, tol, max_newton=14):
             return out - phi * ip(phi, out)
 
         def precond(u):
-            return np.fft.ifftn(np.fft.fftn(u) / (c + k2)).real
+            return apply_symbol(inv_shifted, u)
 
         # preconditioned CG on the orthogonal complement of phi
         b = -res
@@ -350,11 +354,11 @@ def gp_minimize(
     for it in range(1, max_iter + 1):
         rho = np.abs(vals) ** 2
         w_shift = V + G * rho - mu_r
-        stepped = np.fft.fftn(np.exp(-dt * w_shift) * vals)
+        stepped = sfft.fftn(np.exp(-dt * w_shift) * vals)
         stepped /= 1.0 + dt * k2
         # normalize in frequency space (Parseval), then return to position
         nrm = math.sqrt(np.sum(np.abs(stepped) ** 2).real * dv / grid.npoints)
-        new_vals = np.fft.ifftn(stepped / nrm)
+        new_vals = sfft.ifftn(stepped / nrm)
 
         kin, pot, quart = _energy_parts(new_vals, V, grid, G)
         new_energy = kin + pot + 0.5 * G * quart
@@ -373,8 +377,8 @@ def gp_minimize(
         dt = min(dt * 1.05, dt_max)
 
         if accepted % check_every == 0:
-            hat = np.fft.fftn(vals)
-            hphi = np.fft.ifftn(k2 * hat) + (V + G * np.abs(vals) ** 2) * vals
+            hat = sfft.fftn(vals)
+            hphi = sfft.ifftn(k2 * hat) + (V + G * np.abs(vals) ** 2) * vals
             res_vec = hphi - mu_r * vals
             residual = math.sqrt(np.sum(np.abs(res_vec) ** 2).real * dv)
             if residual < handoff:
@@ -433,22 +437,60 @@ def gp_minimize(
 
 @dataclass
 class SpectrumResult:
-    """Lowest eigenvalues of h = -Lap + V + G |phi|^2 with residuals."""
+    """Lowest eigenvalues of h = -Lap + V + G |phi|^2 with residuals.
+
+    ``warnings`` holds the messages LOBPCG raised during the solve, in order.
+    """
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
     gap: float
     mu0: float
     converged: bool
+    warnings: tuple = ()
 
 
-def _apply_h(X, shape, k2, W):
-    d = len(shape)
-    cols = X.reshape(shape + (-1,))
-    hat = np.fft.fftn(cols, axes=tuple(range(d)))
-    out = np.fft.ifftn(k2[..., None] * hat, axes=tuple(range(d))).real
-    out += W[..., None] * cols
-    return out.reshape(X.shape)
+# Warning capture that is safe while sweep points solve on several threads:
+# ``warnings.catch_warnings`` swaps process-wide state, so one capture stays
+# open while any thread captures, and it routes each warning to the log of the
+# thread that raised it. Warnings from other threads still reach the handler
+# installed before the capture opened (under an "always" filter meanwhile).
+_capture_lock = threading.Lock()
+_capture_logs = {}  # thread id -> list of messages
+_capture_ctx = None  # the open catch_warnings context
+_capture_forward = None  # that previous handler
+
+
+def _route_warning(message, category, filename, lineno, file=None, line=None):
+    log = _capture_logs.get(threading.get_ident())
+    if log is not None:
+        log.append(f"{category.__name__}: {message}")
+    else:
+        _capture_forward(message, category, filename, lineno, file, line)
+
+
+@contextlib.contextmanager
+def _captured_warnings():
+    """Collect this thread's warnings into the yielded list, not stderr."""
+    global _capture_ctx, _capture_forward
+    tid = threading.get_ident()
+    log = []
+    with _capture_lock:
+        if not _capture_logs:
+            _capture_ctx = warnings.catch_warnings()
+            _capture_ctx.__enter__()
+            warnings.simplefilter("always")
+            _capture_forward = warnings.showwarning
+            warnings.showwarning = _route_warning
+        _capture_logs[tid] = log
+    try:
+        yield log
+    finally:
+        with _capture_lock:
+            del _capture_logs[tid]
+            if not _capture_logs:
+                _capture_ctx.__exit__(None, None, None)
+                _capture_ctx = None
 
 
 def hgp_spectrum(
@@ -466,53 +508,57 @@ def hgp_spectrum(
     The ground state is first polished in a one-vector block, then deflated
     (as an orthogonality constraint) while a k-sized block with trap-adapted
     starting guesses resolves the excited levels. The preconditioner is the
-    spectral solve (1 - Lap)^{-1}.
+    shifted spectral solve (c - Lap)^{-1} with c = max(1, <phi, h phi>), the
+    shift the Newton polish of :func:`gp_minimize` uses. Warnings LOBPCG
+    raises are returned in ``SpectrumResult.warnings`` instead of printed.
     """
     if k < 2:
         raise ValueError("need at least two eigenvalues for a gap")
     if phi.grid != grid:
         raise ValueError("phi lives on a different grid")
     W = trap.on_grid(grid) + G * np.abs(phi.values) ** 2
-    shape, k2, dv = grid.shape, grid.k2, grid.dv
+    shape, k2h = grid.shape, grid.k2_half
     npts = grid.npoints
 
-    A = LinearOperator(
-        (npts, npts),
-        matvec=lambda x: _apply_h(x, shape, k2, W),
-        matmat=lambda X: _apply_h(X, shape, k2, W),
-        dtype=np.float64,
-    )
-
-    def _precond(X):
-        d = len(shape)
+    def _apply_h(X):
         cols = X.reshape(shape + (-1,))
-        hat = np.fft.fftn(cols, axes=tuple(range(d)))
-        out = np.fft.ifftn(hat / (1.0 + k2[..., None]), axes=tuple(range(d))).real
+        out = apply_symbol(k2h, cols)
+        out += W[..., None] * cols
         return out.reshape(X.shape)
 
-    M = LinearOperator((npts, npts), matvec=_precond, matmat=_precond, dtype=np.float64)
+    A = LinearOperator(
+        (npts, npts), matvec=_apply_h, matmat=_apply_h, dtype=np.float64
+    )
 
     x0 = phi.values.real.ravel().copy()
     x0 /= np.linalg.norm(x0)
-    w0, v0 = lobpcg(A, x0[:, None], M=M, tol=tol, maxiter=maxiter, largest=False)
-    mu0 = float(w0[0])
-    ground = v0[:, 0] / np.linalg.norm(v0[:, 0])
+    inv_shifted = 1.0 / (max(1.0, float(x0 @ _apply_h(x0))) + k2h)
 
-    rng = np.random.default_rng(seed)
-    guesses = []
-    base = phi.values.real
-    for ax in range(grid.d):
-        guesses.append((grid.coords()[ax] * base).ravel())
-    guesses.append(((grid.r2 - np.mean(grid.r2)) * base).ravel())
-    while len(guesses) < k:
-        guesses.append(rng.standard_normal(npts))
-    X = np.stack(guesses[: max(k, 2)], axis=1)
-    X -= ground[:, None] * (ground @ X)
-    X, _ = np.linalg.qr(X)
+    def _precond(X):
+        return apply_symbol(inv_shifted, X.reshape(shape + (-1,))).reshape(X.shape)
 
-    w, v = lobpcg(
-        A, X, M=M, Y=ground[:, None], tol=tol, maxiter=maxiter, largest=False
-    )
+    M = LinearOperator((npts, npts), matvec=_precond, matmat=_precond, dtype=np.float64)
+
+    with _captured_warnings() as caught:
+        w0, v0 = lobpcg(A, x0[:, None], M=M, tol=tol, maxiter=maxiter, largest=False)
+        mu0 = float(w0[0])
+        ground = v0[:, 0] / np.linalg.norm(v0[:, 0])
+
+        rng = np.random.default_rng(seed)
+        guesses = []
+        base = phi.values.real
+        for ax in range(grid.d):
+            guesses.append((grid.coords()[ax] * base).ravel())
+        guesses.append(((grid.r2 - np.mean(grid.r2)) * base).ravel())
+        while len(guesses) < k:
+            guesses.append(rng.standard_normal(npts))
+        X = np.stack(guesses[: max(k, 2)], axis=1)
+        X -= ground[:, None] * (ground @ X)
+        X, _ = np.linalg.qr(X)
+
+        w, v = lobpcg(
+            A, X, M=M, Y=ground[:, None], tol=tol, maxiter=maxiter, largest=False
+        )
     order = np.argsort(w)
     w, v = w[order], v[:, order]
 
@@ -533,6 +579,7 @@ def hgp_spectrum(
         gap=gap,
         mu0=mu0,
         converged=converged,
+        warnings=tuple(caught),
     )
 
 
@@ -572,7 +619,7 @@ def semiclassical_map(f: Field, s: float, epsilon: float) -> Field:
 
 
 def _quadratic_energy(f: Field, kinetic_coeff: float, potential: np.ndarray) -> float:
-    hat = np.fft.fftn(f.values, norm="ortho")
+    hat = sfft.fftn(f.values, norm="ortho")
     dv = f.grid.dv
     kin = float(np.sum(f.grid.k2 * np.abs(hat) ** 2).real * dv)
     pot = float(np.sum(potential * np.abs(f.values) ** 2).real * dv)

@@ -266,6 +266,15 @@ def _study_gap_vs_g(spec: StudySpec):
                 ratio < TOLERANCES["gap_flat_factor"],
             )
         )
+        unconverged = sum(1 for r in ok if not r["spectrum_converged"])
+        checks.append(
+            Check(
+                "spectrum_converged",
+                "no sweep point's Hessian spectrum missed its residual tolerance",
+                float(unconverged),
+                unconverged == 0,
+            )
+        )
     fits = {}
     if len(ok) >= 3:
         fits["gap_vs_g"] = fit_loglog([(r["g"], r["gap"]) for r in ok])

@@ -6,15 +6,17 @@ the spectral solver under test.
 """
 
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tfcond.grids import Field, make_grid, norm
+from tfcond.grids import Field, apply_symbol, laplacian, make_grid, norm
 from tfcond.groundstate import (
     DecayDiagnostics,
-    _apply_h,
     agmon_tail,
     agmon_weight,
     gp_minimize,
@@ -207,6 +209,63 @@ def test_suggested_half_width():
 # ---------------------------------------------------------------------------
 
 
+def _apply_h(X, shape, k2, W):
+    """Oracle: -Lap + W on real columns through full complex FFTs.
+
+    Independent of the real-to-complex helper the solver uses; ``k2`` is |k|^2
+    in full FFT layout and ``X`` is one flattened field or a column block.
+    """
+    d = len(shape)
+    cols = X.reshape(shape + (-1,))
+    hat = np.fft.fftn(cols, axes=tuple(range(d)))
+    out = np.fft.ifftn(k2[..., None] * hat, axes=tuple(range(d))).real
+    out += W[..., None] * cols
+    return out.reshape(X.shape)
+
+
+def _full_k2(d, n):
+    # built from fftfreq alone, so odd n (which Grid rejects) is covered too
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=0.25)
+    return sum(
+        k.reshape((1,) * ax + (n,) + (1,) * (d - ax - 1)) ** 2 for ax in range(d)
+    )
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("d,n", [(1, 16), (1, 15), (2, 8), (2, 9), (3, 8), (3, 7)])
+def test_apply_symbol_matches_full_fft_oracle(d, n, columns):
+    shape = (n,) * d
+    k2 = _full_k2(d, n)
+    k2_half = k2[..., : n // 2 + 1]
+    rng = np.random.default_rng(11)
+    W = rng.uniform(0.0, 5.0, shape)
+    X = rng.standard_normal((n ** d,) if columns is None else (n ** d, columns))
+    field = X.reshape(shape + (() if columns is None else (columns,)))
+
+    ref = _apply_h(X, shape, k2, W)
+    got = apply_symbol(k2_half, field)
+    got += W.reshape(shape + (1,) * (field.ndim - d)) * field
+    assert got.shape == field.shape
+    assert np.max(np.abs(got.ravel() - ref.ravel())) <= 1e-12 * np.max(np.abs(ref))
+
+    # the shifted preconditioner (c - Lap)^{-1}: oracle with W = 0 and 1/(c + k2)
+    c = 6.5
+    ref_m = _apply_h(X, shape, 1.0 / (c + k2), np.zeros(shape))
+    got_m = apply_symbol(1.0 / (c + k2_half), field)
+    assert np.max(np.abs(got_m.ravel() - ref_m.ravel())) <= 1e-12 * np.max(np.abs(ref_m))
+
+
+def test_grid_k2_half_gives_the_laplacian():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        grid = make_grid(d, 16, 3.0)
+        assert grid.k2_half.shape == (16,) * (d - 1) + (9,)
+        u = rng.standard_normal(grid.shape)
+        ref = -laplacian(Field(grid, u)).values
+        got = apply_symbol(grid.k2_half, u)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_spectrum_linear_harmonic_1d():
     grid = make_grid(1, 512, 8.0)
     res = gp_minimize(grid, TRAP, 0.0, tol=1e-10)
@@ -233,6 +292,51 @@ def test_spectrum_against_dense_diagonalization():
     spec = hgp_spectrum(grid, TRAP, 20.0, res.field, k=3)
     assert np.allclose(spec.eigenvalues, ref[:3], atol=1e-9)
     assert spec.mu0 == pytest.approx(res.mu, abs=1e-8)
+
+
+def test_spectrum_warnings_are_captured_as_data():
+    grid = make_grid(1, 128, 8.0)
+    res = gp_minimize(grid, TRAP, 20.0, tol=1e-9)
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        spec = hgp_spectrum(grid, TRAP, 20.0, res.field, k=3, maxiter=2)
+    assert leaked == []
+    assert not spec.converged
+    assert any("requested tolerance" in w for w in spec.warnings)
+    assert hgp_spectrum(grid, TRAP, 20.0, res.field, k=3).warnings == ()
+
+
+def test_spectrum_warning_capture_is_per_thread():
+    # more threads than cores, each solve capped so that LOBPCG warns; every
+    # thread must see only its own warnings and none may reach the caller
+    grid = make_grid(1, 128, 8.0)
+    res = gp_minimize(grid, TRAP, 20.0, tol=1e-9)
+    before = warnings.showwarning
+    caps = (1, 2, 3, 1, 2, 3)
+    results = [None] * len(caps)
+
+    def solve(i):
+        results[i] = hgp_spectrum(grid, TRAP, 20.0, res.field, k=3, maxiter=caps[i])
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings(record=True) as leaked:
+            warnings.simplefilter("always")
+            threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(caps))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert leaked == []
+    assert warnings.showwarning is before
+    for cap, spec in zip(caps, results):
+        exits = [w for w in spec.warnings if "Exited at iteration" in w]
+        assert exits
+        assert all(f"Exited at iteration {cap} " in w for w in exits)
 
 
 def test_spectrum_requires_two_levels():

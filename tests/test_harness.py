@@ -1,5 +1,6 @@
 """Tests for the study runner, exponent fits, and the command line."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from tfcond import groundstate as gs
 from tfcond.harness import Check, StudySpec, fit_loglog, run_study, write_csv
+from tfcond.model import InteractionSpec
 
 
 class TestFitLoglog:
@@ -136,6 +139,30 @@ class TestRunStudy:
         assert res.passed
         assert all(r["violations"] == 0 for r in res.rows)
 
+    def test_gap_vs_g_gates_spectrum_convergence(self, monkeypatch):
+        spec = StudySpec(
+            kind="gap_vs_g", values=(0.5, 1.0, 2.0), grid_n=16, half_width=8.0, workers=1
+        )
+        res = run_study(spec)
+        check = {c.name: c for c in res.checks}["spectrum_converged"]
+        assert check.passed and check.value == 0.0
+        assert [r["status"] for r in res.rows] == ["ok"] * 3
+        assert all(r["spectrum_converged"] for r in res.rows)
+
+        # a point whose spectrum did not converge fails the study
+        intv = InteractionSpec(profile="gaussian", beta=0.2).integral(3)
+        solve = gs.hgp_spectrum
+
+        def unconverged_at_smallest_g(grid, trap, G, phi, **kw):
+            out = solve(grid, trap, G, phi, **kw)
+            return dataclasses.replace(out, converged=G > 0.75 * intv)
+
+        monkeypatch.setattr(gs, "hgp_spectrum", unconverged_at_smallest_g)
+        res = run_study(spec)
+        check = {c.name: c for c in res.checks}["spectrum_converged"]
+        assert not check.passed and check.value == 1.0
+        assert not res.passed
+
     def test_artifacts_written(self, tmp_path):
         spec = _small_lemma26(out_dir=str(tmp_path))
         res = run_study(spec)
@@ -236,6 +263,7 @@ class TestCli:
         )
         proc = _cli("groundstate", "--config", str(cfg), "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
+        assert "spectrum warnings: 0" in proc.stdout
         payload = json.loads((tmp_path / "groundstate.json").read_text())
         # 1D oscillator levels 1 and 3
         assert abs(payload["energy"] - 1.0) < 1e-6
