@@ -35,8 +35,16 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _known(block: dict, keys, where: str = "config") -> dict:
+    """block itself; an unknown (say, misspelt) key raises, so the CLI exits 2."""
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {unknown}")
+    return block
+
+
 def _grid_from(cfg: dict, default_d=3, default_n=64, default_half=8.0):
-    block = cfg.get("grid", {})
+    block = _known(cfg.get("grid", {}), "d n half_width".split(), "grid")
     return make_grid(
         int(block.get("d", default_d)),
         int(block.get("n", default_n)),
@@ -45,12 +53,12 @@ def _grid_from(cfg: dict, default_d=3, default_n=64, default_half=8.0):
 
 
 def _trap_from(cfg: dict) -> TrapSpec:
-    block = cfg.get("trap", {})
+    block = _known(cfg.get("trap", {}), "strength s".split(), "trap")
     return TrapSpec(strength=float(block.get("strength", 1.0)), s=float(block.get("s", 2)))
 
 
 def _interaction_from(cfg: dict) -> InteractionSpec:
-    block = cfg.get("interaction", {})
+    block = _known(cfg.get("interaction", {}), "profile beta".split(), "interaction")
     return InteractionSpec(
         profile=block.get("profile", "gaussian"), beta=float(block.get("beta", 0.2))
     )
@@ -87,7 +95,7 @@ def _report(lines, passed: bool) -> int:
 
 
 def _cmd_groundstate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _known(_load_config(args.config), "grid trap G tol spectrum_k".split())
     grid = _grid_from(cfg)
     trap = _trap_from(cfg)
     G = float(cfg.get("G", 0.0))
@@ -139,11 +147,7 @@ def _study_spec_from(cfg: dict, args, kind: str | None = None) -> harness.StudyS
         block["seed"] = args.seed
     if args.workers is not None:
         block["workers"] = args.workers
-    allowed = set(harness.StudySpec.__dataclass_fields__)
-    unknown = set(block) - allowed
-    if unknown:
-        raise ValueError(f"unknown study key(s): {sorted(unknown)}")
-    return harness.StudySpec(**block)
+    return harness.StudySpec(**_known(block, harness.StudySpec.__dataclass_fields__, "study"))
 
 
 def _run_study_cmd(spec: harness.StudySpec) -> int:
@@ -173,7 +177,8 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
-    cfg = _load_config(args.config)
+    keys = "grid trap interaction g N dt t_final record_every initial"
+    cfg = _known(_load_config(args.config), keys.split())
     grid = _grid_from(cfg, default_d=1, default_n=4096, default_half=16.0)
     inter = _interaction_from(cfg)
     g = float(cfg.get("g", 4.0))
@@ -216,7 +221,8 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_manybody(args) -> int:
-    cfg = _load_config(args.config)
+    keys = "N M modes check trials g beta lambda_weight seed t_final steps"
+    cfg = _known(_load_config(args.config), keys.split())
     N = args.N if args.N is not None else int(cfg.get("N", 4))
     M = args.M if args.M is not None else int(cfg.get("M", 3))
     mode_kind = args.modes or cfg.get("modes", "harmonic")
@@ -311,8 +317,10 @@ def _cmd_manybody(args) -> int:
 
 
 def _cmd_scattering(args) -> int:
-    cfg = _load_config(args.config)
-    inter = _interaction_from({"interaction": cfg.get("interaction", cfg)})
+    keys = "interaction profile beta kappa r_max mesh born_window"
+    cfg = _known(_load_config(args.config), keys.split())
+    flat = {k: cfg[k] for k in ("profile", "beta") if k in cfg}
+    inter = _interaction_from({"interaction": cfg.get("interaction", flat)})
     kappas = cfg.get("kappa", 1e-3)
     if not isinstance(kappas, list):
         kappas = [kappas]

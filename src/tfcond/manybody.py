@@ -1,21 +1,24 @@
 """Exact few-boson engine over a small set of one-body modes.
 
-Occupation-number representation of N bosons in M modes: Hamiltonian
-assembly from one-body matrices and pair tensors, exact diagonalization,
-reduced densities, the condensate projector/counting calculus (weighted
-number operators, shifted weights, counting rate), and exact verification
-of the projector identities, operator-norm bounds, spectral-gap chain, and
-counting-rate inequalities on toy sectors.
+Occupation-number sectors of N bosons in M modes (stars and bars, every
+operator from one sparse lowering map): Hamiltonian assembly from one-body
+matrices and pair tensors, exact diagonalization, reduced densities, the
+condensate projector/counting calculus (weighted number operators, shifted
+weights, counting rate), and exact verification of the projector identities,
+operator-norm bounds, spectral-gap chain, and counting-rate inequalities.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.special import comb, gammaln
 
 from .grids import Field, Grid, convolve, make_grid, norm
 from .model import InteractionSpec, RegimeParams, TrapSpec
@@ -128,7 +131,7 @@ class ModeBasis:
 
 
 class SymmetricSector:
-    """Occupation-number basis of N bosons in M modes."""
+    """Occupation-number basis of N bosons in M modes; ``occs`` rows ascend lexicographically."""
 
     def __init__(self, N: int, M: int, cap: int = SECTOR_CAP):
         if N < 1 or M < 1:
@@ -139,34 +142,43 @@ class SymmetricSector:
         self.N = N
         self.M = M
         self.D = D
-        self.occs = [
-            occ
-            for occ in itertools.product(range(N + 1), repeat=M)
-            if sum(occ) == N
-        ]
-        self.index = {occ: i for i, occ in enumerate(self.occs)}
-        self.occ_array = np.array(self.occs, dtype=float)
+        # stars and bars: the M - 1 bars among N + M - 1 slots split the stars
+        bars = np.array(list(itertools.combinations(range(N + M - 1), M - 1)), dtype=int)
+        self.occs = np.diff(bars, axis=1, prepend=-1, append=N + M - 1) - 1
+
+    def rank(self, occs) -> np.ndarray:
+        """Basis index of each occupation row, in this or any sector of M modes.
+
+        Combinatorial number system: with r_a bosons in modes a.., the rows
+        that agree before mode a and hold fewer bosons in it number
+        C(r_a + K, K) - C(r_{a+1} + K, K), K = M - 1 - a.
+        """
+        occs = np.asarray(occs)
+        left = np.cumsum(occs[..., ::-1], axis=-1)[..., ::-1]
+        K = np.arange(self.M - 1, -1, -1)
+        ahead = np.rint(comb(left + K, K)) - np.rint(comb(left - occs + K, K))
+        return ahead.sum(axis=-1).astype(np.intp)
+
+    @functools.cached_property
+    def lowering(self) -> sparse.csr_array:
+        """Stacked annihilation map A, (M * D_{N-1}, D): row c D_{N-1} + j holds <j| a_c."""
+        D_lower = math.comb(self.N + self.M - 2, self.N - 1)
+        state, mode = np.nonzero(self.occs)
+        down = self.occs[state]
+        down[np.arange(len(state)), mode] -= 1
+        rows = mode * D_lower + self.rank(down)
+        amp = np.sqrt(self.occs[state, mode])
+        return sparse.csr_array((amp, (rows, state)), shape=(self.M * D_lower, self.D))
+
+    @functools.cached_property
+    def _pair_lowering(self) -> sparse.csr_array:
+        """A2 = (I_M (x) A_{N-1}) A_N: row (c, d, k) holds <k| a_d a_c."""
+        lower = SymmetricSector(self.N - 1, self.M).lowering
+        return (sparse.kron(sparse.eye_array(self.M), lower) @ self.lowering).tocsr()
 
     def one_body_matrix(self, h: np.ndarray) -> np.ndarray:
         """Sector matrix of sum_j h_j = sum_ab h_ab adag_a a_b."""
-        h = np.asarray(h)
-        out = np.zeros((self.D, self.D), dtype=complex)
-        for i, occ in enumerate(self.occs):
-            for b in range(self.M):
-                if occ[b] == 0:
-                    continue
-                for a in range(self.M):
-                    if h[a, b] == 0:
-                        continue
-                    if a == b:
-                        out[i, i] += h[a, a] * occ[a]
-                        continue
-                    m = list(occ)
-                    m[b] -= 1
-                    m[a] += 1
-                    j = self.index[tuple(m)]
-                    out[j, i] += h[a, b] * math.sqrt(occ[b] * (occ[a] + 1))
-        return out
+        return _sandwich(self.lowering, np.asarray(h))
 
     def two_body_matrix(self, X: np.ndarray) -> np.ndarray:
         """Sector matrix of sum_{j != k} X_{jk}.
@@ -174,35 +186,15 @@ class SymmetricSector:
         X is (M^2, M^2) with entries <ab|X|cd> in slot order (first, second);
         the assembled operator is sum X_{(ab),(cd)} adag_a adag_b a_d a_c.
         """
-        X4 = np.asarray(X).reshape(self.M, self.M, self.M, self.M)
-        out = np.zeros((self.D, self.D), dtype=complex)
-        for i, occ in enumerate(self.occs):
-            for c in range(self.M):
-                if occ[c] == 0:
-                    continue
-                m1 = list(occ)
-                m1[c] -= 1
-                amp_c = math.sqrt(occ[c])
-                for d in range(self.M):
-                    if m1[d] == 0:
-                        continue
-                    m2 = list(m1)
-                    m2[d] -= 1
-                    amp_cd = amp_c * math.sqrt(m1[d])
-                    for b in range(self.M):
-                        m3b = m2[b] + 1
-                        amp_b = amp_cd * math.sqrt(m3b)
-                        for a in range(self.M):
-                            x = X4[a, b, c, d]
-                            if x == 0:
-                                continue
-                            m = list(m2)
-                            m[b] += 1
-                            na = m[a] + 1
-                            m[a] += 1
-                            j = self.index[tuple(m)]
-                            out[j, i] += x * amp_b * math.sqrt(na)
-        return out
+        if self.N == 1:
+            return np.zeros((self.D, self.D), dtype=complex)
+        return _sandwich(self._pair_lowering, np.asarray(X))
+
+
+def _sandwich(A: sparse.csr_array, X: np.ndarray) -> np.ndarray:
+    """A^H (X (x) I) A as a dense matrix; A is real."""
+    XA = sparse.kron(X, sparse.eye_array(A.shape[0] // X.shape[0]), format="csr") @ A
+    return (A.T @ XA).toarray().astype(complex, copy=False)
 
 
 @dataclass
@@ -230,40 +222,18 @@ def product_state(sector: SymmetricSector, c: np.ndarray) -> ManyBodyState:
     """phi^{(x) N} in occupation coordinates."""
     c = np.asarray(c, dtype=complex)
     c = c / np.linalg.norm(c)
-    vec = np.zeros(sector.D, dtype=complex)
-    logfac = [math.lgamma(k + 1) for k in range(sector.N + 1)]
-    for i, occ in enumerate(sector.occs):
-        w = math.exp(0.5 * (logfac[sector.N] - sum(logfac[k] for k in occ)))
-        amp = w
-        for a, k in enumerate(occ):
-            amp *= c[a] ** k
-        vec[i] = amp
-    return ManyBodyState(sector, vec)
+    occs = sector.occs
+    w = np.exp(0.5 * (gammaln(sector.N + 1) - gammaln(occs + 1).sum(axis=1)))
+    return ManyBodyState(sector, w * np.prod(c**occs, axis=1))
 
 
 def excitation_state(
     sector: SymmetricSector, phi: np.ndarray, chi: np.ndarray
 ) -> ManyBodyState:
     """Symmetrized chi (x) phi^{(x) (N-1)}, i.e. adag(chi) applied to the product."""
-    base = SymmetricSector(sector.N - 1, sector.M) if sector.N > 1 else None
-    phi = np.asarray(phi, dtype=complex)
-    chi = np.asarray(chi, dtype=complex)
-    vec = np.zeros(sector.D, dtype=complex)
-    if base is None:
-        for a in range(sector.M):
-            occ = tuple(1 if b == a else 0 for b in range(sector.M))
-            vec[sector.index[occ]] = chi[a]
-        return ManyBodyState(sector, vec)
-    prod = product_state(base, phi).vector
-    for i, occ in enumerate(base.occs):
-        for a in range(sector.M):
-            if chi[a] == 0:
-                continue
-            target = list(occ)
-            target[a] += 1
-            j = sector.index[tuple(target)]
-            vec[j] += chi[a] * math.sqrt(occ[a] + 1) * prod[i]
-    return ManyBodyState(sector, vec)
+    N, M = sector.N, sector.M
+    prod = product_state(SymmetricSector(N - 1, M), phi).vector if N > 1 else np.ones(1)
+    return ManyBodyState(sector, sector.lowering.T @ np.kron(chi, prod))
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +296,13 @@ def pair_tensor(modes: ModeBasis, kernel: Field) -> np.ndarray:
     U = modes.values
     M = modes.M
     P = U.conj()[:, None, :] * U[None, :, :]  # P[a,c](x) = conj(u_a) u_c
-    V = np.zeros((M * M, M * M), dtype=complex)
+    V = np.zeros((M, M, M, M), dtype=complex)
     for b in range(M):
         for d in range(M):
             conv = convolve(kernel, Field(grid, P[b, d], "position")).values
-            V4 = np.einsum("acx,x->ac", P, conv) * grid.dv
-            for a in range(M):
-                for c in range(M):
-                    V[a * M + b, c * M + d] = V4[a, c]
-    V = 0.5 * (V + V.conj().T)
-    return V
+            V[:, b, :, d] = np.einsum("acx,x->ac", P, conv) * grid.dv
+    V = V.reshape(M * M, M * M)
+    return 0.5 * (V + V.conj().T)
 
 
 def build(
@@ -371,24 +338,8 @@ def ground_state(H: ManyBodyHamiltonian) -> tuple[float, ManyBodyState]:
 def reduced_density(state: ManyBodyState) -> np.ndarray:
     """One-body reduced density gamma_ab = <adag_b a_a>/N; trace one, PSD."""
     sector = state.sector
-    v = state.vector
-    gamma = np.zeros((sector.M, sector.M), dtype=complex)
-    for i, occ in enumerate(sector.occs):
-        if v[i] == 0:
-            continue
-        for b in range(sector.M):
-            if occ[b] == 0:
-                continue
-            gamma[b, b] += occ[b] * abs(v[i]) ** 2
-            for a in range(sector.M):
-                if a == b:
-                    continue
-                m = list(occ)
-                m[b] -= 1
-                m[a] += 1
-                j = sector.index[tuple(m)]
-                gamma[a, b] += math.sqrt(occ[b] * (occ[a] + 1)) * v[j].conjugate() * v[i]
-    gamma = gamma.conj() / sector.N
+    W = (sector.lowering @ state.vector).reshape(sector.M, -1)
+    gamma = W @ W.conj().T / sector.N
     return 0.5 * (gamma + gamma.conj().T)
 
 
@@ -433,12 +384,10 @@ class ProjectorContext:
 
     def apply_weights(self, weights_by_k, vec: np.ndarray, d: int = 0) -> np.ndarray:
         """f-hat-sub-d applied to vec; weights zero outside 0..N."""
-        N = self.sector.N
+        m = self.k_of_col + d
+        inside = (m >= 0) & (m <= self.sector.N)
         w = np.zeros(self.sector.D)
-        for col, k in enumerate(self.k_of_col):
-            m = k + d
-            if 0 <= m <= N:
-                w[col] = weights_by_k[m]
+        w[inside] = np.asarray(weights_by_k)[m[inside]]
         coeff = self.U.conj().T @ vec
         return self.U @ (w * coeff)
 
@@ -450,10 +399,7 @@ class ProjectorContext:
     def sector_weights(self, vec: np.ndarray) -> np.ndarray:
         """|P_k vec|^2 for k = 0..N."""
         coeff = np.abs(self.U.conj().T @ vec) ** 2
-        out = np.zeros(self.sector.N + 1)
-        for col, k in enumerate(self.k_of_col):
-            out[k] += coeff[col]
-        return out
+        return np.bincount(self.k_of_col, weights=coeff, minlength=self.sector.N + 1)
 
     def n_plus_matrix(self) -> np.ndarray:
         return (self.U * self.k_of_col[None, :]) @ self.U.conj().T
@@ -675,16 +621,12 @@ class _TensorEngine:
         return self.from_occupation(sector, coeff)
 
     def from_occupation(self, sector: SymmetricSector, coeff: np.ndarray) -> np.ndarray:
-        vec = np.zeros(self.shape, dtype=complex)
-        logfac = [math.lgamma(k + 1) for k in range(self.N + 1)]
-        for idx in np.ndindex(*self.shape):
-            occ = [0] * self.M
-            for a in idx:
-                occ[a] += 1
-            i = sector.index[tuple(occ)]
-            w = math.exp(-0.5 * (logfac[self.N] - sum(logfac[k] for k in occ)))
-            vec[idx] = coeff[i] * w
-        return vec
+        labels = np.indices(self.shape).reshape(self.N, -1).T  # mode of each slot
+        flat = (np.arange(self.size)[:, None] * self.M + labels).ravel()
+        occs = np.bincount(flat, minlength=self.size * self.M).reshape(-1, self.M)
+        w = np.exp(-0.5 * (gammaln(self.N + 1) - gammaln(occs + 1).sum(axis=1)))
+        coeff = np.asarray(coeff, dtype=complex)
+        return (coeff[sector.rank(occs)] * w).reshape(self.shape)
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Tests for the study runner, exponent fits, and the command line."""
 
 import dataclasses
+import importlib.util
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +191,20 @@ class TestWriteCsv:
         assert repr(0.1 + 0.2) in text
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_configs():
+    """The JSON config of each subcommand section of the README."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    configs = {}
+    for section in re.split(r"^(?=`\w+` —)", text, flags=re.M)[1:]:
+        block = re.search(r"```json\n(.*?)```", section, flags=re.S)
+        if block:
+            configs[section[1 : section.index("`", 1)]] = json.loads(block.group(1))
+    return configs
+
+
 def _cli(*argv, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "tfcond.cli", *argv],
@@ -295,6 +312,44 @@ class TestCli:
         proc = _cli("study", "--config", "/nonexistent/cfg.json")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "g": 100.0}),
+            ("groundstate", {"grid": {"d": 1, "n": 64, "half_widht": 8.0}}),
+            ("dynamics", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "t_finl": 0.1}),
+            ("manybody", {"N": 2, "M": 2, "trails": 3}),
+            ("scattering", {"profile": "gaussian", "kapa": [1e-3]}),
+            ("scattering", {"interaction": {"profile": "gaussian", "bta": 0.2}}),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = _cli(command, "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "unknown" in proc.stderr
+
+    def test_readme_and_benchmark_configs_exit_0(self, tmp_path, monkeypatch):
+        configs = _readme_configs()
+        assert set(configs) == {"groundstate", "gap", "dynamics", "study", "scattering"}
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", ROOT / "bench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        # the gs3d benchmark workload runs the README groundstate config
+        assert configs["groundstate"] == workloads.GS3D_CONFIG
+        # the gap sweep solves three 64^3 spectra; its keys go through the
+        # same study parser as the study config
+        del configs["gap"]
+        for command, config in configs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(config))
+            proc = _cli(command, "--config", str(path))
+            assert proc.returncode == 0, (command, proc.stdout, proc.stderr)
 
     def test_unknown_study_key_exits_2(self, tmp_path):
         cfg = tmp_path / "study.json"

@@ -1,5 +1,6 @@
 """Tests for the exact few-boson engine and counting calculus."""
 
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,152 @@ def _diag_pair_tensor(w):
     return X
 
 
+# ---------------------------------------------------------------------------
+# Frozen loop oracle: the original state-by-state builders.  They keep their
+# own itertools.product enumeration and dict index, so they share nothing
+# with the stars-and-bars basis, its rank or the lowering map they check.
+
+
+def _loop_basis(N, M):
+    occs = [occ for occ in itertools.product(range(N + 1), repeat=M) if sum(occ) == N]
+    return occs, {occ: i for i, occ in enumerate(occs)}
+
+
+def _loop_one_body(N, M, h):
+    occs, index = _loop_basis(N, M)
+    out = np.zeros((len(occs), len(occs)), dtype=complex)
+    for i, occ in enumerate(occs):
+        for b in range(M):
+            if occ[b] == 0:
+                continue
+            for a in range(M):
+                if h[a, b] == 0:
+                    continue
+                if a == b:
+                    out[i, i] += h[a, a] * occ[a]
+                    continue
+                m = list(occ)
+                m[b] -= 1
+                m[a] += 1
+                out[index[tuple(m)], i] += h[a, b] * math.sqrt(occ[b] * (occ[a] + 1))
+    return out
+
+
+def _loop_two_body(N, M, X):
+    occs, index = _loop_basis(N, M)
+    X4 = np.asarray(X).reshape(M, M, M, M)
+    out = np.zeros((len(occs), len(occs)), dtype=complex)
+    for i, occ in enumerate(occs):
+        for c in range(M):
+            if occ[c] == 0:
+                continue
+            m1 = list(occ)
+            m1[c] -= 1
+            amp_c = math.sqrt(occ[c])
+            for d in range(M):
+                if m1[d] == 0:
+                    continue
+                m2 = list(m1)
+                m2[d] -= 1
+                amp_cd = amp_c * math.sqrt(m1[d])
+                for b in range(M):
+                    amp_b = amp_cd * math.sqrt(m2[b] + 1)
+                    for a in range(M):
+                        x = X4[a, b, c, d]
+                        if x == 0:
+                            continue
+                        m = list(m2)
+                        m[b] += 1
+                        na = m[a] + 1
+                        m[a] += 1
+                        out[index[tuple(m)], i] += x * amp_b * math.sqrt(na)
+    return out
+
+
+def _loop_reduced_density(N, M, v):
+    occs, index = _loop_basis(N, M)
+    v = v / np.linalg.norm(v)
+    gamma = np.zeros((M, M), dtype=complex)
+    for i, occ in enumerate(occs):
+        for b in range(M):
+            if occ[b] == 0:
+                continue
+            gamma[b, b] += occ[b] * abs(v[i]) ** 2
+            for a in range(M):
+                if a == b:
+                    continue
+                m = list(occ)
+                m[b] -= 1
+                m[a] += 1
+                j = index[tuple(m)]
+                gamma[a, b] += math.sqrt(occ[b] * (occ[a] + 1)) * v[j].conjugate() * v[i]
+    gamma = gamma.conj() / N
+    return 0.5 * (gamma + gamma.conj().T)
+
+
+def _loop_product(N, M, c):
+    occs, _ = _loop_basis(N, M)
+    c = np.asarray(c, dtype=complex) / np.linalg.norm(c)
+    logfac = [math.lgamma(k + 1) for k in range(N + 1)]
+    vec = np.zeros(len(occs), dtype=complex)
+    for i, occ in enumerate(occs):
+        amp = math.exp(0.5 * (logfac[N] - sum(logfac[k] for k in occ)))
+        for a, k in enumerate(occ):
+            amp *= c[a] ** k
+        vec[i] = amp
+    return vec / np.linalg.norm(vec)
+
+
+def _loop_excitation(N, M, phi, chi):
+    occs, index = _loop_basis(N, M)
+    vec = np.zeros(len(occs), dtype=complex)
+    if N == 1:
+        for a in range(M):
+            vec[index[tuple(int(b == a) for b in range(M))]] = chi[a]
+        return vec / np.linalg.norm(vec)
+    base, _ = _loop_basis(N - 1, M)
+    prod = _loop_product(N - 1, M, phi)
+    for i, occ in enumerate(base):
+        for a in range(M):
+            target = list(occ)
+            target[a] += 1
+            vec[index[tuple(target)]] += chi[a] * math.sqrt(occ[a] + 1) * prod[i]
+    return vec / np.linalg.norm(vec)
+
+
+def _loop_from_occupation(N, M, coeff):
+    _, index = _loop_basis(N, M)
+    vec = np.zeros((M,) * N, dtype=complex)
+    logfac = [math.lgamma(k + 1) for k in range(N + 1)]
+    for idx in np.ndindex(*vec.shape):
+        occ = [0] * M
+        for a in idx:
+            occ[a] += 1
+        w = math.exp(-0.5 * (logfac[N] - sum(logfac[k] for k in occ)))
+        vec[idx] = coeff[index[tuple(occ)]] * w
+    return vec
+
+
+def _loop_apply_weights(ctx, weights_by_k, vec, d):
+    w = np.zeros(ctx.sector.D)
+    for col, k in enumerate(ctx.k_of_col):
+        if 0 <= k + d <= ctx.sector.N:
+            w[col] = weights_by_k[k + d]
+    return ctx.U @ (w * (ctx.U.conj().T @ vec))
+
+
+def _loop_sector_weights(ctx, vec):
+    coeff = np.abs(ctx.U.conj().T @ vec) ** 2
+    out = np.zeros(ctx.sector.N + 1)
+    for col, k in enumerate(ctx.k_of_col):
+        out[k] += coeff[col]
+    return out
+
+
+def _rel_dev(value, ref):
+    return np.max(np.abs(value - ref)) / np.max(np.abs(ref))
+
+
 def _toy_hamiltonian(N=3, M=3, g=0.5, beta=0.2, n=64, L=8.0, trap=True):
     grid = make_grid(1, n, L)
     modes = ModeBasis.harmonic(grid, M)
@@ -76,6 +223,56 @@ class TestSector:
         sec = SymmetricSector(4, 2)
         out = sec.two_body_matrix(np.eye(4))
         assert np.max(np.abs(out - 4 * 3 * np.eye(sec.D))) < 1e-13
+
+    @pytest.mark.parametrize("N, M", [(1, 3), (2, 2), (3, 1), (3, 2), (4, 3), (5, 4)])
+    def test_matches_loop_oracle(self, N, M):
+        rng = np.random.default_rng(100 * N + M)
+        sec = SymmetricSector(N, M)
+        seed_occs, _ = _loop_basis(N, M)
+        assert np.array_equal(sec.occs, np.array(seed_occs))
+        assert np.array_equal(sec.rank(sec.occs), np.arange(sec.D))
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        h, X, v = cplx(M, M), cplx(M * M, M * M), cplx(sec.D)
+        phi, chi = cplx(M), cplx(M)
+        assert _rel_dev(sec.one_body_matrix(h), _loop_one_body(N, M, h)) <= 1e-12
+        if N > 1:
+            assert _rel_dev(sec.two_body_matrix(X), _loop_two_body(N, M, X)) <= 1e-12
+        gamma = reduced_density(ManyBodyState(sec, v))
+        assert _rel_dev(gamma, _loop_reduced_density(N, M, v)) <= 1e-12
+        prod = product_state(sec, phi).vector
+        assert _rel_dev(prod, _loop_product(N, M, phi)) <= 1e-12
+        exc = excitation_state(sec, phi, chi).vector
+        assert _rel_dev(exc, _loop_excitation(N, M, phi, chi)) <= 1e-12
+        tensor = _TensorEngine(N, M).from_occupation(sec, v)
+        assert _rel_dev(tensor, _loop_from_occupation(N, M, v)) <= 1e-12
+
+    def test_single_boson_has_no_pair_operator(self):
+        sec = SymmetricSector(1, 3)
+        X = np.arange(81.0).reshape(9, 9) + 1j
+        assert np.array_equal(sec.two_body_matrix(X), np.zeros((3, 3)))
+
+    def test_single_mode_counts_particles(self):
+        sec = SymmetricSector(5, 1)
+        assert sec.D == 1
+        h = np.array([[2.5 - 1j]])
+        # exact up to the rounding of sqrt(5)^2
+        assert np.max(np.abs(sec.one_body_matrix(h) - 5 * h)) <= 1e-14 * abs(5 * h[0, 0])
+
+    def test_vacuum_sector_rejected(self):
+        with pytest.raises(ValueError, match="N >= 1"):
+            SymmetricSector(0, 3)
+
+    def test_rank_many_modes(self):
+        # 3^40 exceeds int64, so no mixed-radix key of (n_0, .., n_39) would fit
+        sec = SymmetricSector(2, 40)
+        assert sec.D == 820
+        step = np.diff(sec.occs, axis=0)
+        first = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+        assert np.all(first > 0)  # strictly ascending lexicographic order
+        assert np.array_equal(sec.rank(sec.occs), np.arange(sec.D))
 
     def test_matches_first_quantized_action(self):
         # occupation-basis matrices against explicit tensor products
@@ -338,6 +535,17 @@ class TestCounting:
         rep = alpha(st, phi, 0.5)
         assert abs(n_direct - rep.n_plus) < 1e-10
         assert abs(n_direct - 4 * rep.depletion) < 1e-10
+
+    def test_weights_match_loop_oracle(self):
+        rng = np.random.default_rng(31)
+        sec = SymmetricSector(4, 3)
+        ctx = ProjectorContext(sec, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
+        f = rng.uniform(0.5, 1.5, sec.N + 1)
+        for d in (-2, -1, 0, 1, 2):
+            ref = _loop_apply_weights(ctx, f, v, d)
+            assert _rel_dev(ctx.apply_weights(f, v, d), ref) <= 1e-12
+        assert _rel_dev(ctx.sector_weights(v), _loop_sector_weights(ctx, v)) <= 1e-12
 
     def test_pk_partition_of_unity(self):
         rng = np.random.default_rng(19)
