@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import comb, gammaln
 
 from .grids import Field, Grid, convolve, make_grid, norm
@@ -175,6 +176,32 @@ class SymmetricSector:
         """A2 = (I_M (x) A_{N-1}) A_N: row (c, d, k) holds <k| a_d a_c."""
         lower = SymmetricSector(self.N - 1, self.M).lowering
         return (sparse.kron(sparse.eye_array(self.M), lower) @ self.lowering).tocsr()
+
+    @functools.cached_property
+    def _strings(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Basis indices of the states a rotation of modes (0, i) mixes, i = 1..M-1.
+
+        Entry [i - 1][n] is (G, n + 1): each row is a string of states that
+        agree outside modes 0 and i and hold n_0 + n_i = n, ordered by n_i.
+        """
+        out = []
+        for i in range(1, self.M):
+            heads = self.occs[self.occs[:, i] == 0]
+            by_n = []
+            for n in range(self.N + 1):
+                occ = np.repeat(heads[heads[:, 0] == n][:, None, :], n + 1, axis=1)
+                occ[:, :, 0] -= np.arange(n + 1)
+                occ[:, :, i] += np.arange(n + 1)
+                by_n.append(self.rank(occ))
+            out.append(tuple(by_n))
+        return tuple(out)
+
+    def _apply_two_body(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """two_body_matrix(X) @ v through the sparse pair map, no D x D matrix."""
+        if self.N == 1:
+            return np.zeros(self.D, dtype=complex)
+        A2 = self._pair_lowering
+        return A2.T @ (X @ (A2 @ v).reshape(len(X), -1)).ravel()
 
     def one_body_matrix(self, h: np.ndarray) -> np.ndarray:
         """Sector matrix of sum_j h_j = sum_ab h_ab adag_a a_b."""
@@ -358,13 +385,47 @@ def mu_weights(N: int, lam: float) -> np.ndarray:
     return np.minimum(k / N**lam, 1.0)
 
 
+def _shifted(weights_by_k, d: int, N: int) -> np.ndarray:
+    """w[k] = weights_by_k[k + d] on k = 0..N, zero where k + d leaves 0..N."""
+    m = np.arange(N + 1) + d
+    inside = (m >= 0) & (m <= N)
+    w = np.zeros(N + 1)
+    w[inside] = np.asarray(weights_by_k)[m[inside]]
+    return w
+
+
+def _string_turns(angles: np.ndarray, N: int) -> list[np.ndarray]:
+    """Many-body action of mode-pair rotations on the strings |n - t, t>.
+
+    The rotation by angle a sends e_0 -> c e_0 - s e_i and e_i -> s e_0 + c e_i
+    (c, s = cos a, sin a).  On n bosons it is exp(a K_n), where
+    K_n = a_0^+ a_i - a_i^+ a_0 is real, antisymmetric and tridiagonal.  With
+    S = diag(1j^t), K_n = S (1j T_n) S^H for a real symmetric tridiagonal T_n
+    = V diag(lam) V^T, so exp(a K_n) = (S V) diag(exp(1j a lam)) (S V)^H,
+    orthogonal up to rounding.  Entry n is (len(angles), n + 1, n + 1).
+    """
+    turns = []
+    for n in range(N + 1):
+        off = np.sqrt(np.arange(1, n + 1) * np.arange(n, 0, -1))  # sqrt(t (n + 1 - t))
+        lam, V = eigh_tridiagonal(np.zeros(n + 1), off)
+        SV = (1j ** np.arange(n + 1))[:, None] * V
+        waves = np.exp(1j * angles[:, None] * lam)
+        turns.append(np.einsum("sj,aj,tj->ast", SV, waves, SV.conj()).real)
+    return turns
+
+
 class ProjectorContext:
     """Sector realization of the reference-state projector calculus.
 
-    Diagonalizing the occupation operator of phi splits the sector into
-    integer eigenspaces: the block with N - k particles in phi is the range
-    of P_k.  Every weighted counting operator f-hat (including shifted ones)
-    is diagonal in this basis.
+    In one-body modes where phi is mode 0, P_k keeps the occupation states
+    with N - k bosons in mode 0.  The unitary W with W phi = e_0 is a
+    diagonal phase and then M - 1 real rotations of the mode pairs (0, i).
+    Its many-body action Gamma(W) multiplies each state by a phase and
+    turns each pair rotation into small exact rotations of the strings of
+    states that differ only in how modes 0 and i share their bosons.  So
+    P_k = Gamma(W)^H [n_0 = N - k] Gamma(W), with no D x D matrix and with
+    rounding that does not grow with N.  Every weighted counting operator
+    f-hat (shifted ones too) is a weighted sum of the P_k parts.
     """
 
     def __init__(self, sector: SymmetricSector, phi: np.ndarray):
@@ -372,37 +433,62 @@ class ProjectorContext:
         phi = phi / np.linalg.norm(phi)
         self.sector = sector
         self.phi = phi
-        p = np.outer(phi, phi.conj())
-        occ_of_phi = sector.one_body_matrix(p)
-        vals, vecs = np.linalg.eigh(occ_of_phi)
-        k_float = sector.N - vals
-        k_int = np.rint(k_float).astype(int)
-        if np.max(np.abs(k_float - k_int)) > 1e-8:
-            raise RuntimeError("occupation spectrum is not integer")
-        self.k_of_col = k_int
-        self.U = vecs
+        self._k = sector.N - sector.occs[:, 0]  # k of each state in the rotated modes
+        # phases that make phi real and nonnegative, then the angles that
+        # rotate each |phi_i| into mode 0
+        self._phase = np.prod(np.exp(-1j * np.angle(phi)) ** sector.occs, axis=1)
+        x0, angles = abs(phi[0]), []
+        for xi in np.abs(phi[1:]):
+            angles.append(math.atan2(xi, x0))
+            x0 = math.hypot(x0, xi)
+        self._turns = _string_turns(np.array(angles), sector.N)
+
+    def _rotate(self, X: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Gamma(W) X, or Gamma(W)^H X when inverse, for a block X of columns."""
+        X = np.array(X, dtype=complex)
+        pairs = list(enumerate(self.sector._strings))
+        if inverse:
+            pairs.reverse()
+        else:
+            X *= self._phase[:, None]
+        for i, strings in pairs:
+            for n, idx in enumerate(strings[1:], start=1):
+                R = self._turns[n][i]
+                X[idx] = np.einsum("st,gtm->gsm", R.T if inverse else R, X[idx])
+        if inverse:
+            X *= self._phase.conj()[:, None]
+        return X
+
+    def split(self, vec: np.ndarray) -> np.ndarray:
+        """(N + 1, D) array whose row k is P_k vec."""
+        vec = np.asarray(vec, dtype=complex)
+        D, N = self.sector.D, self.sector.N
+        coeff = self._rotate(vec[:, None])[:, 0]
+        blocks = np.zeros((D, N + 1), dtype=complex)
+        blocks[np.arange(D), self._k] = coeff
+        parts = self._rotate(blocks, inverse=True).T
+        # a(phi) must annihilate the k = N part, which has no boson in phi
+        lowered = self.phi.conj() @ (self.sector.lowering @ parts[N]).reshape(self.sector.M, -1)
+        residual = np.linalg.norm(lowered)
+        if residual > 1e-10 * np.linalg.norm(vec):
+            raise RuntimeError(f"a(phi) does not annihilate P_N vec (residual {residual:.2e})")
+        return parts
 
     def apply_weights(self, weights_by_k, vec: np.ndarray, d: int = 0) -> np.ndarray:
         """f-hat-sub-d applied to vec; weights zero outside 0..N."""
-        m = self.k_of_col + d
-        inside = (m >= 0) & (m <= self.sector.N)
-        w = np.zeros(self.sector.D)
-        w[inside] = np.asarray(weights_by_k)[m[inside]]
-        coeff = self.U.conj().T @ vec
-        return self.U @ (w * coeff)
+        return _shifted(weights_by_k, d, self.sector.N) @ self.split(vec)
 
     def p_k(self, vec: np.ndarray, k: int) -> np.ndarray:
-        coeff = self.U.conj().T @ vec
-        coeff[self.k_of_col != k] = 0.0
-        return self.U @ coeff
+        return self.split(vec)[k]
 
     def sector_weights(self, vec: np.ndarray) -> np.ndarray:
         """|P_k vec|^2 for k = 0..N."""
-        coeff = np.abs(self.U.conj().T @ vec) ** 2
-        return np.bincount(self.k_of_col, weights=coeff, minlength=self.sector.N + 1)
+        return np.linalg.norm(self.split(vec), axis=1) ** 2
 
     def n_plus_matrix(self) -> np.ndarray:
-        return (self.U * self.k_of_col[None, :]) @ self.U.conj().T
+        # a(phi)^+ a(phi), the number of bosons in phi
+        nphi = self.sector.one_body_matrix(np.outer(self.phi, self.phi.conj()))
+        return self.sector.N * np.eye(self.sector.D) - nphi
 
     def expect_weights(self, weights_by_k, vec: np.ndarray) -> float:
         return float(np.dot(weights_by_k, self.sector_weights(vec)))
@@ -488,28 +574,29 @@ def counting_rate(
 
     mu = mu_weights(N, lam)
     psi_v = psi.vector
-    chi1 = ctx.apply_weights(mu, psi_v, 0) - ctx.apply_weights(mu, psi_v, 1)
-    chi2 = ctx.apply_weights(mu, psi_v, 0) - ctx.apply_weights(mu, psi_v, 2)
+    parts = ctx.split(psi_v)  # row k is P_k psi
+    chi1 = (mu - _shifted(mu, 1, N)) @ parts
+    chi2 = (mu - _shifted(mu, 2, N)) @ parts
 
     combos = ((chi1, Q0 @ U12 @ Q1), (chi2, Q0 @ U12 @ Q2), (chi1, Q1 @ U12 @ Q2))
     vals = []
     for chi, X in combos:
-        T = sector.two_body_matrix(X)
-        vals.append(np.vdot(chi, T @ psi_v) / (N * (N - 1)))
+        vals.append(np.vdot(chi, sector._apply_two_body(X, psi_v)) / (N * (N - 1)))
     terms = np.array([v.imag for v in vals])
     rate = g * (2 * terms[0] + terms[1] + 2 * terms[2])
 
-    bounds = _rate_bounds(H, ctx, psi_v, lam) if H.modes is not None else None
-    return float(rate), np.abs(terms), bounds
+    if H.modes is None:
+        return float(rate), np.abs(terms), None
+    a_val = float(mu @ np.linalg.norm(parts, axis=1) ** 2)
+    return float(rate), np.abs(terms), _rate_bounds(H, c, a_val, lam)
 
 
-def _rate_bounds(
-    H: ManyBodyHamiltonian, ctx: ProjectorContext, psi_v: np.ndarray, lam: float
-) -> np.ndarray:
+def _rate_bounds(H: ManyBodyHamiltonian, phi: np.ndarray, a_val: float, lam: float) -> np.ndarray:
     """A priori bounds for the three rate terms with quadrature norms.
 
-    The kernel exponents follow the mode-grid dimension d (the pair kernel
-    is N^{d beta} v(N^beta x)), so the scaling identity
+    a_val is the counting functional of psi against phi.  The kernel
+    exponents follow the mode-grid dimension d (the pair kernel is
+    N^{d beta} v(N^beta x)), so the scaling identity
     ||v_N||_2 = N^{d beta / 2} ||v||_2 used by the estimates stays exact.
     """
     grid = H.modes.grid
@@ -521,13 +608,11 @@ def _rate_bounds(
     v2_scaled = float(np.sqrt(np.sum(np.abs(kv) ** 2) * grid.dv)) * N ** (-d * beta / 2)
     vmax = max(v1, v2_scaled)
 
-    phi_grid = H.modes.expand(ctx.phi)
+    phi_grid = H.modes.expand(phi)
     f = Field(grid, phi_grid, "position")
     linf = norm(f, "Linf")
     l4 = norm(f, "L4")
 
-    mu = mu_weights(N, lam)
-    a_val = ctx.expect_weights(mu, psi_v)
     b1 = v1 / N ** ((1 + lam) / 2) * linf**2 * math.sqrt(max(a_val, 0.0))
     b2 = 2 * vmax * max(l4, linf) ** 2 * (a_val + N ** (d * beta - lam) / 2)
     b3 = (
@@ -589,26 +674,23 @@ class _TensorEngine:
         out = np.tensordot(mat, vec, axes=([1], [axis]))
         return np.moveaxis(out, 0, axis)
 
-    def apply_pq_pattern(self, p, q, qset, vec):
-        out = vec
-        for j in range(self.N):
-            out = self.apply_one(q if j in qset else p, out, j)
-        return out
+    def slot_split(self, p, q, vec: np.ndarray) -> np.ndarray:
+        """(N + 1, M^N) stack whose row k is P_k vec.
 
-    def p_k(self, p, q, k, vec):
-        out = np.zeros_like(vec)
-        for qset in itertools.combinations(range(self.N), k):
-            out = out + self.apply_pq_pattern(p, q, set(qset), vec)
-        return out
+        Slot recursion P_k^{(n+1)} = P_k^{(n)} (x) p + P_{k-1}^{(n)} (x) q:
+        P_k is the sum over the slot patterns with k factors q.
+        """
+        parts = np.zeros((self.N + 1,) + self.shape, dtype=complex)
+        parts[0] = vec.reshape(self.shape)
+        for axis in range(1, self.N + 1):  # stack axis 0 is k, axis j is slot j - 1
+            on_q = self.apply_one(q, parts[:-1], axis)
+            parts = self.apply_one(p, parts, axis)
+            parts[1:] += on_q
+        return parts.reshape(self.N + 1, self.size)
 
     def fhat(self, p, q, fvals, vec, d: int = 0):
-        out = np.zeros_like(vec)
-        for k in range(self.N + 1):
-            m = k + d
-            if 0 <= m <= self.N:
-                if fvals[m] != 0:
-                    out = out + fvals[m] * self.p_k(p, q, k, vec)
-        return out
+        """f-hat-sub-d applied to vec: a weighted sum of its P_k parts."""
+        return (_shifted(fvals, d, self.N) @ self.slot_split(p, q, vec)).reshape(self.shape)
 
     def apply_pair(self, X: np.ndarray, vec: np.ndarray) -> np.ndarray:
         flat = vec.reshape(self.M * self.M, -1)
@@ -686,11 +768,12 @@ def verify_appendix(
         phi /= np.linalg.norm(phi)
         p = np.outer(phi, phi.conj())
         q = np.eye(M) - p
+        fhat = functools.partial(eng.fhat, p, q)
 
         # (i) squared fraction operator vs mean of q_j, on a general vector
         raw = rng.standard_normal(eng.shape) + 1j * rng.standard_normal(eng.shape)
         raw /= np.linalg.norm(raw)
-        lhs = eng.fhat(p, q, nu2, raw)
+        lhs = fhat(nu2, raw)
         rhs = np.zeros_like(raw)
         for j in range(N):
             rhs = rhs + eng.apply_one(q, raw, j) / N
@@ -699,16 +782,16 @@ def verify_appendix(
         # (ii) combinatorics on a symmetric state
         psi = eng.symmetric_random(rng)
         f = rng.uniform(-1.0, 1.0, N + 1)
-        fq1 = eng.fhat(p, q, f, eng.apply_one(q, psi, 0))
-        fnu = eng.fhat(p, q, f * np.sqrt(nu2), psi)
+        fq1 = fhat(f, eng.apply_one(q, psi, 0))
+        fnu = fhat(f * np.sqrt(nu2), psi)
         bump(
             "counting_equality",
             abs(np.linalg.norm(fq1) - np.linalg.norm(fnu)),
             tol,
         )
         q1q2 = eng.apply_one(q, eng.apply_one(q, psi, 0), 1)
-        lhs2 = np.linalg.norm(eng.fhat(p, q, f, q1q2))
-        rhs2 = math.sqrt(N / (N - 1)) * np.linalg.norm(eng.fhat(p, q, f * nu2, psi))
+        lhs2 = np.linalg.norm(fhat(f, q1q2))
+        rhs2 = math.sqrt(N / (N - 1)) * np.linalg.norm(fhat(f * nu2, psi))
         bump("counting_inequality", lhs2 - rhs2, tol)
 
         # (iii) shift commutation with a random pair operator
@@ -724,8 +807,8 @@ def verify_appendix(
             for k in range(3):
                 if j == k:
                     continue
-                a = eng.fhat(p, q, f, Qs[j](eng.apply_pair(Wr, Qs[k](psi))))
-                b = Qs[j](eng.apply_pair(Wr, Qs[k](eng.fhat(p, q, f, psi, d=j - k))))
+                a = fhat(f, Qs[j](eng.apply_pair(Wr, Qs[k](psi))))
+                b = Qs[j](eng.apply_pair(Wr, Qs[k](fhat(f, psi, d=j - k))))
                 bump("shift_commutation", float(np.max(np.abs(a - b))), tol)
 
     # Hoelder operator bounds on a two-particle grid

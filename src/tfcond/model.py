@@ -98,18 +98,11 @@ class InteractionSpec:
     def v0(self) -> float:
         return float(self.radial(0.0))
 
-    def _radial_integral(self, d: int, transform) -> float:
-        fn = lambda r: transform(self.radial(r)) * r ** (d - 1)
-        val, _ = integrate.quad(fn, 0.0, np.inf, limit=200)
-        return sphere_area(d) * val
-
     def integral(self, d: int = 3) -> float:
         """integral of v over R^d."""
-        return self._radial_integral(d, lambda v: v)
-
-    def abs_integral(self, d: int = 3) -> float:
-        """integral of |v| over R^d."""
-        return self._radial_integral(d, np.abs)
+        fn = lambda r: self.radial(r) * r ** (d - 1)
+        val, _ = integrate.quad(fn, 0.0, np.inf, limit=200)
+        return sphere_area(d) * val
 
     def first_moment(self, d: int = 3) -> float:
         """integral of |x| |v(x)| over R^d."""

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tfcond
 from tfcond import groundstate as gs
 from tfcond.harness import Check, StudySpec, fit_loglog, run_study, write_csv
 from tfcond.model import InteractionSpec
@@ -205,12 +207,18 @@ def _readme_configs():
     return configs
 
 
+# the CLI child process imports the same tfcond as this one, installed or not
+_PACKAGE_ROOT = str(Path(tfcond.__file__).resolve().parents[1])
+
+
 def _cli(*argv, timeout=300):
+    path = os.pathsep.join(filter(None, (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "tfcond.cli", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

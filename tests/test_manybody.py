@@ -13,6 +13,7 @@ from tfcond.manybody import (
     ModeBasis,
     ProjectorContext,
     SymmetricSector,
+    _rate_bounds,
     _TensorEngine,
     alpha,
     assemble,
@@ -175,6 +176,35 @@ def _loop_from_occupation(N, M, coeff):
     return vec
 
 
+# ---------------------------------------------------------------------------
+# Frozen dense oracles for the projector calculus: the original
+# ProjectorContext (a dense eigh of the occupation of phi, built from the loop
+# oracle above) and the original pattern-sum P_k of the tensor engine (a sum
+# over every placement of k factors q among the N slots).
+
+
+class _EighProjectorContext:
+    def __init__(self, sector, phi):
+        phi = np.asarray(phi, dtype=complex)
+        phi = phi / np.linalg.norm(phi)
+        self.sector = sector
+        occ_of_phi = _loop_one_body(sector.N, sector.M, np.outer(phi, phi.conj()))
+        vals, vecs = np.linalg.eigh(occ_of_phi)
+        k_float = sector.N - vals
+        k_int = np.rint(k_float).astype(int)
+        assert np.max(np.abs(k_float - k_int)) <= 1e-8
+        self.k_of_col = k_int
+        self.U = vecs
+
+    def p_k(self, vec, k):
+        coeff = self.U.conj().T @ vec
+        coeff[self.k_of_col != k] = 0.0
+        return self.U @ coeff
+
+    def n_plus_matrix(self):
+        return (self.U * self.k_of_col[None, :]) @ self.U.conj().T
+
+
 def _loop_apply_weights(ctx, weights_by_k, vec, d):
     w = np.zeros(ctx.sector.D)
     for col, k in enumerate(ctx.k_of_col):
@@ -189,6 +219,32 @@ def _loop_sector_weights(ctx, vec):
     for col, k in enumerate(ctx.k_of_col):
         out[k] += coeff[col]
     return out
+
+
+def _pattern_p_k(eng, p, q, k, vec):
+    out = np.zeros_like(vec)
+    for qset in itertools.combinations(range(eng.N), k):
+        term = vec
+        for j in range(eng.N):
+            term = eng.apply_one(q if j in qset else p, term, j)
+        out = out + term
+    return out
+
+
+def _pattern_fhat(eng, p, q, fvals, vec, d=0):
+    out = np.zeros_like(vec)
+    for k in range(eng.N + 1):
+        m = k + d
+        if 0 <= m <= eng.N and fvals[m] != 0:
+            out = out + fvals[m] * _pattern_p_k(eng, p, q, k, vec)
+    return out
+
+
+def _random_projector_pair(rng, M):
+    phi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    phi /= np.linalg.norm(phi)
+    p = np.outer(phi, phi.conj())
+    return phi, p, np.eye(M) - p
 
 
 def _rel_dev(value, ref):
@@ -239,7 +295,9 @@ class TestSector:
         phi, chi = cplx(M), cplx(M)
         assert _rel_dev(sec.one_body_matrix(h), _loop_one_body(N, M, h)) <= 1e-12
         if N > 1:
-            assert _rel_dev(sec.two_body_matrix(X), _loop_two_body(N, M, X)) <= 1e-12
+            T = _loop_two_body(N, M, X)
+            assert _rel_dev(sec.two_body_matrix(X), T) <= 1e-12
+            assert _rel_dev(sec._apply_two_body(X, v), T @ v) <= 1e-12
         gamma = reduced_density(ManyBodyState(sec, v))
         assert _rel_dev(gamma, _loop_reduced_density(N, M, v)) <= 1e-12
         prod = product_state(sec, phi).vector
@@ -253,6 +311,7 @@ class TestSector:
         sec = SymmetricSector(1, 3)
         X = np.arange(81.0).reshape(9, 9) + 1j
         assert np.array_equal(sec.two_body_matrix(X), np.zeros((3, 3)))
+        assert np.array_equal(sec._apply_two_body(X, np.ones(3)), np.zeros(3))
 
     def test_single_mode_counts_particles(self):
         sec = SymmetricSector(5, 1)
@@ -310,15 +369,17 @@ class TestSector:
         coeff = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
         coeff /= np.linalg.norm(coeff)
         psi_t = eng.from_occupation(sec, coeff)
-        phi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        phi /= np.linalg.norm(phi)
+        phi, p, q = _random_projector_pair(rng, M)
         ctx = ProjectorContext(sec, phi)
-        p = np.outer(phi, phi.conj())
-        q = np.eye(M) - p
+        oracle = _EighProjectorContext(sec, phi)
+        split_t = eng.slot_split(p, q, psi_t)
         for k in range(N + 1):
-            w_occ = np.linalg.norm(ctx.p_k(coeff, k))
-            w_t = np.linalg.norm(eng.p_k(p, q, k, psi_t))
-            assert abs(w_occ - w_t) < 1e-12
+            block = ctx.p_k(coeff, k)
+            ref_t = _pattern_p_k(eng, p, q, k, psi_t)
+            # the sector split, the slot recursion and the pattern sum agree
+            assert np.max(np.abs(eng.from_occupation(sec, block) - ref_t)) < 1e-12
+            assert np.max(np.abs(split_t[k] - ref_t.ravel())) < 1e-12
+            assert abs(np.linalg.norm(block) - np.linalg.norm(oracle.p_k(coeff, k))) < 1e-12
 
 
 class TestStates:
@@ -519,9 +580,14 @@ class TestCounting:
         sec = SymmetricSector(4, 3)
         phi = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
         ctx = ProjectorContext(sec, phi)
-        assert sorted(set(ctx.k_of_col.tolist())) == list(range(5))
+        oracle = _EighProjectorContext(sec, phi)
+        assert sorted(set(oracle.k_of_col.tolist())) == list(range(5))
         vals = np.linalg.eigvalsh(ctx.n_plus_matrix())
         assert np.max(np.abs(vals - np.rint(vals))) < 1e-10
+        # the range of P_k places k bosons in the M - 1 modes orthogonal to phi
+        mult = np.bincount(np.rint(vals).astype(int), minlength=5)
+        assert np.array_equal(mult, np.bincount(oracle.k_of_col, minlength=5))
+        assert mult.tolist() == [math.comb(k + 1, k) for k in range(5)]
 
     def test_nplus_expectation_matches_density(self):
         rng = np.random.default_rng(17)
@@ -539,13 +605,15 @@ class TestCounting:
     def test_weights_match_loop_oracle(self):
         rng = np.random.default_rng(31)
         sec = SymmetricSector(4, 3)
-        ctx = ProjectorContext(sec, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        ctx = ProjectorContext(sec, phi)
+        oracle = _EighProjectorContext(sec, phi)
         v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
         f = rng.uniform(0.5, 1.5, sec.N + 1)
         for d in (-2, -1, 0, 1, 2):
-            ref = _loop_apply_weights(ctx, f, v, d)
+            ref = _loop_apply_weights(oracle, f, v, d)
             assert _rel_dev(ctx.apply_weights(f, v, d), ref) <= 1e-12
-        assert _rel_dev(ctx.sector_weights(v), _loop_sector_weights(ctx, v)) <= 1e-12
+        assert _rel_dev(ctx.sector_weights(v), _loop_sector_weights(oracle, v)) <= 1e-12
 
     def test_pk_partition_of_unity(self):
         rng = np.random.default_rng(19)
@@ -577,7 +645,125 @@ class TestCounting:
         assert op_norm(gamma - np.outer(c, c.conj())) < 1e-13
 
 
+class TestProjectorSplit:
+    """ProjectorContext's split into P_k parts against the dense eigh oracle."""
+
+    # the larger N: the rotation is unitary, so its rounding does not grow with N
+    @pytest.mark.parametrize("N, M", [(1, 3), (2, 2), (4, 3), (8, 5), (20, 3), (40, 2)])
+    def test_matches_eigh_oracle(self, N, M):
+        rng = np.random.default_rng(10 * N + M)
+        sec = SymmetricSector(N, M)
+        phi, _, _ = _random_projector_pair(rng, M)
+        ctx = ProjectorContext(sec, phi)
+        oracle = _EighProjectorContext(sec, phi)
+        v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
+        v /= np.linalg.norm(v)
+        parts = ctx.split(v)
+        assert parts.shape == (N + 1, sec.D)
+        for k in range(N + 1):
+            assert np.max(np.abs(parts[k] - oracle.p_k(v, k))) <= 1e-12
+            assert np.array_equal(ctx.p_k(v, k), parts[k])
+        f = rng.uniform(0.5, 1.5, N + 1)
+        for d in (-2, -1, 0, 1, 2):  # at N = 1, d = +-2 leaves every weight zero
+            ref = _loop_apply_weights(oracle, f, v, d)
+            assert np.max(np.abs(ctx.apply_weights(f, v, d) - ref)) <= 1e-12
+        assert _rel_dev(ctx.sector_weights(v), _loop_sector_weights(oracle, v)) <= 1e-12
+        assert _rel_dev(ctx.n_plus_matrix(), oracle.n_plus_matrix()) <= 1e-12
+
+    def test_parts_are_orthogonal_number_eigenvectors(self):
+        rng = np.random.default_rng(41)
+        sec = SymmetricSector(5, 3)
+        phi, _, q = _random_projector_pair(rng, 3)
+        ctx = ProjectorContext(sec, phi)
+        n_plus = sec.one_body_matrix(q)  # sum_j q_j, built without the ladder
+        v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
+        v /= np.linalg.norm(v)
+        for k, part in enumerate(ctx.split(v)):
+            assert np.max(np.abs(n_plus @ part - k * part)) <= 1e-12
+            assert np.max(np.abs(ctx.n_plus_matrix() @ part - k * part)) <= 1e-12
+            for j in range(sec.N + 1):
+                target = part if j == k else np.zeros_like(part)
+                assert np.max(np.abs(ctx.p_k(part, j) - target)) <= 1e-12
+
+    @pytest.mark.parametrize("N, M", [(4, 3), (8, 5)])
+    def test_near_condensate_small_parts(self, N, M):
+        # the k >= 1 parts are ~1e-3 and must not drown in the rounding of
+        # the k = 0 part that carries almost all of the norm
+        rng = np.random.default_rng(43 + N)
+        sec = SymmetricSector(N, M)
+        phi, _, _ = _random_projector_pair(rng, M)
+        noise = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
+        v = product_state(sec, phi).vector + 1e-3 * noise / np.linalg.norm(noise)
+        v /= np.linalg.norm(v)
+        ctx = ProjectorContext(sec, phi)
+        oracle = _EighProjectorContext(sec, phi)
+        parts = ctx.split(v)
+        assert np.linalg.norm(parts[0]) > 0.999
+        for k in range(1, N + 1):
+            assert np.linalg.norm(parts[k]) < 1.1e-3
+            assert np.max(np.abs(parts[k] - oracle.p_k(v, k))) <= 1e-14
+
+    def test_guard_rejects_a_wrong_rotation(self):
+        rng = np.random.default_rng(47)
+        sec = SymmetricSector(4, 3)
+        ctx = ProjectorContext(sec, _random_projector_pair(rng, 3)[0])
+        v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
+        ctx.split(v)
+        ctx._phase = ctx._phase.conj()  # now rotates conj(phi) into mode 0
+        with pytest.raises(RuntimeError, match="annihilate"):
+            ctx.split(v)
+
+    def test_rate_matches_dense_oracle(self):
+        # the original counting rate: dense pair matrices, eigh-oracle weights
+        H = _toy_hamiltonian(N=4, M=3, g=0.5)
+        sec, N, M = H.sector, 4, 3
+        rng = np.random.default_rng(53)
+        phi, p1, q1 = _random_projector_pair(rng, M)
+        st = ManyBodyState(sec, rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D))
+        rate, terms, bounds = counting_rate(H, st, phi, 0.5)
+
+        oracle = _EighProjectorContext(sec, phi)
+        mu = mu_weights(N, 0.5)
+        psi = st.vector
+        W = np.einsum("abcd,b,d->ac", H.v_tensor.reshape(M, M, M, M), phi.conj(), phi)
+        U12 = (N - 1) * H.v_tensor - N * np.kron(W, np.eye(M)) - N * np.kron(np.eye(M), W)
+        Q0, Q1, Q2 = np.kron(p1, p1), np.kron(p1, q1), np.kron(q1, q1)
+        w0 = _loop_apply_weights(oracle, mu, psi, 0)
+        chi1 = w0 - _loop_apply_weights(oracle, mu, psi, 1)
+        chi2 = w0 - _loop_apply_weights(oracle, mu, psi, 2)
+        combos = ((chi1, Q0 @ U12 @ Q1), (chi2, Q0 @ U12 @ Q2), (chi1, Q1 @ U12 @ Q2))
+        ref = np.array([np.vdot(chi, _loop_two_body(N, M, X) @ psi).imag for chi, X in combos])
+        ref /= N * (N - 1)
+        assert _rel_dev(terms, np.abs(ref)) <= 1e-12
+        ref_rate = H.g * (2 * ref[0] + ref[1] + 2 * ref[2])
+        assert abs(rate - ref_rate) <= 1e-12 * np.max(np.abs(ref))
+        # the bounds read alpha from the same split of psi
+        a_ref = float(mu @ _loop_sector_weights(oracle, psi))
+        assert _rel_dev(bounds, _rate_bounds(H, phi, a_ref, 0.5)) <= 1e-12
+
+
 class TestAppendix:
+    @pytest.mark.parametrize("N, M", [(4, 3), (6, 2)])
+    def test_slot_recursion_matches_pattern_sum(self, N, M):
+        rng = np.random.default_rng(10 * N + M)
+        eng = _TensorEngine(N, M)
+        _, p, q = _random_projector_pair(rng, M)
+        P = np.stack([eng.slot_split(p, q, col) for col in np.eye(eng.size)], axis=-1)
+        columns = np.eye(eng.size).reshape(eng.shape + (eng.size,))
+        for k in range(N + 1):
+            ref = _pattern_p_k(eng, p, q, k, columns).reshape(eng.size, eng.size)
+            assert np.max(np.abs(P[k] - ref)) <= 1e-12
+
+    def test_fhat_matches_pattern_sum(self):
+        rng = np.random.default_rng(59)
+        eng = _TensorEngine(4, 3)
+        _, p, q = _random_projector_pair(rng, 3)
+        vec = rng.standard_normal(eng.shape) + 1j * rng.standard_normal(eng.shape)
+        f = rng.uniform(-1.0, 1.0, eng.N + 1)
+        for d in (-2, -1, 0, 1, 2):
+            ref = _pattern_fhat(eng, p, q, f, vec, d)
+            assert np.max(np.abs(eng.fhat(p, q, f, vec, d) - ref)) <= 1e-12
+
     def test_small_run_has_no_violations(self):
         rep = verify_appendix(3, 2, 8, seed=1)
         assert rep.passed
