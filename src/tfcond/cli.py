@@ -104,7 +104,8 @@ def _cmd_groundstate(args) -> int:
     lines = [
         f"grid: {grid.d}D n={grid.n} half_width={grid.half_width}",
         f"G={G} energy={res.energy:.12g} mu={res.mu:.12g} "
-        f"residual={res.residual:.3e} iterations={res.iterations}",
+        f"residual={res.residual:.3e} iterations={res.iterations} "
+        f"newton_steps={res.newton_steps}",
     ]
     passed = res.residual <= tol
     payload = {
@@ -115,6 +116,7 @@ def _cmd_groundstate(args) -> int:
         "interaction": res.interaction,
         "residual": res.residual,
         "iterations": res.iterations,
+        "newton_steps": res.newton_steps,
         "boundary_mass": res.boundary_mass,
     }
     k = int(cfg.get("spectrum_k", 0))
@@ -125,11 +127,13 @@ def _cmd_groundstate(args) -> int:
             + " ".join(f"{v:.10g}" for v in spec.eigenvalues)
             + f" (gap {spec.gap:.10g})"
         )
+        lines.append(f"spectrum iterations: {spec.iterations}")
         lines.append(f"spectrum warnings: {len(spec.warnings)}")
         lines.extend(f"  {w}" for w in spec.warnings)
         passed = passed and spec.converged
         payload["eigenvalues"] = spec.eigenvalues
         payload["gap"] = spec.gap
+        payload["spectrum_iterations"] = spec.iterations
     payload["passed"] = passed
     _write_json(args.out, "groundstate.json", payload)
     return _report(lines, passed)

@@ -15,6 +15,7 @@ interaction kernel, Agmon-type tail decay).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import threading
 import warnings
@@ -79,8 +80,9 @@ class TFProfile:
 
     @property
     def mass(self) -> float:
-        """integral of the density (1 by construction)."""
-        return self._moment(0)
+        """integral of the density in closed form (1 by construction)."""
+        s, d = self.trap.s, self.d
+        return sphere_area(d) * self.mu * self.radius ** d * s / (d * (s + d)) / self.G
 
     @property
     def density_sq_integral(self) -> float:
@@ -113,20 +115,6 @@ class TFProfile:
         """E = integral(V rho) + (G/2) integral(rho^2)."""
         return self.potential_integral + 0.5 * self.G * self.density_sq_integral
 
-    def _moment(self, power: int) -> float:
-        # integral of rho * V^power over the support, closed form
-        s, d = self.trap.s, self.d
-        if power == 0:
-            return (
-                sphere_area(d)
-                * self.mu
-                * self.radius ** d
-                * s
-                / (d * (s + d))
-                / self.G
-            )
-        raise ValueError(power)
-
 
 def tf_minimize(trap: TrapSpec, G: float, d: int = 3) -> TFProfile:
     """Thomas-Fermi profile for coupling G = g * integral(v) at unit mass."""
@@ -147,7 +135,11 @@ def tf_minimize(trap: TrapSpec, G: float, d: int = 3) -> TFProfile:
 
 @dataclass
 class GroundStateResult:
-    """Converged minimizer with its energy decomposition and flow diagnostics."""
+    """Converged minimizer with its energy decomposition and flow diagnostics.
+
+    ``iterations`` counts gradient-flow steps, ``newton_steps`` the steps of
+    the projected-Newton polish that follows them (0 if it was not needed).
+    """
 
     field: Field
     energy: float
@@ -157,6 +149,7 @@ class GroundStateResult:
     interaction: float
     residual: float
     iterations: int
+    newton_steps: int
     dt_final: float
     energy_history: np.ndarray
     boundary_mass: float
@@ -393,8 +386,9 @@ def gp_minimize(
                 f"(residual {residual:.3e})"
             )
 
+    newton_steps = 0
     if residual > tol:
-        phi_real, residual, _ = _newton_polish(vals, V, grid, G, tol)
+        phi_real, residual, newton_steps = _newton_polish(vals, V, grid, G, tol)
         vals = phi_real.astype(np.complex128)
         kin, pot, quart = _energy_parts(vals, V, grid, G)
         new_energy = kin + pot + 0.5 * G * quart
@@ -423,6 +417,7 @@ def gp_minimize(
         interaction=0.5 * G * quart,
         residual=residual,
         iterations=it,
+        newton_steps=newton_steps,
         dt_final=dt,
         energy_history=np.asarray(history),
         boundary_mass=boundary_mass,
@@ -439,7 +434,13 @@ def gp_minimize(
 class SpectrumResult:
     """Lowest eigenvalues of h = -Lap + V + G |phi|^2 with residuals.
 
-    ``warnings`` holds the messages LOBPCG raised during the solve, in order.
+    The eigenvalues come from separate solves in the reflection-parity
+    sectors of h, which therefore must commute with every reflection
+    x_ax -> -x_ax of the grid. ``residuals`` are ||h v - lambda v|| / ||v|| of the
+    eigenvectors unfolded to the full grid, with h applied there without any
+    symmetry, and ``converged`` is read from them. ``iterations`` counts the
+    LOBPCG iterations of all sector solves; ``warnings`` holds the messages
+    LOBPCG raised during them, in order.
     """
 
     eigenvalues: np.ndarray
@@ -447,6 +448,7 @@ class SpectrumResult:
     gap: float
     mu0: float
     converged: bool
+    iterations: int
     warnings: tuple = ()
 
 
@@ -493,6 +495,88 @@ def _captured_warnings():
                 _capture_ctx = None
 
 
+class _ParitySector:
+    """One reflection-parity sector of a cubic grid, stored on an octant.
+
+    The reflection x_ax -> -x_ax maps grid index j to (n - j) mod n and fixes
+    the origin j = n/2 and the box edge j = 0. A field of parity p (per axis,
+    0 even, 1 odd) is fixed by its values at j = n/2 + o: o = 0..n/2 on an
+    even axis, o = 1..n/2-1 on an odd one (it vanishes at the fixed points).
+    Sector vectors hold those values times sqrt(2) per axis where the point
+    has a mirror image, so :meth:`unfold` is an isometry onto the parity
+    subspace and -Lap acts per axis as T diag(k^2) T, with T the orthonormal
+    DCT-I (even) or DST-I (odd), which is its own inverse.
+    """
+
+    def __init__(self, grid: Grid, parity: tuple):
+        n, half = grid.n, grid.n // 2
+        self.parity = parity
+        self._axes = []  # per axis: octant points j, mirror points n - j, their weights
+        k2 = np.zeros(())
+        for odd in parity:
+            o = np.arange(1, half) if odd else np.arange(half + 1)
+            # a fixed point is its own mirror: the two halves of its weight add up
+            weight = np.where((o == 0) | (o == half), 0.5, math.sqrt(0.5))
+            mirror_weight = -weight if odd else weight
+            self._axes.append(((half + o) % n, (half - o) % n, weight, mirror_weight))
+            k2 = np.add.outer(k2, grid.k_axis[o] ** 2)
+        self.n = n
+        self.k2 = k2
+        self.shape = k2.shape
+        self.dim = k2.size
+
+    @staticmethod
+    def _along(vec, ax, ndim):
+        return vec.reshape((-1,) + (1,) * (ndim - ax - 1))
+
+    def restrict(self, f: np.ndarray) -> np.ndarray:
+        """Sector vector of the parity part of a full-grid field (adjoint of unfold)."""
+        for ax, (plus, minus, w_plus, w_minus) in enumerate(self._axes):
+            f = (
+                np.take(f, plus, axis=ax) * self._along(w_plus, ax, f.ndim)
+                + np.take(f, minus, axis=ax) * self._along(w_minus, ax, f.ndim)
+            )
+        return f.reshape(self.dim)
+
+    def unfold(self, X: np.ndarray) -> np.ndarray:
+        """Full-grid fields (flattened, one per column) of sector vectors."""
+        f = X.reshape(self.shape + X.shape[1:])
+        for ax, (plus, minus, w_plus, w_minus) in enumerate(self._axes):
+            out = np.zeros(f.shape[:ax] + (self.n,) + f.shape[ax + 1 :])
+            axis = (slice(None),) * ax
+            out[axis + (plus,)] = f * self._along(w_plus, ax, f.ndim)
+            out[axis + (minus,)] += f * self._along(w_minus, ax, f.ndim)
+            f = out
+        return f.reshape((-1,) + X.shape[1:])
+
+    def octant(self, f: np.ndarray) -> np.ndarray:
+        """Samples of a full-grid field at the sector's octant points."""
+        return f[np.ix_(*(plus for plus, *_ in self._axes))]
+
+    def apply_symbol(self, symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """T symbol T X for sector vectors X (one, or one per column)."""
+        u = X.reshape(self.shape + X.shape[1:])
+        for ax, odd in enumerate(self.parity):
+            u = (sfft.dst if odd else sfft.dct)(u, type=1, axis=ax, norm="ortho")
+        u *= symbol.reshape(self.shape + (1,) * (X.ndim - 1))
+        for ax, odd in enumerate(self.parity):
+            u = (sfft.dst if odd else sfft.dct)(
+                u, type=1, axis=ax, norm="ortho", overwrite_x=True
+            )
+        return u.reshape(X.shape)
+
+
+def _require_reflection_symmetric(W: np.ndarray):
+    scale = float(np.max(np.abs(W)))
+    for ax in range(W.ndim):
+        asym = float(np.max(np.abs(W - np.roll(np.flip(W, ax), 1, ax))))
+        if asym > 1e-10 * scale:
+            raise ValueError(
+                f"V + G|phi|^2 is not symmetric under x_{ax} -> -x_{ax} "
+                f"(deviation {asym:.3e}, allowed {1e-10 * scale:.3e})"
+            )
+
+
 def hgp_spectrum(
     grid: Grid,
     trap: TrapSpec,
@@ -503,70 +587,103 @@ def hgp_spectrum(
     maxiter: int = 800,
     seed: int = 0,
 ) -> SpectrumResult:
-    """Lowest k eigenvalues of -Lap + V + G |phi|^2 by preconditioned LOBPCG.
+    """Lowest k eigenvalues of h = -Lap + V + G |phi|^2, solved per parity sector.
 
-    The ground state is first polished in a one-vector block, then deflated
-    (as an orthogonality constraint) while a k-sized block with trap-adapted
-    starting guesses resolves the excited levels. The preconditioner is the
-    shifted spectral solve (c - Lap)^{-1} with c = max(1, <phi, h phi>), the
-    shift the Newton polish of :func:`gp_minimize` uses. Warnings LOBPCG
-    raises are returned in ``SpectrumResult.warnings`` instead of printed.
+    W = V + G |phi|^2 must be symmetric under each reflection x_ax -> -x_ax
+    (to 1e-10 max|W|, else ``ValueError``), so h splits into the 2^d sectors
+    of :class:`_ParitySector`, each solved by preconditioned LOBPCG with the
+    shifted preconditioner (c - Lap)^{-1}, c = max(1, <phi, h phi>), the
+    shift the Newton polish of :func:`gp_minimize` uses.
+
+    The all-even sector starts from phi itself: a minimizer from
+    :func:`gp_minimize` is already the ground state of its own h. Every other
+    sector starts from phi times its odd coordinates plus a seeded random
+    part of 10% of the norm, so that a guess does not stay inside one class
+    of the symmetries left in the sector (axis permutations). Let tau be the
+    k-th lowest eigenvalue found over all sectors. A sector whose highest
+    eigenvalue found lies below tau (by more than rounding) grows by one
+    random vector, solved with the sector's eigenvectors as constraints,
+    until it holds k vectors or its whole dimension.
+
+    ``residuals`` and ``converged`` come from h on the full grid, applied to
+    the unfolded eigenvectors without any symmetry. LOBPCG warnings are
+    returned in ``SpectrumResult.warnings`` instead of printed.
     """
     if k < 2:
         raise ValueError("need at least two eigenvalues for a gap")
     if phi.grid != grid:
         raise ValueError("phi lives on a different grid")
     W = trap.on_grid(grid) + G * np.abs(phi.values) ** 2
-    shape, k2h = grid.shape, grid.k2_half
-    npts = grid.npoints
+    _require_reflection_symmetric(W)
+    base = phi.values.real
+    unit = base / np.linalg.norm(base)
+    shift = max(1.0, float(np.vdot(unit, apply_symbol(grid.k2_half, unit) + W * unit)))
+    coords = grid.coords()
+    rng = np.random.default_rng(seed)
+    iterations = 0
 
-    def _apply_h(X):
-        cols = X.reshape(shape + (-1,))
-        out = apply_symbol(k2h, cols)
-        out += W[..., None] * cols
-        return out.reshape(X.shape)
+    def sector_operators(sec):
+        w = sec.octant(W).ravel()
+        inv_shifted = 1.0 / (shift + sec.k2)
 
-    A = LinearOperator(
-        (npts, npts), matvec=_apply_h, matmat=_apply_h, dtype=np.float64
-    )
+        def h(X):
+            return sec.apply_symbol(sec.k2, X) + w.reshape((-1,) + (1,) * (X.ndim - 1)) * X
 
-    x0 = phi.values.real.ravel().copy()
-    x0 /= np.linalg.norm(x0)
-    inv_shifted = 1.0 / (max(1.0, float(x0 @ _apply_h(x0))) + k2h)
+        def precond(X):
+            nonlocal iterations
+            iterations += 1  # LOBPCG preconditions once per iteration it does not stop
+            return sec.apply_symbol(inv_shifted, X)
 
-    def _precond(X):
-        return apply_symbol(inv_shifted, X.reshape(shape + (-1,))).reshape(X.shape)
+        return _operator(sec.dim, h), _operator(sec.dim, precond)
 
-    M = LinearOperator((npts, npts), matvec=_precond, matmat=_precond, dtype=np.float64)
-
-    with _captured_warnings() as caught:
-        w0, v0 = lobpcg(A, x0[:, None], M=M, tol=tol, maxiter=maxiter, largest=False)
-        mu0 = float(w0[0])
-        ground = v0[:, 0] / np.linalg.norm(v0[:, 0])
-
-        rng = np.random.default_rng(seed)
-        guesses = []
-        base = phi.values.real
-        for ax in range(grid.d):
-            guesses.append((grid.coords()[ax] * base).ravel())
-        guesses.append(((grid.r2 - np.mean(grid.r2)) * base).ravel())
-        while len(guesses) < k:
-            guesses.append(rng.standard_normal(npts))
-        X = np.stack(guesses[: max(k, 2)], axis=1)
-        X -= ground[:, None] * (ground @ X)
-        X, _ = np.linalg.qr(X)
-
-        w, v = lobpcg(
-            A, X, M=M, Y=ground[:, None], tol=tol, maxiter=maxiter, largest=False
+    sectors, ops, guesses = [], [], []
+    for parity in itertools.product((0, 1), repeat=grid.d):
+        sec = _ParitySector(grid, parity)
+        x = sec.restrict(
+            math.prod((coords[ax] for ax in range(grid.d) if parity[ax]), start=base)
         )
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
+        x /= np.linalg.norm(x)
+        if any(parity):
+            noise = rng.standard_normal(sec.dim)
+            x += 0.1 * noise / np.linalg.norm(noise)
+        sectors.append(sec)
+        ops.append(sector_operators(sec))
+        guesses.append(x[:, None])
 
-    eigenvalues = np.concatenate([[mu0], w[: k - 1]])
-    vecs = np.concatenate([ground[:, None], v[:, : k - 1]], axis=1)
-    resid = A @ vecs - vecs * eigenvalues[None, :]
+    values = [np.empty(0)] * len(sectors)
+    vectors = [np.empty((sec.dim, 0)) for sec in sectors]
+    pending = range(len(sectors))
+    with _captured_warnings() as caught:
+        while pending:
+            for i in pending:
+                A, M = ops[i]
+                Y = vectors[i] if vectors[i].shape[1] else None
+                w, v = lobpcg(A, guesses[i], M=M, Y=Y, tol=tol, maxiter=maxiter, largest=False)
+                values[i] = np.append(values[i], w)
+                vectors[i] = np.column_stack([vectors[i], v])
+            found = np.sort(np.concatenate(values))
+            tau = math.inf
+            if found.size >= k:
+                # a level shared by several sectors comes out of each up to rounding
+                tau = found[k - 1] - 1e-10 * max(1.0, abs(found[k - 1]))
+            pending = [
+                i for i in pending
+                if values[i].max() < tau and values[i].size < min(k, sectors[i].dim)
+            ]
+            for i in pending:
+                guesses[i] = rng.standard_normal((sectors[i].dim, 1))
+
+    lowest = sorted(
+        (lam, i, j) for i, vals in enumerate(values) for j, lam in enumerate(vals)
+    )[:k]
+    eigenvalues = np.array([lam for lam, _, _ in lowest])
+    vecs = np.stack([sectors[i].unfold(vectors[i][:, j]) for _, i, j in lowest], axis=1)
+    cols = vecs.reshape(grid.shape + (-1,))
+    resid = apply_symbol(grid.k2_half, cols) + (W[..., None] - eigenvalues) * cols
+    resid = resid.reshape(vecs.shape)
     residuals = np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)
 
+    mu0 = float(eigenvalues[0])
     gap = float(eigenvalues[1] - eigenvalues[0])
     if gap < 1e-10 * max(1.0, abs(mu0)):
         raise RuntimeError(
@@ -579,8 +696,13 @@ def hgp_spectrum(
         gap=gap,
         mu0=mu0,
         converged=converged,
+        iterations=iterations,
         warnings=tuple(caught),
     )
+
+
+def _operator(dim: int, fn) -> LinearOperator:
+    return LinearOperator((dim, dim), matvec=fn, matmat=fn, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Reference values marked as frozen come from tests/oracles/gp1d_oracle.py
 the spectral solver under test.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -17,6 +18,7 @@ from scipy.integrate import quad
 from tfcond.grids import Field, apply_symbol, laplacian, make_grid, norm
 from tfcond.groundstate import (
     DecayDiagnostics,
+    _ParitySector,
     agmon_tail,
     agmon_weight,
     gp_minimize,
@@ -292,6 +294,84 @@ def test_spectrum_against_dense_diagonalization():
     spec = hgp_spectrum(grid, TRAP, 20.0, res.field, k=3)
     assert np.allclose(spec.eigenvalues, ref[:3], atol=1e-9)
     assert spec.mu0 == pytest.approx(res.mu, abs=1e-8)
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 16), (3, 8)])
+def test_parity_sector_operators_match_apply_symbol(d, n):
+    # every sector's DCT-I/DST-I Laplacian and shifted preconditioner, applied
+    # on the octant and unfolded, against the full-grid multiplier on the
+    # unfolded vectors; wrong endpoint weights break this
+    grid = make_grid(d, n, 3.0)
+    rng = np.random.default_rng(13)
+    c = 6.5
+    for parity in itertools.product((0, 1), repeat=d):
+        sec = _ParitySector(grid, parity)
+        X = rng.standard_normal((sec.dim, 3))
+        full = sec.unfold(X)
+        assert full.shape == (grid.npoints, 3)
+        # an isometry onto the parity subspace, undone by restrict
+        assert np.max(np.abs(full.T @ full - X.T @ X)) <= 1e-12 * sec.dim
+        back = np.stack([sec.restrict(col.reshape(grid.shape)) for col in full.T], axis=1)
+        assert np.max(np.abs(back - X)) <= 1e-14
+        cols = full.reshape(grid.shape + (3,))
+        for symbol, full_symbol in (
+            (sec.k2, grid.k2_half),
+            (1.0 / (c + sec.k2), 1.0 / (c + grid.k2_half)),
+        ):
+            ref = apply_symbol(full_symbol, cols).reshape(full.shape)
+            got = sec.unfold(sec.apply_symbol(symbol, X))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), parity
+            one = sec.unfold(sec.apply_symbol(symbol, X[:, 0]))
+            assert np.max(np.abs(one - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref)), parity
+
+
+def _dense_h(grid, W):
+    """The oracle operator as a dense symmetric matrix, built in column blocks."""
+    npts = grid.npoints
+    out = np.empty((npts, npts))
+    for start in range(0, npts, 512):
+        cols = np.arange(start, min(start + 512, npts))
+        unit = np.zeros((npts, cols.size))
+        unit[cols, np.arange(cols.size)] = 1.0
+        out[:, cols] = _apply_h(unit, grid.shape, grid.k2, W)
+    return 0.5 * (out + out.T)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(2, 32, 8.0, 20.0), (2, 32, 8.0, 0.0), (3, 16, 6.0, 20.0)],
+    ids=["2d-G20", "2d-G0", "3d-G20"],
+)
+def dense_reference(request):
+    d, n, half_width, G = request.param
+    grid = make_grid(d, n, half_width)
+    res = gp_minimize(grid, TRAP, G, tol=1e-9)
+    W = TRAP.on_grid(grid) + G * np.abs(res.field.values) ** 2
+    return grid, G, res.field, np.linalg.eigvalsh(_dense_h(grid, W))[:8]
+
+
+def test_spectrum_against_dense_diagonalization_up_to_k8(dense_reference):
+    # the sector split must find every level below the k-th, including those
+    # that share a value across sectors (the G = 0 oscillator: 2, 4, 4, 6, 6,
+    # 6, 8, 8 in 2D) or within one sector
+    grid, G, phi, ref = dense_reference
+    for k in range(2, 9):
+        spec = hgp_spectrum(grid, TRAP, G, phi, k=k)
+        err = float(np.max(np.abs(spec.eigenvalues - ref[:k])))
+        assert err <= 1e-9, (k, err, spec.eigenvalues, ref[:k])
+        assert spec.converged
+
+
+def test_spectrum_requires_reflection_symmetric_potential():
+    grid = make_grid(2, 32, 8.0)
+    x, y = grid.coords()
+    shifted = np.exp(-((x - 0.5) ** 2 + y ** 2) / 2.0) + 0j
+    phi = Field(grid, shifted / math.sqrt(np.sum(np.abs(shifted) ** 2) * grid.dv))
+    with pytest.raises(ValueError, match="not symmetric under x_0 -> -x_0"):
+        hgp_spectrum(grid, TRAP, 20.0, phi, k=2)
+    # without interaction only the radial trap enters h, which is symmetric
+    spec = hgp_spectrum(grid, TRAP, 0.0, phi, k=2)
+    assert np.allclose(spec.eigenvalues, [2.0, 4.0], atol=1e-8)
 
 
 def test_spectrum_warnings_are_captured_as_data():

@@ -289,7 +289,13 @@ class TestCli:
         proc = _cli("groundstate", "--config", str(cfg), "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert "spectrum warnings: 0" in proc.stdout
+        newton = re.search(r"newton_steps=(\d+)", proc.stdout)
+        sweeps = re.search(r"spectrum iterations: (\d+)", proc.stdout)
+        assert newton and sweeps, proc.stdout
         payload = json.loads((tmp_path / "groundstate.json").read_text())
+        # the flow hands this config to the Newton polish
+        assert payload["newton_steps"] == int(newton.group(1)) > 0
+        assert payload["spectrum_iterations"] == int(sweeps.group(1)) > 0
         # 1D oscillator levels 1 and 3
         assert abs(payload["energy"] - 1.0) < 1e-6
         assert abs(payload["eigenvalues"][1] - 3.0) < 1e-6
