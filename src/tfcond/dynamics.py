@@ -14,8 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
-from .grids import Field, Grid, norm
+from .grids import Field, Grid, apply_symbol, norm
 from .model import InteractionSpec, TrapSpec
 
 __all__ = [
@@ -97,21 +98,30 @@ class PropagationTrace:
         return float(np.max(np.abs(self.e_free - self.e_free[0])))
 
 
-def _hartree_kernel_hat(kernel: Field) -> np.ndarray:
-    # Plain-FFT symbol of the periodic convolution, volume-weighted so that
-    # ifftn(hat * fftn(rho)) approximates the continuum convolution.
-    vals = np.fft.ifftshift(kernel.values)
-    return np.fft.fftn(vals) * kernel.grid.dv
+def _hartree_symbol(kernel: Field, g: float) -> np.ndarray:
+    # rfftn symbol of w = g (kernel * rho), volume-weighted so that
+    # apply_symbol(symbol, rho) approximates the continuum convolution.
+    if np.any(kernel.values.imag != 0):
+        raise ValueError("the interaction kernel must be real")
+    vals = np.fft.ifftshift(kernel.values.real)
+    return sfft.rfftn(vals) * (g * kernel.grid.dv)
 
 
 def _energy(vals, grid: Grid, vext, w_half) -> float:
     """Conserved functional: kinetic + (1/2) <W rho> + external part."""
-    hat = np.fft.fftn(vals, norm="ortho")
+    hat = sfft.fftn(vals, norm="ortho")
     kin = float(np.sum(grid.k2 * np.abs(hat) ** 2).real * grid.dv)
     rho = np.abs(vals) ** 2
     pot = float(np.sum(w_half * rho) * grid.dv)
     ext = float(np.sum(vext * rho) * grid.dv) if vext is not None else 0.0
     return kin + pot + ext
+
+
+def _step_plan(grid: Grid, config: PropagatorConfig) -> tuple[float, int]:
+    """Effective time step and number of steps of a run."""
+    dt = config.dt if config.dt is not None else default_dt(grid)
+    nsteps = max(1, int(round(config.t_final / dt))) if config.t_final > 0 else 0
+    return (config.t_final / nsteps if nsteps else dt), nsteps
 
 
 def propagate(
@@ -127,31 +137,33 @@ def propagate(
 
     Each step is a half potential phase (W frozen at the current density,
     which the phase leaves invariant), a full kinetic step in frequency
-    space, and a half potential phase at the updated density.  Mass is
-    preserved to rounding; the rounding accumulates coherently at about
-    2e-16 per step (fixed phase arrays), so runs past ~5e3 steps can exceed
-    the 1e-12 conservation guard -- pick dt accordingly.  The trap argument
-    exists for exploratory runs; the distance studies all run trap-free.
+    space, and a half potential phase at the updated density.  The phase
+    exp(i theta), theta = -(dt/2)(W + V_ext), is written as cos(theta) +
+    i sin(theta) into one preallocated buffer; the Hartree W is a real-to-
+    complex convolution with the kernel's rfftn symbol, built once per run.
+    Mass is preserved to rounding; the rounding accumulates coherently at
+    about 2e-16 per step (at most 4.5e-13 over the 2000 steps of each
+    criterion-07 run), so runs past ~5e3 steps can exceed the 1e-12 conservation guard
+    -- pick dt accordingly.  The trap argument exists for exploratory runs;
+    the distance studies all run trap-free.
     """
     if phi0.basis != "position":
         raise ValueError("phi0 must be a position-basis field")
     grid = phi0.grid
-    dt = config.dt if config.dt is not None else default_dt(grid)
-    nsteps = max(1, int(round(config.t_final / dt))) if config.t_final > 0 else 0
-    dt_eff = config.t_final / nsteps if nsteps else dt
+    dt_eff, nsteps = _step_plan(grid, config)
 
     vext = trap.on_grid(grid) if trap is not None else None
 
     if config.equation == "hartree":
-        if kernel_override is not None:
-            khat = _hartree_kernel_hat(kernel_override)
-        else:
+        kernel = kernel_override
+        if kernel is None:
             if interaction is None or N is None:
                 raise ValueError("hartree propagation needs interaction and N")
-            khat = _hartree_kernel_hat(interaction.kernel_on_grid(grid, N))
+            kernel = interaction.kernel_on_grid(grid, N)
+        symbol = _hartree_symbol(kernel, g)
 
         def w_of(rho):
-            return g * np.fft.ifftn(khat * np.fft.fftn(rho)).real
+            return apply_symbol(symbol, rho)
 
     else:
         big_g = g * interaction.integral(grid.d) if interaction is not None else g
@@ -160,7 +172,15 @@ def propagate(
             return big_g * rho
 
     kin_phase = np.exp(-1j * dt_eff * grid.k2)
-    half = -0.5j * dt_eff
+    theta = np.empty(grid.shape)
+    phase = np.empty(grid.shape, dtype=complex)
+
+    def kick(vals, w, scale):
+        # vals *= exp(i scale (W + V_ext)), without a complex exp
+        np.multiply(w if vext is None else w + vext, scale, out=theta)
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        vals *= phase
 
     vals = phi0.values.astype(complex).copy()
     times, mass, e_free, h1, h2, linf = [], [], [], [], [], []
@@ -191,15 +211,16 @@ def propagate(
     # The trailing half phase of one step and the leading half phase of the
     # next act on the same density, so interior pairs are fused into full
     # phases; this halves the rounding-error accumulation in the modulus.
+    half = -0.5 * dt_eff
     pending_half = True
     for j in range(1, nsteps + 1):
-        arg = w if vext is None else w + vext
-        vals *= np.exp((half if pending_half else 2 * half) * arg)
-        vals = np.fft.ifftn(kin_phase * np.fft.fftn(vals))
+        kick(vals, w, half if pending_half else 2 * half)
+        hat = sfft.fftn(vals, overwrite_x=True)
+        hat *= kin_phase
+        vals = sfft.ifftn(hat, overwrite_x=True)
         w = w_of(np.abs(vals) ** 2)
         if j % config.record_every == 0 or j == nsteps:
-            arg = w if vext is None else w + vext
-            vals *= np.exp(half * arg)
+            kick(vals, w, half)
             w = w_of(np.abs(vals) ** 2)
             record(j, w)
             pending_half = True
@@ -264,11 +285,13 @@ class BoundEvaluator:
         **kw,
     ) -> "BoundEvaluator":
         big_g = g * interaction.integral(phi0.grid.d) if interaction is not None else g
+        # the same expression as the cubic flow's first record, e_free[0]
+        w_half = 0.5 * (big_g * np.abs(phi0.values) ** 2)
         return cls(
             N=N,
             beta=beta,
             g=g,
-            e_free0=_free_energy_gp(phi0, big_g),
+            e_free0=_energy(phi0.values, phi0.grid, None, w_half),
             linf0=norm(phi0, "Linf"),
             h2_0=norm(phi0, "H2"),
             **kw,
@@ -293,31 +316,11 @@ class BoundEvaluator:
         """Estimate for ||phi_gp(t) - phi_h(t)||_2."""
         return self.prefactor * self._shape(t)
 
-    def counting_branch(self, t: float, initial_op_distance: float, lam: float) -> float:
-        """Many-body-to-Hartree branch of the trace-distance estimate."""
-        amp = np.sqrt(2.0) * (
-            self.N ** ((1 - lam) / 2) * np.sqrt(max(initial_op_distance, 0.0))
-            + self.N ** ((3 * self.beta - lam) / 2)
-        )
-        return amp * np.exp(min(self.c_v * self.c_n(t) * self.g * abs(t), 500.0))
-
-    def combined_bound(self, t: float, initial_op_distance: float, lam: float) -> float:
-        """Full estimate for ||gamma(t) - |phi_gp(t)><phi_gp(t)|||_op."""
-        return self.counting_branch(t, initial_op_distance, lam) + self.hartree_gp_bound(t)
-
     def calibrate(self, t1: float, measured1: float, margin: float = 2.0) -> None:
         """Fix the overall constant from the earliest record point."""
         shape = self._shape(t1)
         if shape > 0 and measured1 > 0:
             self.prefactor = max(1.0, margin * measured1 / shape)
-
-
-def _free_energy_gp(phi: Field, big_g: float) -> float:
-    grid = phi.grid
-    hat = np.fft.fftn(phi.values, norm="ortho")
-    kin = float(np.sum(grid.k2 * np.abs(hat) ** 2).real * grid.dv)
-    quart = float(np.sum(np.abs(phi.values) ** 4).real * grid.dv)
-    return kin + 0.5 * big_g * quart
 
 
 @dataclass
@@ -334,6 +337,27 @@ class ComparisonReport:
     passed: bool
 
 
+def _check_gp_trace(trace: PropagationTrace, phi0: Field, config: PropagatorConfig, e_free0):
+    """Refuse a trace that is not the recorded cubic flow of phi0 under config.
+
+    e_free0 is the cubic free energy of phi0 at this run's coupling.
+    """
+    if trace.equation != "gp":
+        raise ValueError(f"trace_gp is a {trace.equation!r} trace, not 'gp'")
+    if trace.snapshots is None:
+        raise ValueError("trace_gp has no snapshots; propagate it with snapshots=True")
+    dt_eff, nsteps = _step_plan(phi0.grid, config)
+    steps = [j for j in range(nsteps + 1) if j % config.record_every == 0 or j == nsteps]
+    if trace.dt != dt_eff or not np.array_equal(trace.times, [j * dt_eff for j in steps]):
+        raise ValueError("trace_gp was recorded with another dt or other record times")
+    if trace.snapshots[0].grid != phi0.grid or not np.array_equal(
+        trace.snapshots[0].values, phi0.values
+    ):
+        raise ValueError("trace_gp does not start from phi0")
+    if abs(trace.e_free[0] - e_free0) > 1e-12 * max(1.0, abs(e_free0)):
+        raise ValueError("trace_gp was propagated at another coupling")
+
+
 def compare_h_vs_gp(
     phi0: Field,
     interaction: InteractionSpec,
@@ -342,6 +366,7 @@ def compare_h_vs_gp(
     config: PropagatorConfig,
     kernel_override: Field | None = None,
     c_v: float = 1.0,
+    trace_gp: PropagationTrace | None = None,
 ) -> ComparisonReport:
     """Run the cubic and the convolution flow side by side.
 
@@ -349,17 +374,29 @@ def compare_h_vs_gp(
     evaluator's bound; the envelope constant comes from the measured H^2
     growth of the cubic run and the overall constant from the first record
     point.  Raises if the calibrated bound is ever exceeded.
+
+    The cubic flow does not depend on N, so a sweep over N may propagate it
+    once (``config`` with snapshots=True, equation="gp") and pass it as
+    ``trace_gp``; only the convolution flow then runs here.  A trace that is
+    not that flow raises ValueError.
     """
+    evaluator = BoundEvaluator.from_field(
+        phi0, N, interaction.beta, g, interaction=interaction, c_v=c_v
+    )
     run_cfg = dataclasses.replace(config, snapshots=True)
-    gp_cfg = dataclasses.replace(run_cfg, equation="gp")
     h_cfg = dataclasses.replace(run_cfg, equation="hartree")
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        fut_gp = pool.submit(propagate, phi0, None, interaction, g, gp_cfg)
-        fut_h = pool.submit(
-            propagate, phi0, None, interaction, g, h_cfg, N, kernel_override
-        )
-        trace_gp, trace_h = fut_gp.result(), fut_h.result()
+    if trace_gp is None:
+        gp_cfg = dataclasses.replace(run_cfg, equation="gp")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fut_gp = pool.submit(propagate, phi0, None, interaction, g, gp_cfg)
+            fut_h = pool.submit(
+                propagate, phi0, None, interaction, g, h_cfg, N, kernel_override
+            )
+            trace_gp, trace_h = fut_gp.result(), fut_h.result()
+    else:
+        _check_gp_trace(trace_gp, phi0, config, evaluator.e_free0)
+        trace_h = propagate(phi0, None, interaction, g, h_cfg, N, kernel_override)
 
     if len(trace_gp.times) != len(trace_h.times):
         raise RuntimeError("record grids of the two runs disagree")
@@ -370,9 +407,6 @@ def compare_h_vs_gp(
         ]
     )
 
-    evaluator = BoundEvaluator.from_field(
-        phi0, N, interaction.beta, g, interaction=interaction, c_v=c_v
-    )
     sob = sobolev_monitor(trace_gp, g=g, N=N, beta=interaction.beta)
     evaluator.c_envelope = sob.c_fitted
     if len(trace_gp.times) > 1:

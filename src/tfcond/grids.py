@@ -200,8 +200,10 @@ def transform(f: Field) -> Field:
 def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Apply a Fourier multiplier to real samples: irfftn(symbol * rfftn(u)).
 
-    ``symbol`` is real and even in k, given in ``rfftn`` layout (as
-    :attr:`Grid.k2_half`), and ``u`` is one real field of the full spatial
+    ``symbol`` is given in ``rfftn`` layout (as :attr:`Grid.k2_half`). Any
+    such symbol of a real convolution kernel works, ``rfftn`` of the kernel
+    samples: real and even ones such as ``k2_half`` and complex ones of
+    kernels that are not even. ``u`` is one real field of the full spatial
     shape or a batch of them stacked along one trailing axis. The result is
     real and has the shape of ``u``.
     """

@@ -450,10 +450,20 @@ def _study_hgp_rate_vs_N(spec: StudySpec):
     grid = make_grid(1, n, half)
     G = spec.g * inter.integral(1)
     phi0 = gs.gp_minimize(grid, trap, G).field
-    cfg = dyn.PropagatorConfig(dt=spec.dt, t_final=spec.t_final, record_every=200)
+    cfg = dyn.PropagatorConfig(
+        dt=spec.dt, t_final=spec.t_final, record_every=200, snapshots=True
+    )
+    # the cubic flow does not depend on N: one trajectory serves every point,
+    # and if it fails, every point fails with its error as it would alone
+    try:
+        trace_gp = dyn.propagate(phi0, None, inter, spec.g, cfg)
+    except (ValueError, RuntimeError) as exc:
+        trace_gp = exc
 
     def worker(N):
-        rep = dyn.compare_h_vs_gp(phi0, inter, spec.g, int(N), cfg)
+        if isinstance(trace_gp, Exception):
+            raise trace_gp
+        rep = dyn.compare_h_vs_gp(phi0, inter, spec.g, int(N), cfg, trace_gp=trace_gp)
         return {
             "N": int(N),
             "grid_n": n,

@@ -1,5 +1,7 @@
 """Tests for the split-step propagators, distance bounds, and dispersive checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,94 @@ def test_snapshot_recording():
     assert norm(trace.snapshots[0] - phi0, "L2") == 0.0
 
 
+# --- the fast step against the plain reference step -------------------------
+
+
+def _reference_flow(phi0, cfg, w_of):
+    """Reference Strang loop: np.exp phases and c2c transforms throughout.
+
+    Returns the final values and the mass and e_free records of a trap-free
+    run with cfg.dt dividing cfg.t_final; w_of(rho) gives the potential.
+    """
+    grid = phi0.grid
+    dt = cfg.dt
+    nsteps = int(round(cfg.t_final / dt))
+    kin_phase = np.exp(-1j * dt * grid.k2)
+    half = -0.5j * dt
+    vals = phi0.values.astype(complex).copy()
+    mass, e_free = [], []
+
+    def record(w):
+        rho = np.abs(vals) ** 2
+        hat = np.fft.fftn(vals, norm="ortho")
+        kin = np.sum(grid.k2 * np.abs(hat) ** 2) * grid.dv
+        mass.append(np.sum(rho) * grid.dv)
+        e_free.append(kin + np.sum(0.5 * w * rho) * grid.dv)
+
+    w = w_of(np.abs(vals) ** 2)
+    record(w)
+    pending_half = True
+    for j in range(1, nsteps + 1):
+        vals *= np.exp((half if pending_half else 2 * half) * w)
+        vals = np.fft.ifftn(kin_phase * np.fft.fftn(vals))
+        w = w_of(np.abs(vals) ** 2)
+        if j % cfg.record_every == 0 or j == nsteps:
+            vals *= np.exp(half * w)
+            w = w_of(np.abs(vals) ** 2)
+            record(w)
+            pending_half = True
+        else:
+            pending_half = False
+    return vals, np.array(mass), np.array(e_free)
+
+
+def _reference_hartree_w(kernel, g):
+    khat = np.fft.fftn(np.fft.ifftshift(kernel.values)) * kernel.grid.dv
+    return lambda rho: g * np.fft.ifftn(khat * np.fft.fftn(rho)).real
+
+
+@pytest.mark.parametrize("d, n, half_width, t_final", [(1, 512, 8.0, 0.2), (3, 16, 4.0, 0.02)])
+@pytest.mark.parametrize("flow", ["gp", "hartree", "shifted_kernel"])
+def test_step_matches_reference_loop(d, n, half_width, t_final, flow):
+    grid = make_grid(d, n, half_width)
+    x = grid.coords()[0]
+    phi0 = normalize(
+        Field(grid, np.exp(-grid.r2 / 2) * (1 + 0.3 * np.cos(x) + 0.2j * np.sin(x)))
+    )
+    inter = InteractionSpec(profile="gaussian", beta=0.2)
+    g, N = 4.0, 64
+    cfg = PropagatorConfig(dt=1e-3, t_final=t_final, record_every=50, equation="gp")
+    override = None
+    if flow == "gp":
+        big_g = g * inter.integral(d)
+        w_of = lambda rho: big_g * rho  # noqa: E731
+    else:
+        cfg = PropagatorConfig(
+            dt=1e-3, t_final=t_final, record_every=50, equation="hartree"
+        )
+        if flow == "hartree":
+            kernel = inter.kernel_on_grid(grid, N)
+        else:
+            # a real kernel that is not even: its symbol is complex
+            override = kernel = Field(grid, np.exp(-((x - 0.5) ** 2) - grid.r2))
+        w_of = _reference_hartree_w(kernel, g)
+    trace = propagate(phi0, None, inter, g, cfg, N, override)
+    vals, mass, e_free = _reference_flow(phi0, cfg, w_of)
+    assert np.max(np.abs(trace.final.values - vals)) < 1e-12
+    assert np.max(np.abs(trace.mass - mass)) < 1e-12
+    assert np.max(np.abs(trace.e_free - e_free)) < 1e-12
+    assert len(trace.times) == len(mass)
+
+
+def test_complex_kernel_rejected():
+    grid = make_grid(1, 256, 10.0)
+    phi0 = gaussian_packet(grid)
+    kernel = Field(grid, np.exp(-grid.r2) * (1 + 1e-3j))
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.01, equation="hartree")
+    with pytest.raises(ValueError, match="real"):
+        propagate(phi0, None, None, 1.0, cfg, kernel_override=kernel)
+
+
 # --- guards ------------------------------------------------------------------
 
 
@@ -229,6 +319,50 @@ def test_distance_zero_at_t0_and_shrinks_with_n():
     assert finals[1024] < finals[64]
 
 
+def _gp_trace_case():
+    grid = make_grid(1, 256, 10.0)
+    inter = InteractionSpec(profile="gaussian", beta=0.2)
+    phi0 = gaussian_packet(grid)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.02, record_every=5)
+    return grid, inter, phi0, cfg
+
+
+def test_compare_reuses_a_gp_trace_bitwise():
+    _, inter, phi0, cfg = _gp_trace_case()
+    trace_gp = propagate(phi0, None, inter, 2.0, replace(cfg, snapshots=True))
+    alone = compare_h_vs_gp(phi0, inter, 2.0, 64, cfg)
+    reused = compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_gp=trace_gp)
+    assert reused.trace_gp is trace_gp
+    assert np.array_equal(reused.distance, alone.distance)
+    assert np.array_equal(reused.bound, alone.bound)
+
+
+@pytest.mark.parametrize(
+    "what, trace_cfg, g_trace, match",
+    [
+        ("hartree trace", dict(equation="hartree"), 2.0, "'gp'"),
+        ("no snapshots", dict(snapshots=False), 2.0, "snapshots"),
+        ("other dt", dict(dt=2e-3), 2.0, "dt"),
+        ("other record times", dict(record_every=4), 2.0, "record times"),
+        ("other coupling", {}, 3.0, "coupling"),
+    ],
+)
+def test_compare_refuses_a_foreign_gp_trace(what, trace_cfg, g_trace, match):
+    _, inter, phi0, cfg = _gp_trace_case()
+    tcfg = replace(cfg, **{"snapshots": True, **trace_cfg})
+    trace = propagate(phi0, None, inter, g_trace, tcfg, N=64)
+    with pytest.raises(ValueError, match=match):
+        compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_gp=trace)
+
+
+def test_compare_refuses_a_gp_trace_of_another_state():
+    grid, inter, phi0, cfg = _gp_trace_case()
+    other = gaussian_packet(grid, a=0.8)
+    trace = propagate(other, None, inter, 2.0, replace(cfg, snapshots=True))
+    with pytest.raises(ValueError, match="phi0"):
+        compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_gp=trace)
+
+
 def test_bound_evaluator_positive_and_monotone():
     grid = make_grid(1, 512, 12.0)
     phi0 = gaussian_packet(grid)
@@ -238,9 +372,6 @@ def test_bound_evaluator_positive_and_monotone():
     vals = np.array([ev.hartree_gp_bound(t) for t in ts])
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) >= 0)
-    comb = np.array([ev.combined_bound(t, 0.01, lam=0.5) for t in ts])
-    assert np.all(comb > vals)
-    assert np.all(np.diff(comb) >= 0)
     ev.calibrate(ts[1], 10.0)
     assert ev.prefactor >= 1.0
     assert ev.hartree_gp_bound(ts[1]) >= 10.0

@@ -15,7 +15,9 @@ import pytest
 import tfcond
 from tfcond import groundstate as gs
 from tfcond.harness import Check, StudySpec, fit_loglog, run_study, write_csv
-from tfcond.model import InteractionSpec
+from tfcond.dynamics import PropagatorConfig, compare_h_vs_gp
+from tfcond.grids import make_grid
+from tfcond.model import InteractionSpec, TrapSpec
 
 
 class TestFitLoglog:
@@ -132,6 +134,49 @@ class TestRunStudy:
         assert by_name["mass_conserved"].value < 1e-12
         assert abs(by_name["splitting_order"].value - 2.0) <= 0.1
         assert res.fits["distance_vs_N"].slope <= -0.05
+
+    def test_hgp_rate_rows_equal_standalone_comparisons(self):
+        # one GP trajectory per sweep gives the numbers of one GP run per point
+        spec = StudySpec(
+            kind="hgp_rate_vs_N",
+            values=(64, 256),
+            grid_d=1,
+            grid_n=256,
+            half_width=8.0,
+            g=4.0,
+            t_final=0.25,
+            dt=1e-3,
+            workers=2,
+        )
+        res = run_study(spec)
+        inter = InteractionSpec(profile=spec.profile, beta=spec.beta)
+        grid = make_grid(1, spec.grid_n, spec.half_width)
+        trap = TrapSpec(strength=spec.trap_strength, s=spec.trap_s)
+        phi0 = gs.gp_minimize(grid, trap, spec.g * inter.integral(1)).field
+        cfg = PropagatorConfig(dt=spec.dt, t_final=spec.t_final, record_every=200)
+        assert [r["status"] for r in res.rows] == ["ok", "ok"]
+        for row, N in zip(res.rows, spec.values):
+            rep = compare_h_vs_gp(phi0, inter, spec.g, N, cfg)
+            assert len(rep.times) == 3
+            assert row["final_distance"] == rep.final_distance
+            assert row["final_bound"] == float(rep.bound[-1])
+            assert row["mass_drift_gp"] == rep.trace_gp.mass_drift
+
+    def test_hgp_rate_gp_failure_fails_every_point(self):
+        spec = StudySpec(
+            kind="hgp_rate_vs_N",
+            values=(64, 128),
+            grid_d=1,
+            grid_n=256,
+            half_width=8.0,
+            g=4.0,
+            t_final=1.0,
+            dt=0.5,
+        )
+        res = run_study(spec)
+        assert not res.passed
+        for row in res.rows:
+            assert row["status"].startswith("failed: potential phase per step")
 
     def test_manybody_suite_small(self):
         spec = StudySpec(
