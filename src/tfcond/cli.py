@@ -8,8 +8,8 @@ rules pass (1 on rule failure, 2 on bad configs).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -19,49 +19,31 @@ from . import dynamics as dyn
 from . import groundstate as gs
 from . import harness
 from . import manybody as mb
-from .grids import make_grid
+from .grids import Field, make_grid, normalize
+from .model import _INTERACTION_KEYS, _TRAP_KEYS, _take
 from .model import InteractionSpec, RegimeParams, TrapSpec, scattering_length
 
 __all__ = ["main", "build_parser"]
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys: dict | None = None) -> dict:
+    """The JSON config at path ({} for none), parsed against keys if given."""
     if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = {}
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
-    return data
+    return data if keys is None else _take(data, "config", keys)
 
 
-def _known(block: dict, keys, where: str = "config") -> dict:
-    """block itself; an unknown (say, misspelt) key raises, so the CLI exits 2."""
-    unknown = sorted(set(block) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {where} key(s): {unknown}")
-    return block
-
-
-def _grid_from(cfg: dict, default_d=3, default_n=64, default_half=8.0):
-    block = _known(cfg.get("grid", {}), "d n half_width".split(), "grid")
-    return make_grid(
-        int(block.get("d", default_d)),
-        int(block.get("n", default_n)),
-        float(block.get("half_width", default_half)),
-    )
-
-
-def _trap_from(cfg: dict) -> TrapSpec:
-    block = _known(cfg.get("trap", {}), "strength s".split(), "trap")
-    return TrapSpec(strength=float(block.get("strength", 1.0)), s=float(block.get("s", 2)))
-
-
-def _interaction_from(cfg: dict) -> InteractionSpec:
-    block = _known(cfg.get("interaction", {}), "profile beta".split(), "interaction")
-    return InteractionSpec(
-        profile=block.get("profile", "gaussian"), beta=float(block.get("beta", 0.2))
-    )
+def _numbers(value, where: str) -> list:
+    """A number or a list of numbers, as a list of floats."""
+    items = value if isinstance(value, list) else [value]
+    if not all(type(v) in (int, float) for v in items):
+        raise ValueError(f"{where!r} must be a number or a list of numbers, got {value!r}")
+    return [float(v) for v in items]
 
 
 def _write_json(out_dir: str | None, name: str, payload: dict) -> None:
@@ -95,11 +77,14 @@ def _report(lines, passed: bool) -> int:
 
 
 def _cmd_groundstate(args) -> int:
-    cfg = _known(_load_config(args.config), "grid trap G tol spectrum_k".split())
-    grid = _grid_from(cfg)
-    trap = _trap_from(cfg)
-    G = float(cfg.get("G", 0.0))
-    tol = float(cfg.get("tol", 1e-6))
+    keys = {
+        "grid": {"d": 3, "n": 64, "half_width": 8.0}, "trap": _TRAP_KEYS,
+        "G": 0.0, "tol": 1e-6, "spectrum_k": 0,
+    }
+    cfg = _load_config(args.config, keys)
+    grid = make_grid(**cfg["grid"])
+    trap = TrapSpec(**cfg["trap"])
+    G, tol, k = cfg["G"], cfg["tol"], cfg["spectrum_k"]
     res = gs.gp_minimize(grid, trap, G, tol=tol)
     lines = [
         f"grid: {grid.d}D n={grid.n} half_width={grid.half_width}",
@@ -119,7 +104,6 @@ def _cmd_groundstate(args) -> int:
         "newton_steps": res.newton_steps,
         "boundary_mass": res.boundary_mass,
     }
-    k = int(cfg.get("spectrum_k", 0))
     if k > 0:
         spec = gs.hgp_spectrum(grid, trap, G, res.field, k=k)
         lines.append(
@@ -139,22 +123,24 @@ def _cmd_groundstate(args) -> int:
     return _report(lines, passed)
 
 
-def _study_spec_from(cfg: dict, args, kind: str | None = None) -> harness.StudySpec:
-    block = dict(cfg.get("study", cfg))
-    if kind is not None:
-        block["kind"] = kind
-    if "values" in block:
-        block["values"] = tuple(block["values"])
-    if args.out is not None:
-        block["out_dir"] = args.out
-    if args.seed is not None:
-        block["seed"] = args.seed
-    if args.workers is not None:
-        block["workers"] = args.workers
-    return harness.StudySpec(**_known(block, harness.StudySpec.__dataclass_fields__, "study"))
-
-
-def _run_study_cmd(spec: harness.StudySpec) -> int:
+def _cmd_study(args) -> int:
+    """A study from its config block; ``gap`` fixes the kind to gap_vs_g."""
+    cfg = _load_config(args.config)
+    if args.kind is not None and "values" not in cfg and "g_values" in cfg:
+        cfg["values"] = cfg.pop("g_values")
+    # the study block is the config itself or its one "study" entry
+    keys = {f.name: f.default for f in dataclasses.fields(harness.StudySpec)}
+    keys.update(kind=str, values=list, grid_n=int, half_width=float, out_dir=str)
+    if "study" in cfg:
+        block = _take(cfg, "config", {"study": keys})["study"]
+    else:
+        block = _take(cfg, "study", keys)
+    if block["values"] is None:
+        raise ValueError("study block needs values")
+    block["values"] = tuple(block["values"])
+    flags = {"kind": args.kind, "out_dir": args.out, "seed": args.seed, "workers": args.workers}
+    block.update((key, flag) for key, flag in flags.items() if flag is not None)
+    spec = harness.StudySpec(**block)
     result = harness.run_study(spec)
     lines = [f"study {spec.kind}: {len(result.rows)} points, {result.summary['n_failed']} failed"]
     for check in result.checks:
@@ -168,37 +154,23 @@ def _run_study_cmd(spec: harness.StudySpec) -> int:
     return _report(lines, result.passed)
 
 
-def _cmd_gap(args) -> int:
-    cfg = _load_config(args.config)
-    if "values" not in cfg and "g_values" in cfg:
-        cfg["values"] = cfg.pop("g_values")
-    return _run_study_cmd(_study_spec_from(cfg, args, kind="gap_vs_g"))
-
-
-def _cmd_study(args) -> int:
-    cfg = _load_config(args.config)
-    return _run_study_cmd(_study_spec_from(cfg, args))
-
-
 def _cmd_dynamics(args) -> int:
-    keys = "grid trap interaction g N dt t_final record_every initial"
-    cfg = _known(_load_config(args.config), keys.split())
-    grid = _grid_from(cfg, default_d=1, default_n=4096, default_half=16.0)
-    inter = _interaction_from(cfg)
-    g = float(cfg.get("g", 4.0))
-    N = int(cfg.get("N", 1024))
+    keys = {
+        "grid": {"d": 1, "n": 4096, "half_width": 16.0}, "trap": _TRAP_KEYS,
+        "interaction": _INTERACTION_KEYS, "g": 4.0, "N": 1024, "dt": 2.5e-4,
+        "t_final": 0.5, "record_every": 200, "initial": "gp_ground",
+    }
+    cfg = _load_config(args.config, keys)
+    grid = make_grid(**cfg["grid"])
+    inter = InteractionSpec(**cfg["interaction"])
+    g, N, initial = cfg["g"], cfg["N"], cfg["initial"]
     pcfg = dyn.PropagatorConfig(
-        dt=float(cfg.get("dt", 2.5e-4)),
-        t_final=float(cfg.get("t_final", 0.5)),
-        record_every=int(cfg.get("record_every", 200)),
+        dt=cfg["dt"], t_final=cfg["t_final"], record_every=cfg["record_every"]
     )
-    initial = cfg.get("initial", "gp_ground")
     if initial == "gp_ground":
-        trap = _trap_from(cfg)
+        trap = TrapSpec(**cfg["trap"])
         phi0 = gs.gp_minimize(grid, trap, g * inter.integral(grid.d)).field
     elif initial == "gaussian":
-        from .grids import Field, normalize
-
         vals = np.exp(-grid.r2 / 2.0).astype(np.complex128)
         phi0 = normalize(Field(grid, vals, "position"))
     else:
@@ -225,17 +197,20 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_manybody(args) -> int:
-    keys = "N M modes check trials g beta lambda_weight seed t_final steps"
-    cfg = _known(_load_config(args.config), keys.split())
-    N = args.N if args.N is not None else int(cfg.get("N", 4))
-    M = args.M if args.M is not None else int(cfg.get("M", 3))
-    mode_kind = args.modes or cfg.get("modes", "harmonic")
-    check = args.check or cfg.get("check", "appendix")
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 200))
-    g = float(cfg.get("g", 0.1 if check == "gronwall" else 0.5))
-    beta = float(cfg.get("beta", 0.2))
-    lam = float(cfg.get("lambda_weight", 0.5))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    keys = {
+        "N": 4, "M": 3, "modes": "harmonic", "check": "appendix", "trials": 200, "seed": 0,
+        "g": float, "beta": 0.2, "lambda_weight": 0.5, "t_final": 0.5, "steps": 11,
+    }
+    cfg = _load_config(args.config, keys)
+    N = args.N if args.N is not None else cfg["N"]
+    M = args.M if args.M is not None else cfg["M"]
+    mode_kind = args.modes or cfg["modes"]
+    check = args.check or cfg["check"]
+    trials = args.trials if args.trials is not None else cfg["trials"]
+    # the coupling's default depends on the check
+    g = cfg["g"] if cfg["g"] is not None else (0.1 if check == "gronwall" else 0.5)
+    beta, lam = cfg["beta"], cfg["lambda_weight"]
+    seed = args.seed if args.seed is not None else cfg["seed"]
 
     if check == "appendix":
         rep = mb.verify_appendix(N, M, trials, seed=seed)
@@ -286,16 +261,11 @@ def _cmd_manybody(args) -> int:
         phi0 = np.zeros(M, dtype=complex)
         phi0[0] = 1.0
         psi0 = mb.product_state(H.sector, phi0)
-        t_grid = np.linspace(0.0, float(cfg.get("t_final", 0.5)), int(cfg.get("steps", 11)))
+        t_grid = np.linspace(0.0, cfg["t_final"], cfg["steps"])
         rep = mb.evolve_and_track(
             psi0, H, phi0, mb.hartree_from_hamiltonian(H), t_grid, lam
         )
-        passed = (
-            rep.max_rate_mismatch < 1e-6
-            and rep.sandwich_violations == 0
-            and rep.bound_violations == 0
-            and rep.gronwall_ok
-        )
+        passed = rep.passed
         lines = [
             f"counting-rate identity: N={N} M={M} g={g} modes={mode_kind}",
             f"max |d(alpha)/dt - rate| = {rep.max_rate_mismatch:.3e}",
@@ -321,28 +291,30 @@ def _cmd_manybody(args) -> int:
 
 
 def _cmd_scattering(args) -> int:
-    keys = "interaction profile beta kappa r_max mesh born_window"
-    cfg = _known(_load_config(args.config), keys.split())
-    flat = {k: cfg[k] for k in ("profile", "beta") if k in cfg}
-    inter = _interaction_from({"interaction": cfg.get("interaction", flat)})
-    kappas = cfg.get("kappa", 1e-3)
-    if not isinstance(kappas, list):
-        kappas = [kappas]
-    r_max = float(cfg.get("r_max", 12.0))
-    mesh = int(cfg.get("mesh", 4096))
-    window = cfg.get("born_window")
+    # the interaction comes as a block or as its keys at the top level
+    keys = {"interaction": None, "kappa": None, "r_max": 12.0, "mesh": 4096, "born_window": None}
+    cfg = _load_config(args.config, {**keys, **_INTERACTION_KEYS})
+    flat = {key: cfg[key] for key in _INTERACTION_KEYS}
+    block = flat if cfg["interaction"] is None else cfg["interaction"]
+    inter = InteractionSpec(**_take(block, "interaction", _INTERACTION_KEYS))
+    kappas = _numbers(1e-3 if cfg["kappa"] is None else cfg["kappa"], "kappa")
+    window = cfg["born_window"]
+    if window is not None:
+        window = _numbers(window, "born_window")
+        if len(window) != 2:
+            raise ValueError(f"'born_window' must be [low, high], got {cfg['born_window']!r}")
     lines = []
     rows = []
     passed = True
-    for kappa in sorted(float(k) for k in kappas):
-        res = scattering_length(inter, kappa, r_max=r_max, mesh=mesh)
+    for kappa in sorted(kappas):
+        res = scattering_length(inter, kappa, r_max=cfg["r_max"], mesh=cfg["mesh"])
         ratio = res.a / res.a_born
         rows.append({"kappa": kappa, "a": res.a, "a_born": res.a_born, "ratio": ratio})
         lines.append(
             f"kappa={kappa:g}: a={res.a:.12e} born={res.a_born:.12e} ratio={ratio:.6f}"
         )
     if window is not None and rows:
-        lo, hi = float(window[0]), float(window[1])
+        lo, hi = window
         ratio0 = rows[0]["ratio"]  # smallest coupling is closest to the Born limit
         passed = lo <= ratio0 <= hi
         lines.append(f"born window [{lo}, {hi}] on kappa={rows[0]['kappa']:g}: {ratio0:.6f}")
@@ -378,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="spectral-gap sweep over the coupling")
     common(p)
-    p.set_defaults(func=_cmd_gap)
+    p.set_defaults(func=_cmd_study, kind="gap_vs_g")
 
     p = sub.add_parser("dynamics", help="convolution-vs-cubic flow comparison")
     common(p)
@@ -402,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run a parameter study from a spec")
     common(p)
-    p.set_defaults(func=_cmd_study)
+    p.set_defaults(func=_cmd_study, kind=None)
 
     p = sub.add_parser("scattering", help="zero-energy scattering length")
     common(p)

@@ -36,6 +36,8 @@ __all__ = [
 
 # Reference cell size: 64 points on [-8, 8) gives spacing 0.25 and dt 1e-3.
 _REFERENCE_SPACING = 0.25
+# Largest potential phase per step, in radians, that propagate accepts.
+_PHASE_THRESHOLD = 0.75
 
 
 def default_dt(grid: Grid) -> float:
@@ -50,7 +52,7 @@ class PropagatorConfig:
     equation selects the nonlinearity: "gp" uses the local cubic term
     G|phi|^2 (G = g * integral of the kernel), "hartree" the convolution
     g (v_N * |phi|^2).  dt = None picks default_dt(grid).  The phase guard
-    refuses steps whose potential phase increment exceeds phase_threshold
+    refuses steps whose potential phase increment exceeds _PHASE_THRESHOLD
     radians (the splitting is formally exact in the substep but such steps
     are far outside the accuracy regime).
     """
@@ -60,7 +62,6 @@ class PropagatorConfig:
     record_every: int = 10
     equation: str = "gp"
     snapshots: bool = False
-    phase_threshold: float = 0.75
     energy_drift_tol: float | None = None
 
     def __post_init__(self):
@@ -98,19 +99,9 @@ class PropagationTrace:
         return float(np.max(np.abs(self.e_free - self.e_free[0])))
 
 
-def _hartree_symbol(kernel: Field, g: float) -> np.ndarray:
-    # rfftn symbol of w = g (kernel * rho), volume-weighted so that
-    # apply_symbol(symbol, rho) approximates the continuum convolution.
-    if np.any(kernel.values.imag != 0):
-        raise ValueError("the interaction kernel must be real")
-    vals = np.fft.ifftshift(kernel.values.real)
-    return sfft.rfftn(vals) * (g * kernel.grid.dv)
-
-
 def _energy(vals, grid: Grid, vext, w_half) -> float:
     """Conserved functional: kinetic + (1/2) <W rho> + external part."""
-    hat = sfft.fftn(vals, norm="ortho")
-    kin = float(np.sum(grid.k2 * np.abs(hat) ** 2).real * grid.dv)
+    kin = grid.kinetic(vals)
     rho = np.abs(vals) ** 2
     pot = float(np.sum(w_half * rho) * grid.dv)
     ext = float(np.sum(vext * rho) * grid.dv) if vext is not None else 0.0
@@ -160,7 +151,8 @@ def propagate(
             if interaction is None or N is None:
                 raise ValueError("hartree propagation needs interaction and N")
             kernel = interaction.kernel_on_grid(grid, N)
-        symbol = _hartree_symbol(kernel, g)
+        # w = g (kernel * rho), one real-to-complex convolution per call
+        symbol = g * grid.kernel_symbol(kernel.values)
 
         def w_of(rho):
             return apply_symbol(symbol, rho)
@@ -201,10 +193,10 @@ def propagate(
 
     w = w_of(np.abs(vals) ** 2)
     phase_sup = dt_eff * float(np.max(np.abs(w + (vext if vext is not None else 0.0))))
-    if phase_sup > config.phase_threshold:
+    if phase_sup > _PHASE_THRESHOLD:
         raise ValueError(
             f"potential phase per step {phase_sup:.3g} rad exceeds "
-            f"{config.phase_threshold}; reduce dt"
+            f"{_PHASE_THRESHOLD}; reduce dt"
         )
     record(0, w)
 
@@ -520,7 +512,8 @@ def strichartz_check(grid: Grid, samples, T: float) -> StrichartzReport:
 
     Each sample is an array of shape (nt, grid.shape) holding f on a uniform
     time grid over [0, T].  The Duhamel integral is accumulated with the
-    trapezoid rule and the propagator applied exactly in frequency space.
+    trapezoid rule on the unitary Fourier coefficients of the sample, where
+    the propagator is exact, and its L2 norm is taken there (Parseval).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -533,14 +526,12 @@ def strichartz_check(grid: Grid, samples, T: float) -> StrichartzReport:
             raise ValueError("need at least two time slices")
         dt = T / (nt - 1)
         prop = np.exp(-1j * dt * grid.k2)
-        u = np.zeros(grid.shape, dtype=complex)
+        fhat = sfft.fftn(f, axes=tuple(range(1, f.ndim)), norm="ortho")
+        uhat = np.zeros(grid.shape, dtype=complex)
         lhs = 0.0
         for j in range(nt - 1):
-            step = prop * np.fft.fftn(u) + 0.5 * dt * (
-                prop * np.fft.fftn(f[j]) + np.fft.fftn(f[j + 1])
-            )
-            u = np.fft.ifftn(step)
-            lhs = max(lhs, float(np.sqrt(np.sum(np.abs(u) ** 2).real * grid.dv)))
+            uhat = prop * (uhat + 0.5 * dt * fhat[j]) + 0.5 * dt * fhat[j + 1]
+            lhs = max(lhs, float(np.sqrt(np.sum(np.abs(uhat) ** 2) * grid.dv)))
         rhs = np.sqrt(T) * max(lp_norm(f[j], 6.0 / 5.0, grid) for j in range(nt))
         if rhs == 0.0:
             ratios.append(0.0 if lhs == 0.0 else np.inf)

@@ -117,6 +117,22 @@ class Grid:
         """|k|^2 in ``rfftn`` layout: the last axis keeps its n//2 + 1 modes."""
         return np.ascontiguousarray(self.k2[..., : self.n // 2 + 1])
 
+    def kinetic(self, values: np.ndarray, p: int = 1) -> float:
+        """Quadrature sum(|k|^{2p} |u-hat|^2) h^d of samples u (unitary FFT)."""
+        hat = sfft.fftn(values, norm="ortho")
+        weight = self.k2 if p == 1 else self.k2 ** p
+        return float(np.sum(weight * np.abs(hat) ** 2) * self.dv)
+
+    def kernel_symbol(self, values: np.ndarray) -> np.ndarray:
+        """h^d times the ``rfftn`` symbol of a real kernel centred in the box.
+
+        With it :func:`apply_symbol` approximates the continuum convolution
+        with the kernel, taken as a function of the displacement x - y.
+        """
+        if np.iscomplexobj(values) and np.any(values.imag != 0):
+            raise ValueError("the kernel must be real")
+        return sfft.rfftn(np.fft.ifftshift(np.real(values))) * self.dv
+
     def k_along(self, axis: int) -> np.ndarray:
         return self.k_axis.reshape(
             (1,) * axis + (self.n,) + (1,) * (self.d - axis - 1)
@@ -198,15 +214,20 @@ def transform(f: Field) -> Field:
 
 
 def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply a Fourier multiplier to real samples: irfftn(symbol * rfftn(u)).
+    """Apply a Fourier multiplier to samples: irfftn(symbol * rfftn(u)).
 
     ``symbol`` is given in ``rfftn`` layout (as :attr:`Grid.k2_half`). Any
     such symbol of a real convolution kernel works, ``rfftn`` of the kernel
     samples: real and even ones such as ``k2_half`` and complex ones of
-    kernels that are not even. ``u`` is one real field of the full spatial
-    shape or a batch of them stacked along one trailing axis. The result is
-    real and has the shape of ``u``.
+    kernels that are not even (:meth:`Grid.kernel_symbol`). ``u`` is one
+    field of the full spatial shape or a batch of them stacked along one
+    trailing axis. The result has the shape and kind of ``u``: a complex
+    ``u`` goes through as the batch of its real and imaginary parts.
     """
+    if np.iscomplexobj(u):
+        u = np.ascontiguousarray(u, dtype=np.complex128)
+        out = apply_symbol(symbol, u.view(np.float64).reshape(u.shape + (2,)))
+        return np.ascontiguousarray(out).view(np.complex128)[..., 0]
     d = symbol.ndim
     axes = tuple(range(d))
     hat = sfft.rfftn(u, axes=axes)
@@ -242,13 +263,9 @@ def norm(f: Field, kind: str = "L2") -> float:
     if kind == "LINF":
         return float(np.max(np.abs(vals)))
     if kind in ("H1", "H2"):
-        hat = np.fft.fftn(vals, norm="ortho")
-        k2 = f.grid.k2
-        l2sq = np.sum(np.abs(hat) ** 2).real * dv
-        gradsq = np.sum(k2 * np.abs(hat) ** 2).real * dv
-        total = l2sq + gradsq
+        total = np.sum(np.abs(vals) ** 2) * dv + f.grid.kinetic(vals)
         if kind == "H2":
-            total += np.sum(k2 ** 2 * np.abs(hat) ** 2).real * dv
+            total += f.grid.kinetic(vals, 2)
         return float(np.sqrt(total))
     raise ValueError(f"unknown norm kind {kind!r}")
 
@@ -278,13 +295,16 @@ def convolve(kernel: Field, f: Field) -> Field:
     FFT product scaled by the cell volume h^d, so the result approximates the
     continuum convolution when both factors decay inside the box. The kernel
     is given as ordinary position samples (origin at the center of the box)
-    and is re-indexed internally so that it acts as a function of the
-    displacement x - y.
+    and acts as a function of the displacement x - y (:meth:`Grid.kernel_symbol`);
+    a complex kernel acts as its real part plus i times its imaginary part.
     """
     _require_position(kernel, "convolve")
     kernel._check_compatible(f)
-    prod = np.fft.fftn(np.fft.ifftshift(kernel.values)) * np.fft.fftn(f.values)
-    return Field(f.grid, np.fft.ifftn(prod) * f.grid.dv, "position")
+    grid, k = f.grid, kernel.values
+    out = apply_symbol(grid.kernel_symbol(k.real), f.values)
+    if np.any(k.imag != 0):
+        out = out + 1j * apply_symbol(grid.kernel_symbol(k.imag), f.values)
+    return Field(grid, out, "position")
 
 
 def normalize(f: Field) -> Field:

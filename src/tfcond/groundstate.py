@@ -164,10 +164,9 @@ def suggested_half_width(trap: TrapSpec, G: float, minimum: float = 8.0) -> floa
 
 
 def _energy_parts(vals, V, grid, G):
-    hat = sfft.fftn(vals, norm="ortho")
     dv = grid.dv
     rho = np.abs(vals) ** 2
-    kin = float(np.sum(grid.k2 * np.abs(hat) ** 2).real * dv)
+    kin = grid.kinetic(vals)
     pot = float(np.sum(V * rho) * dv)
     quart = float(np.sum(rho ** 2) * dv)
     return kin, pot, quart
@@ -279,16 +278,20 @@ def _newton_polish(vals, V, grid, G, tol, max_newton=14):
     )
 
 
+# gradient flow: first step size and step budget; residual at which the
+# Newton polish takes over; largest mass allowed in the grid's boundary shell
+_FLOW_DT0 = 0.1
+_FLOW_MAX_ITER = 20_000
+_POLISH_THRESHOLD = 3e-2
+_BOUNDARY_TOL = 1e-8
+
+
 def gp_minimize(
     grid: Grid,
     trap: TrapSpec,
     G: float,
     tol: float = 1e-6,
-    max_iter: int = 20_000,
-    dt0: float = 0.1,
     initial: Field | None = None,
-    boundary_tol: float = 1e-8,
-    polish_threshold: float = 3e-2,
 ) -> GroundStateResult:
     """Minimize the cubic functional by a normalized gradient flow.
 
@@ -298,13 +301,14 @@ def gp_minimize(
     quotient), then renormalizes. Steps that raise the energy are rejected
     with a halved dt, so the accepted-energy history is non-increasing. The
     split scheme has an O(dt) fixed-point bias, so once the residual
-    ||h phi - mu phi|| falls below ``polish_threshold`` (or stalls), the
+    ||h phi - mu phi|| falls below _POLISH_THRESHOLD (or stalls), the
     iterate is handed to a projected-Newton polish that pushes the residual
     below ``tol``; the polish may not raise the energy.
 
     The box must contain the cloud: half_width >= 1.2 * TF radius and
     >= 2 * trap ground-state width; the final boundary-shell mass must stay
-    below ``boundary_tol``.
+    below _BOUNDARY_TOL. The flow starts at step _FLOW_DT0 and runs at
+    most _FLOW_MAX_ITER steps.
     """
     if G < 0:
         raise ValueError(f"G must be nonnegative, got {G}")
@@ -318,7 +322,6 @@ def gp_minimize(
         )
 
     V = trap.on_grid(grid)
-    k2 = grid.k2
     dv = grid.dv
 
     if initial is not None:
@@ -333,7 +336,7 @@ def gp_minimize(
     energy = kin + pot + 0.5 * G * quart
     mu_r = kin + pot + G * quart
 
-    dt = float(dt0)
+    dt = _FLOW_DT0
     dt_min, dt_max = 1e-5, 0.5
     slack = 1e-12
     history = [energy]
@@ -341,14 +344,14 @@ def gp_minimize(
     check_every = 10
     accepted = 0
     last_checked_residual = math.inf
-    handoff = max(tol, polish_threshold)
+    handoff = max(tol, _POLISH_THRESHOLD)
 
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _FLOW_MAX_ITER + 1):
         rho = np.abs(vals) ** 2
         w_shift = V + G * rho - mu_r
         stepped = sfft.fftn(np.exp(-dt * w_shift) * vals)
-        stepped /= 1.0 + dt * k2
+        stepped /= 1.0 + dt * grid.k2
         # normalize in frequency space (Parseval), then return to position
         nrm = math.sqrt(np.sum(np.abs(stepped) ** 2).real * dv / grid.npoints)
         new_vals = sfft.ifftn(stepped / nrm)
@@ -370,8 +373,7 @@ def gp_minimize(
         dt = min(dt * 1.05, dt_max)
 
         if accepted % check_every == 0:
-            hat = sfft.fftn(vals)
-            hphi = sfft.ifftn(k2 * hat) + (V + G * np.abs(vals) ** 2) * vals
+            hphi = apply_symbol(grid.k2_half, vals) + (V + G * np.abs(vals) ** 2) * vals
             res_vec = hphi - mu_r * vals
             residual = math.sqrt(np.sum(np.abs(res_vec) ** 2).real * dv)
             if residual < handoff:
@@ -382,7 +384,7 @@ def gp_minimize(
     else:
         if residual > 10 * handoff:
             raise RuntimeError(
-                f"flow made no progress after {max_iter} iterations "
+                f"flow made no progress after {_FLOW_MAX_ITER} iterations "
                 f"(residual {residual:.3e})"
             )
 
@@ -402,9 +404,9 @@ def gp_minimize(
     boundary_mass = float(
         np.sum(np.abs(vals[grid.boundary_shell]) ** 2).real * dv
     )
-    if boundary_mass > boundary_tol:
+    if boundary_mass > _BOUNDARY_TOL:
         raise RuntimeError(
-            f"boundary-shell mass {boundary_mass:.3e} exceeds {boundary_tol:.1e}; "
+            f"boundary-shell mass {boundary_mass:.3e} exceeds {_BOUNDARY_TOL:.1e}; "
             "the box is too small"
         )
 
@@ -741,11 +743,8 @@ def semiclassical_map(f: Field, s: float, epsilon: float) -> Field:
 
 
 def _quadratic_energy(f: Field, kinetic_coeff: float, potential: np.ndarray) -> float:
-    hat = sfft.fftn(f.values, norm="ortho")
-    dv = f.grid.dv
-    kin = float(np.sum(f.grid.k2 * np.abs(hat) ** 2).real * dv)
-    pot = float(np.sum(potential * np.abs(f.values) ** 2).real * dv)
-    return kinetic_coeff * kin + pot
+    pot = float(np.sum(potential * np.abs(f.values) ** 2) * f.grid.dv)
+    return kinetic_coeff * f.grid.kinetic(f.values) + pot
 
 
 def semiclassical_roundtrip(
@@ -807,6 +806,11 @@ class LinfReport:
     tf_reference: float
 
 
+def _grad_linf(phi: Field) -> float:
+    """sup norm of |grad phi|."""
+    return float(np.max(np.sqrt(sum(np.abs(gf.values) ** 2 for gf in gradient(phi)))))
+
+
 def linf_diagnostics(
     phi: Field, trap: TrapSpec, interaction: InteractionSpec, g: float
 ) -> LinfReport:
@@ -819,10 +823,7 @@ def linf_diagnostics(
     if g <= 0:
         raise ValueError(f"g must be positive, got {g}")
     linf = norm(phi, "Linf")
-    grads = gradient(phi)
-    grad_linf = float(
-        np.max(np.sqrt(sum(np.abs(gf.values) ** 2 for gf in grads)))
-    )
+    grad_linf = _grad_linf(phi)
     d = phi.grid.d
     intv = interaction.integral(d)
     tf_ref = math.sqrt(tf_minimize(trap, intv, d).mu / intv)
@@ -892,14 +893,12 @@ def interaction_gap(phi: Field, interaction: InteractionSpec, N: int) -> GapRepo
     flat = interaction.integral(grid.d) * rho.values
     measured = float(np.max(np.abs(smeared.values - flat)))
 
-    grads = gradient(phi)
-    grad_linf = float(np.max(np.sqrt(sum(np.abs(gf.values) ** 2 for gf in grads))))
     bound = (
         2.0
         * interaction.first_moment(grid.d)
         * rng_scale
         * norm(phi, "Linf")
-        * grad_linf
+        * _grad_linf(phi)
     )
     return GapReport(measured=measured, bound=bound, N=N)
 

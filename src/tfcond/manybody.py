@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import comb, gammaln
 
-from .grids import Field, Grid, convolve, make_grid, norm
+from .grids import Field, Grid, apply_symbol, convolve, make_grid, norm
 from .model import InteractionSpec, RegimeParams, TrapSpec
 
 __all__ = [
@@ -99,10 +99,7 @@ class ModeBasis:
         if grid.d != 1:
             raise ValueError("mode bases live on 1D grids")
         trap = trap if trap is not None else TrapSpec(strength=1.0, s=2)
-        n = grid.n
-        F = np.fft.fft(np.eye(n), axis=0)
-        kin = np.fft.ifft(grid.k2[:, None] * F, axis=0)
-        h = kin.real + np.diag(trap.on_grid(grid))
+        h = apply_symbol(grid.k2_half, np.eye(grid.n)) + np.diag(trap.on_grid(grid))
         h = 0.5 * (h + h.T)
         _, vecs = np.linalg.eigh(h)
         modes = vecs[:, :M].T / np.sqrt(grid.dv)
@@ -309,8 +306,8 @@ def mode_one_body(modes: ModeBasis, trap: TrapSpec | None) -> np.ndarray:
     """Kinetic (+ trap) matrix <u_a, (-Lap + V) u_b> by quadrature."""
     grid = modes.grid
     U = modes.values
-    lap = np.fft.ifft(grid.k2[None, :] * np.fft.fft(U, axis=1), axis=1)
-    h = U.conj() @ lap.T * grid.dv
+    lap = apply_symbol(grid.k2_half, U.T)
+    h = U.conj() @ lap * grid.dv
     if trap is not None:
         V = trap.on_grid(grid)
         h = h + (U.conj() * V[None, :]) @ U.T * grid.dv
@@ -473,13 +470,6 @@ class ProjectorContext:
         if residual > 1e-10 * np.linalg.norm(vec):
             raise RuntimeError(f"a(phi) does not annihilate P_N vec (residual {residual:.2e})")
         return parts
-
-    def apply_weights(self, weights_by_k, vec: np.ndarray, d: int = 0) -> np.ndarray:
-        """f-hat-sub-d applied to vec; weights zero outside 0..N."""
-        return _shifted(weights_by_k, d, self.sector.N) @ self.split(vec)
-
-    def p_k(self, vec: np.ndarray, k: int) -> np.ndarray:
-        return self.split(vec)[k]
 
     def sector_weights(self, vec: np.ndarray) -> np.ndarray:
         """|P_k vec|^2 for k = 0..N."""
@@ -816,17 +806,14 @@ def verify_appendix(
     h = grid.h
     xs = grid.coords()[0]
     didx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    kfrac = np.abs(np.fft.fftfreq(n))
+    # low pass: keep the modes |k| <= 0.2 * 2 pi / h
+    low = (grid.k2_half <= (0.4 * np.pi / h) ** 2).astype(float)
     for _ in range(trials):
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        hat = np.fft.fft(raw)
-        hat[kfrac > 0.2] = 0
-        phi_g = np.fft.ifft(hat) * np.exp(-(xs**2) / 8)
+        phi_g = apply_symbol(low, raw) * np.exp(-(xs**2) / 8)
         phi_g = phi_g / math.sqrt(float(np.sum(np.abs(phi_g) ** 2) * h))
         u_raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        uhat = np.fft.fft(u_raw)
-        uhat[kfrac > 0.2] = 0
-        u = np.fft.ifft(uhat) * np.exp(-(xs**2) / 10)
+        u = apply_symbol(low, u_raw) * np.exp(-(xs**2) / 10)
         Umat = u[(didx + n // 2) % n]  # u(x_i - x_j), periodic
         psi2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         psi2 /= math.sqrt(float(np.sum(np.abs(psi2) ** 2) * h * h))
@@ -1049,9 +1036,22 @@ class TrackReport:
     gronwall_ok: bool
     galerkin_leakage: float
 
+    RATE_TOL = 1e-6  # largest |d(alpha)/dt - rate| the rate identity allows
+
     @property
     def max_rate_mismatch(self) -> float:
         return float(np.max(np.abs(self.rate - self.alpha_dot_fd)))
+
+    @property
+    def passed(self) -> bool:
+        """Rate identity within RATE_TOL, no sandwich or term-bound violation,
+        alpha inside its Gronwall envelope."""
+        return (
+            self.max_rate_mismatch < self.RATE_TOL
+            and self.sandwich_violations == 0
+            and self.bound_violations == 0
+            and self.gronwall_ok
+        )
 
 
 def evolve_and_track(

@@ -273,9 +273,9 @@ def check_assumption1(interaction: InteractionSpec, grid: Grid) -> Assumption1Re
     vmax = float(np.max(np.abs(vals)))
     nonzero = vmax > 0.0
 
-    # recenter so the transform is that of a function of displacement; for an
-    # even real profile the coefficients are then real up to rounding
-    hat = np.fft.fftn(np.fft.ifftshift(vals))
+    # the transform of v as a function of displacement; for an even real
+    # profile the coefficients are real up to rounding
+    hat = grid.kernel_symbol(vals) / grid.dv
     min_coeff = float(np.min(hat.real))
     scale = float(np.max(np.abs(hat))) if vmax > 0 else 1.0
     positive_type = min_coeff >= -1e-12 * max(1.0, scale)
@@ -430,37 +430,58 @@ class ModelConfig:
         return out
 
 
-def _take(block: dict, where: str, allowed: dict) -> dict:
-    unknown = set(block) - set(allowed)
+# config schemas for _take: each key maps to its default
+_TRAP_KEYS = {"strength": 1.0, "s": 2.0}
+_INTERACTION_KEYS = {"profile": "gaussian", "beta": 0.2}
+
+
+def _take(block, where: str, schema: dict) -> dict:
+    """Every key of ``schema``, read from the config block ``block``.
+
+    ``schema`` maps each key to its default, and the default fixes the type.
+    A dict is a nested block, parsed the same way. None accepts any value;
+    the caller checks it. A bool, int, float or str needs a value of its
+    type; a type itself (float, list, ...) does too, with None as default.
+    An int accepts an integral number and a float accepts an int. A key that
+    is absent or null takes its default. An unknown key, a block that is not
+    an object and a value of the wrong type raise ValueError.
+    """
+    if not isinstance(block, dict):
+        raise ValueError(f"{where} block must be a JSON object, got {block!r}")
+    unknown = set(block) - set(schema)
     if unknown:
-        raise ValueError(f"unknown key(s) in {where!r} block: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} key(s): {sorted(unknown)}")
     out = {}
-    for key, cast in allowed.items():
-        if key in block and block[key] is not None:
-            out[key] = cast(block[key])
+    for key, default in schema.items():
+        value = block.get(key)
+        if isinstance(default, dict):
+            value = _take({} if value is None else value, key, default)
+        elif value is None:
+            value = None if isinstance(default, type) else default
+        elif default is not None:
+            kind = default if isinstance(default, type) else type(default)
+            if kind is float and type(value) is int:
+                value = float(value)
+            elif kind is int and type(value) is float and value.is_integer():
+                value = int(value)
+            if type(value) is not kind:
+                raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+        out[key] = value
     return out
 
 
 def config_from_dict(data: dict) -> ModelConfig:
     """Build a ModelConfig from a plain dict, rejecting unknown keys."""
-    unknown = set(data) - {"trap", "interaction", "regime"}
-    if unknown:
-        raise ValueError(f"unknown top-level config key(s): {sorted(unknown)}")
-    trap = TrapSpec(**_take(data.get("trap", {}), "trap", {"strength": float, "s": float}))
-    inter = InteractionSpec(
-        **_take(data.get("interaction", {}), "interaction", {"profile": str, "beta": float})
-    )
+    keys = {"trap": _TRAP_KEYS, "interaction": _INTERACTION_KEYS, "regime": None}
+    cfg = _take(data, "top-level", keys)
+    inter = InteractionSpec(**cfg["interaction"])
     regime = None
-    if "regime" in data:
-        reg = _take(
-            data["regime"],
-            "regime",
-            {"N": int, "g_N": float, "lambda_weight": float},
-        )
-        if "N" not in reg or "g_N" not in reg:
+    if cfg["regime"] is not None:
+        reg = _take(cfg["regime"], "regime", {"N": int, "g_N": float, "lambda_weight": float})
+        if reg["N"] is None or reg["g_N"] is None:
             raise ValueError("regime block needs both N and g_N")
         regime = RegimeParams(beta=inter.beta, **reg)
-    return ModelConfig(trap=trap, interaction=inter, regime=regime)
+    return ModelConfig(trap=TrapSpec(**cfg["trap"]), interaction=inter, regime=regime)
 
 
 def load_config(path) -> ModelConfig:

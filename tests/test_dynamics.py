@@ -445,6 +445,37 @@ def test_strichartz_random_bandlimited():
     assert rep.max_ratio < 1.0
 
 
+def _strichartz_loop_ratio(grid, f, T):
+    # the position-space Duhamel loop: three FFTs per step
+    nt = f.shape[0]
+    dt = T / (nt - 1)
+    prop = np.exp(-1j * dt * grid.k2)
+    u = np.zeros(grid.shape, dtype=complex)
+    lhs = 0.0
+    for j in range(nt - 1):
+        step = prop * np.fft.fftn(u) + 0.5 * dt * (
+            prop * np.fft.fftn(f[j]) + np.fft.fftn(f[j + 1])
+        )
+        u = np.fft.ifftn(step)
+        lhs = max(lhs, float(np.sqrt(np.sum(np.abs(u) ** 2).real * grid.dv)))
+    return lhs / (np.sqrt(T) * max(lp_norm(f[j], 6.0 / 5.0, grid) for j in range(nt)))
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (3, 16)])
+def test_strichartz_matches_position_space_loop(d, n):
+    grid = make_grid(d, n, 6.0)
+    rng = np.random.default_rng(3 + d)
+    mask = grid.k2 <= 4.0
+    samples = [np.repeat(np.exp(-grid.r2 / 2)[None], 5, axis=0)]
+    for _ in range(4):
+        w = rng.standard_normal((7,) + grid.shape) + 1j * rng.standard_normal((7,) + grid.shape)
+        axes = tuple(range(1, d + 1))
+        samples.append(np.fft.ifftn(np.fft.fftn(w, axes=axes) * mask, axes=axes))
+    rep = strichartz_check(grid, samples, 0.7)
+    ref = np.array([_strichartz_loop_ratio(grid, f, 0.7) for f in samples])
+    assert np.max(np.abs(rep.ratios - ref)) <= 1e-12 * np.max(ref)
+
+
 def test_strichartz_validation():
     grid = make_grid(1, 64, 4.0)
     with pytest.raises(ValueError, match="T"):

@@ -390,6 +390,26 @@ class TestCli:
         assert proc.returncode == 2
         assert "unknown" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("groundstate", {"grid": 5}),
+            ("groundstate", {"G": True}),
+            ("dynamics", {"grid": {"d": 1, "n": 64.9, "half_width": 8.0}}),
+            ("scattering", {"born_window": [0.9]}),
+            ("study", {"study": {"kind": "gap_vs_g", "values": 5}}),
+            ("study", {"kind": "gap_vs_g"}),
+            ("gap", {"g_values": [1, "x"]}),
+            ("manybody", {"N": 2, "M": 2, "g": "0.1"}),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = _cli(command, "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_readme_and_benchmark_configs_exit_0(self, tmp_path, monkeypatch):
         configs = _readme_configs()
         assert set(configs) == {"groundstate", "gap", "dynamics", "study", "scattering"}

@@ -1,5 +1,6 @@
 """Tests for the exact few-boson engine and counting calculus."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 
 from tfcond.grids import make_grid
+from tfcond.harness import TOLERANCES
 from tfcond.manybody import (
     HartreeOnModes,
     ManyBodyState,
     ModeBasis,
     ProjectorContext,
     SymmetricSector,
+    TrackReport,
     _rate_bounds,
+    _shifted,
     _TensorEngine,
     alpha,
     assemble,
@@ -374,7 +378,7 @@ class TestSector:
         oracle = _EighProjectorContext(sec, phi)
         split_t = eng.slot_split(p, q, psi_t)
         for k in range(N + 1):
-            block = ctx.p_k(coeff, k)
+            block = ctx.split(coeff)[k]
             ref_t = _pattern_p_k(eng, p, q, k, psi_t)
             # the sector split, the slot recursion and the pattern sum agree
             assert np.max(np.abs(eng.from_occupation(sec, block) - ref_t)) < 1e-12
@@ -612,7 +616,7 @@ class TestCounting:
         f = rng.uniform(0.5, 1.5, sec.N + 1)
         for d in (-2, -1, 0, 1, 2):
             ref = _loop_apply_weights(oracle, f, v, d)
-            assert _rel_dev(ctx.apply_weights(f, v, d), ref) <= 1e-12
+            assert _rel_dev(_shifted(f, d, sec.N) @ ctx.split(v), ref) <= 1e-12
         assert _rel_dev(ctx.sector_weights(v), _loop_sector_weights(oracle, v)) <= 1e-12
 
     def test_pk_partition_of_unity(self):
@@ -621,7 +625,7 @@ class TestCounting:
         phi = rng.standard_normal(3)
         ctx = ProjectorContext(sec, phi)
         v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
-        total = sum(ctx.p_k(v, k) for k in range(4))
+        total = sum(ctx.split(v)[k] for k in range(4))
         assert np.max(np.abs(total - v)) < 1e-12
         w = ctx.sector_weights(v)
         assert abs(np.sum(w) - np.vdot(v, v).real) < 1e-12
@@ -662,11 +666,11 @@ class TestProjectorSplit:
         assert parts.shape == (N + 1, sec.D)
         for k in range(N + 1):
             assert np.max(np.abs(parts[k] - oracle.p_k(v, k))) <= 1e-12
-            assert np.array_equal(ctx.p_k(v, k), parts[k])
+            assert np.array_equal(ctx.split(v)[k], parts[k])
         f = rng.uniform(0.5, 1.5, N + 1)
         for d in (-2, -1, 0, 1, 2):  # at N = 1, d = +-2 leaves every weight zero
             ref = _loop_apply_weights(oracle, f, v, d)
-            assert np.max(np.abs(ctx.apply_weights(f, v, d) - ref)) <= 1e-12
+            assert np.max(np.abs(_shifted(f, d, N) @ ctx.split(v) - ref)) <= 1e-12
         assert _rel_dev(ctx.sector_weights(v), _loop_sector_weights(oracle, v)) <= 1e-12
         assert _rel_dev(ctx.n_plus_matrix(), oracle.n_plus_matrix()) <= 1e-12
 
@@ -683,7 +687,7 @@ class TestProjectorSplit:
             assert np.max(np.abs(ctx.n_plus_matrix() @ part - k * part)) <= 1e-12
             for j in range(sec.N + 1):
                 target = part if j == k else np.zeros_like(part)
-                assert np.max(np.abs(ctx.p_k(part, j) - target)) <= 1e-12
+                assert np.max(np.abs(ctx.split(part)[j] - target)) <= 1e-12
 
     @pytest.mark.parametrize("N, M", [(4, 3), (8, 5)])
     def test_near_condensate_small_parts(self, N, M):
@@ -867,6 +871,24 @@ class TestEvolution:
         assert np.max(np.abs(rep.psi_norm - 1.0)) < 1e-12
         assert np.max(np.abs(rep.energy - rep.energy[0])) < 1e-10
         assert rep.galerkin_leakage < 0.1
+
+    def test_passed_is_the_one_gronwall_rule(self):
+        H = _toy_hamiltonian(N=4, M=4, g=0.1)
+        phi0 = np.zeros(4, dtype=complex)
+        phi0[0] = 1.0
+        psi0 = product_state(H.sector, phi0)
+        rep = evolve_and_track(
+            psi0, H, phi0, hartree_from_hamiltonian(H), np.linspace(0, 0.5, 11), 0.5
+        )
+        assert TrackReport.RATE_TOL == TOLERANCES["rate_identity"] == 1e-6
+        assert rep.passed
+        for change in (
+            {"alpha_dot_fd": rep.rate + 2e-6},
+            {"sandwich_violations": 1},
+            {"bound_violations": 1},
+            {"gronwall_ok": False},
+        ):
+            assert not dataclasses.replace(rep, **change).passed
 
     def test_free_product_stays_condensed(self):
         H = _toy_hamiltonian(N=3, M=3, g=0.0)

@@ -12,6 +12,7 @@ from tfcond.model import (
     ModelConfig,
     RegimeParams,
     TrapSpec,
+    _take,
     admissibility,
     check_assumption1,
     config_from_dict,
@@ -236,3 +237,35 @@ def test_config_defaults_without_regime():
     assert isinstance(cfg, ModelConfig)
     with pytest.raises(ValueError):
         cfg.scales()
+
+
+def test_take_types_values_by_their_defaults():
+    schema = {"grid": {"n": 64, "half_width": 8.0}, "name": "x", "any": None, "opt": float}
+    out = _take({"grid": {"n": 32.0, "half_width": 3}, "any": [1]}, "config", schema)
+    assert out == {"grid": {"n": 32, "half_width": 3.0}, "name": "x", "any": [1], "opt": None}
+    assert type(out["grid"]["n"]) is int and type(out["grid"]["half_width"]) is float
+    assert _take({"opt": 2, "name": None}, "config", schema)["opt"] == 2.0
+    bad = [
+        ({"grid": 5}, "grid block must be a JSON object"),
+        ({"grid": {"n": 64.9}}, "'n' must be of type int"),
+        ({"grid": {"n": True}}, "'n' must be of type int"),
+        ({"grid": {"half_width": False}}, "'half_width' must be of type float"),
+        ({"grid": {"half_width": "8"}}, "'half_width' must be of type float"),
+        ({"name": 3}, "'name' must be of type str"),
+        ({"opt": "1"}, "'opt' must be of type float"),
+        ({"grid": {"m": 1}}, r"unknown grid key\(s\): \['m'\]"),
+    ]
+    for block, message in bad:
+        with pytest.raises(ValueError, match=message):
+            _take(block, "config", schema)
+
+
+def test_config_rejects_wrong_types():
+    with pytest.raises(ValueError, match="'s' must be of type float"):
+        config_from_dict({"trap": {"s": True}})
+    with pytest.raises(ValueError, match="'N' must be of type int"):
+        config_from_dict({"regime": {"N": 10.5, "g_N": 1.0}})
+    with pytest.raises(ValueError, match="regime block must be a JSON object"):
+        config_from_dict({"regime": 3})
+    cfg = config_from_dict({"regime": {"N": 10.0, "g_N": 1}})
+    assert cfg.regime.N == 10 and cfg.regime.g_N == 1.0 and cfg.regime.lambda_weight is None
