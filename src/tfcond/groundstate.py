@@ -438,11 +438,13 @@ class SpectrumResult:
 
     The eigenvalues come from separate solves in the reflection-parity
     sectors of h, which therefore must commute with every reflection
-    x_ax -> -x_ax of the grid. ``residuals`` are ||h v - lambda v|| / ||v|| of the
-    eigenvectors unfolded to the full grid, with h applied there without any
+    x_ax -> -x_ax and every axis swap of the grid; one sector per
+    axis-permutation orbit is solved and lends its levels to the others.
+    ``residuals`` are ||h v - lambda v|| / ||v|| of the eigenvectors, copies
+    included, unfolded to the full grid, with h applied there without any
     symmetry, and ``converged`` is read from them. ``iterations`` counts the
-    LOBPCG iterations of all sector solves; ``warnings`` holds the messages
-    LOBPCG raised during them, in order.
+    LOBPCG iterations of the representative solves; ``warnings`` holds the
+    messages LOBPCG raised during them, in order.
     """
 
     eigenvalues: np.ndarray
@@ -555,6 +557,18 @@ class _ParitySector:
         """Samples of a full-grid field at the sector's octant points."""
         return f[np.ix_(*(plus for plus, *_ in self._axes))]
 
+    def transpose(self, X: np.ndarray, axes: tuple) -> np.ndarray:
+        """Sector vectors X with their octant arrays transposed by ``axes``.
+
+        Axis ax of the result is axis axes[ax] of X, as in ``np.transpose``,
+        so the result holds vectors of the sector whose parity on axis ax is
+        ``parity[axes[ax]]``.
+        """
+        d = len(axes)
+        u = X.reshape(self.shape + X.shape[1:])
+        u = u.transpose(tuple(axes) + tuple(range(d, u.ndim)))
+        return u.reshape(X.shape)
+
     def apply_symbol(self, symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
         """T symbol T X for sector vectors X (one, or one per column)."""
         u = X.reshape(self.shape + X.shape[1:])
@@ -568,14 +582,37 @@ class _ParitySector:
         return u.reshape(X.shape)
 
 
-def _require_reflection_symmetric(W: np.ndarray):
-    scale = float(np.max(np.abs(W)))
-    for ax in range(W.ndim):
-        asym = float(np.max(np.abs(W - np.roll(np.flip(W, ax), 1, ax))))
-        if asym > 1e-10 * scale:
+def _parity_orbits(d: int) -> dict:
+    """The 2^d parities grouped into orbits of the axis permutations.
+
+    Maps each orbit's representative, its odd axes first, to its members as
+    (parity, axes): transposing the representative's octant arrays by
+    ``axes`` gives the member's.
+    """
+    orbits = {}
+    for parity in itertools.product((0, 1), repeat=d):
+        order = sorted(range(d), key=lambda ax: -parity[ax])
+        rep = tuple(parity[ax] for ax in order)
+        orbits.setdefault(rep, []).append((parity, tuple(order.index(ax) for ax in range(d))))
+    return orbits
+
+
+def _require_cubic_symmetric(W: np.ndarray):
+    """ValueError unless W is invariant under each reflection and each axis swap."""
+    allowed = 1e-10 * float(np.max(np.abs(W)))
+    images = itertools.chain(
+        ((f"x_{ax} -> -x_{ax}", np.roll(np.flip(W, ax), 1, ax)) for ax in range(W.ndim)),
+        (
+            (f"the swap x_{a} <-> x_{b}", np.swapaxes(W, a, b))
+            for a, b in itertools.combinations(range(W.ndim), 2)
+        ),
+    )
+    for name, image in images:
+        asym = float(np.max(np.abs(W - image)))
+        if asym > allowed:
             raise ValueError(
-                f"V + G|phi|^2 is not symmetric under x_{ax} -> -x_{ax} "
-                f"(deviation {asym:.3e}, allowed {1e-10 * scale:.3e})"
+                f"V + G|phi|^2 is not symmetric under {name} "
+                f"(deviation {asym:.3e}, allowed {allowed:.3e})"
             )
 
 
@@ -592,31 +629,40 @@ def hgp_spectrum(
     """Lowest k eigenvalues of h = -Lap + V + G |phi|^2, solved per parity sector.
 
     W = V + G |phi|^2 must be symmetric under each reflection x_ax -> -x_ax
-    (to 1e-10 max|W|, else ``ValueError``), so h splits into the 2^d sectors
-    of :class:`_ParitySector`, each solved by preconditioned LOBPCG with the
-    shifted preconditioner (c - Lap)^{-1}, c = max(1, <phi, h phi>), the
-    shift the Newton polish of :func:`gp_minimize` uses.
+    and each swap of two axes (to 1e-10 max|W|, else ``ValueError``), so h
+    splits into the 2^d sectors of :class:`_ParitySector`, and sectors that
+    an axis permutation maps onto each other share their spectrum. One
+    representative per orbit of sectors, the one with its odd axes first,
+    is solved by preconditioned LOBPCG with the shifted preconditioner
+    (c - Lap)^{-1}, c = max(1, <phi, h phi>), the shift the Newton polish of
+    :func:`gp_minimize` uses. Its levels count once per orbit member, and
+    the member's eigenvectors are the representative's with the octant
+    arrays transposed.
 
-    The all-even sector starts from phi itself: a minimizer from
-    :func:`gp_minimize` is already the ground state of its own h. Every other
-    sector starts from phi times its odd coordinates plus a seeded random
-    part of 10% of the norm, so that a guess does not stay inside one class
-    of the symmetries left in the sector (axis permutations). Let tau be the
-    k-th lowest eigenvalue found over all sectors. A sector whose highest
-    eigenvalue found lies below tau (by more than rounding) grows by one
-    random vector, solved with the sector's eigenvectors as constraints,
-    until it holds k vectors or its whole dimension.
+    phi must be the ground state of its own h, as :func:`gp_minimize`
+    returns it: the all-even sector starts from phi itself, without noise,
+    and would otherwise report the lowest level of phi's own symmetry class
+    in place of that sector's lowest. Every other sector starts from phi
+    times its odd coordinates plus a seeded random part of 10% of the norm.
+    Let tau be the k-th lowest eigenvalue found, counted with multiplicity.
+    A sector whose highest eigenvalue found lies below tau (by more than
+    rounding) grows by one vector, solved with the sector's eigenvectors as
+    constraints, until it holds k vectors or its whole dimension. The
+    all-even sector first grows from (x_0^2 - x_1^2) phi (x^2 phi in 1D)
+    plus the 10% random part; its later vectors, and those of every other
+    sector, grow from random vectors.
 
     ``residuals`` and ``converged`` come from h on the full grid, applied to
-    the unfolded eigenvectors without any symmetry. LOBPCG warnings are
-    returned in ``SpectrumResult.warnings`` instead of printed.
+    every unfolded eigenvector, copies included, without any symmetry.
+    ``iterations`` counts the representative solves only. LOBPCG warnings
+    are returned in ``SpectrumResult.warnings`` instead of printed.
     """
     if k < 2:
         raise ValueError("need at least two eigenvalues for a gap")
     if phi.grid != grid:
         raise ValueError("phi lives on a different grid")
     W = trap.on_grid(grid) + G * np.abs(phi.values) ** 2
-    _require_reflection_symmetric(W)
+    _require_cubic_symmetric(W)
     base = phi.values.real
     unit = base / np.linalg.norm(base)
     shift = max(1.0, float(np.vdot(unit, apply_symbol(grid.k2_half, unit) + W * unit)))
@@ -638,19 +684,24 @@ def hgp_spectrum(
 
         return _operator(sec.dim, h), _operator(sec.dim, precond)
 
-    sectors, ops, guesses = [], [], []
-    for parity in itertools.product((0, 1), repeat=grid.d):
-        sec = _ParitySector(grid, parity)
-        x = sec.restrict(
-            math.prod((coords[ax] for ax in range(grid.d) if parity[ax]), start=base)
-        )
+    def guess(sec, factor, noisy=True):
+        x = sec.restrict(factor * base)
         x /= np.linalg.norm(x)
-        if any(parity):
+        if noisy:
             noise = rng.standard_normal(sec.dim)
             x += 0.1 * noise / np.linalg.norm(noise)
-        sectors.append(sec)
-        ops.append(sector_operators(sec))
-        guesses.append(x[:, None])
+        return x[:, None]
+
+    orbits = _parity_orbits(grid.d)
+    sectors = [_ParitySector(grid, rep) for rep in orbits]
+    copies = [[(_ParitySector(grid, p), axes) for p, axes in orbit] for orbit in orbits.values()]
+    ops = [sector_operators(sec) for sec in sectors]
+    guesses = [
+        guess(sec, math.prod(c for c, odd in zip(coords, sec.parity) if odd), any(sec.parity))
+        for sec in sectors
+    ]
+    # the all-even sector's next level: the quadrupole, or the 1D breathing mode
+    even_growth = coords[0] ** 2 - (coords[1] ** 2 if grid.d > 1 else 0.0)
 
     values = [np.empty(0)] * len(sectors)
     vectors = [np.empty((sec.dim, 0)) for sec in sectors]
@@ -663,23 +714,34 @@ def hgp_spectrum(
                 w, v = lobpcg(A, guesses[i], M=M, Y=Y, tol=tol, maxiter=maxiter, largest=False)
                 values[i] = np.append(values[i], w)
                 vectors[i] = np.column_stack([vectors[i], v])
-            found = np.sort(np.concatenate(values))
+            found = np.sort(np.concatenate([np.repeat(v, len(c)) for v, c in zip(values, copies)]))
             tau = math.inf
             if found.size >= k:
-                # a level shared by several sectors comes out of each up to rounding
+                # a level shared by several orbits comes out of each up to rounding
                 tau = found[k - 1] - 1e-10 * max(1.0, abs(found[k - 1]))
             pending = [
                 i for i in pending
                 if values[i].max() < tau and values[i].size < min(k, sectors[i].dim)
             ]
             for i in pending:
-                guesses[i] = rng.standard_normal((sectors[i].dim, 1))
+                if any(sectors[i].parity) or values[i].size > 1:
+                    # a repeated physical guess would lean on levels already found
+                    guesses[i] = rng.standard_normal((sectors[i].dim, 1))
+                else:
+                    guesses[i] = guess(sectors[i], even_growth)
 
     lowest = sorted(
-        (lam, i, j) for i, vals in enumerate(values) for j, lam in enumerate(vals)
+        (lam, i, m, j)
+        for i, vals in enumerate(values)
+        for m in range(len(copies[i]))
+        for j, lam in enumerate(vals)
     )[:k]
-    eigenvalues = np.array([lam for lam, _, _ in lowest])
-    vecs = np.stack([sectors[i].unfold(vectors[i][:, j]) for _, i, j in lowest], axis=1)
+    eigenvalues = np.array([lam for lam, *_ in lowest])
+    columns = []
+    for _, i, m, j in lowest:
+        member, axes = copies[i][m]
+        columns.append(member.unfold(sectors[i].transpose(vectors[i][:, j], axes)))
+    vecs = np.stack(columns, axis=1)
     cols = vecs.reshape(grid.shape + (-1,))
     resid = apply_symbol(grid.k2_half, cols) + (W[..., None] - eigenvalues) * cols
     resid = resid.reshape(vecs.shape)

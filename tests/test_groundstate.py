@@ -19,6 +19,7 @@ from tfcond.grids import Field, apply_symbol, laplacian, make_grid, norm
 from tfcond.groundstate import (
     DecayDiagnostics,
     _ParitySector,
+    _parity_orbits,
     agmon_tail,
     agmon_weight,
     gp_minimize,
@@ -282,6 +283,9 @@ def test_spectrum_linear_harmonic_3d():
     res = gp_minimize(grid, TRAP, 0.0, tol=1e-9)
     spec = hgp_spectrum(grid, TRAP, 0.0, res.field, k=4)
     assert np.allclose(spec.eigenvalues, [3.0, 5.0, 5.0, 5.0], atol=1e-8)
+    # one (-++) solve stands for the whole dipole triplet: k=4 needs no
+    # solve beyond those of k=2
+    assert hgp_spectrum(grid, TRAP, 0.0, res.field, k=2).iterations == spec.iterations
 
 
 def test_spectrum_against_dense_diagonalization():
@@ -360,6 +364,53 @@ def test_spectrum_against_dense_diagonalization_up_to_k8(dense_reference):
         err = float(np.max(np.abs(spec.eigenvalues - ref[:k])))
         assert err <= 1e-9, (k, err, spec.eigenvalues, ref[:k])
         assert spec.converged
+        assert spec.warnings == (), (k, spec.warnings)
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 16)])
+def test_orbit_copies_are_member_sector_eigenvectors(d, n):
+    # W with the symmetries of the cube but not of the sphere; each copy
+    # transposed from a representative must be an eigenvector of its member
+    # sector's own operator, and unfold to the same full-grid residual
+    grid = make_grid(d, n, 3.0)
+    coords = grid.coords()
+    W = grid.r2 + 4.0 * np.exp(-grid.r2) + 0.1 * sum(
+        (a * b) ** 2 for a, b in itertools.combinations(coords, 2)
+    )
+    rng = np.random.default_rng(17)
+
+    def h(sec, X):
+        return sec.apply_symbol(sec.k2, X) + sec.octant(W).reshape(-1, 1) * X
+
+    def full_residual(sec, X, lam):
+        cols = sec.unfold(X).reshape(grid.shape + (-1,))
+        r = apply_symbol(grid.k2_half, cols) + (W[..., None] - lam) * cols
+        return np.linalg.norm(r.reshape(-1, lam.size), axis=0)
+
+    orbits = _parity_orbits(d)
+    assert len(orbits) == d + 1
+    assert sorted(p for members in orbits.values() for p, _ in members) == sorted(
+        itertools.product((0, 1), repeat=d)
+    )
+    for rep, members in orbits.items():
+        assert list(rep) == sorted(rep, reverse=True)
+        sec = _ParitySector(grid, rep)
+        H = h(sec, np.eye(sec.dim))
+        lam, X = np.linalg.eigh(0.5 * (H + H.T))
+        lam, X = lam[:4], X[:, :4]
+        # near-eigenvectors, so that the residual compared below is not rounding
+        near = X + 1e-6 * rng.standard_normal(X.shape)
+        rep_residual = full_residual(sec, near, lam)
+        assert np.all(rep_residual > 1e-8)
+        for parity, axes in members:
+            member = _ParitySector(grid, parity)
+            copy = sec.transpose(X, axes)
+            assert copy.shape == (member.dim, 4)
+            hx = h(member, copy)
+            assert np.max(np.abs(hx - lam * copy)) <= 1e-12 * np.max(np.abs(hx)), parity
+            got = full_residual(member, sec.transpose(near, axes), lam)
+            # rounding of h v - lambda v is relative to lambda, not to the residual
+            assert np.max(np.abs(got - rep_residual)) <= 1e-12 * np.max(lam), parity
 
 
 def test_spectrum_requires_reflection_symmetric_potential():
@@ -370,6 +421,18 @@ def test_spectrum_requires_reflection_symmetric_potential():
     with pytest.raises(ValueError, match="not symmetric under x_0 -> -x_0"):
         hgp_spectrum(grid, TRAP, 20.0, phi, k=2)
     # without interaction only the radial trap enters h, which is symmetric
+    spec = hgp_spectrum(grid, TRAP, 0.0, phi, k=2)
+    assert np.allclose(spec.eigenvalues, [2.0, 4.0], atol=1e-8)
+
+
+def test_spectrum_requires_swap_symmetric_potential():
+    # symmetric under both reflections but not under x <-> y
+    grid = make_grid(2, 32, 8.0)
+    x, y = grid.coords()
+    squeezed = np.exp(-(x ** 2 + 2.0 * y ** 2) / 2.0) + 0j
+    phi = Field(grid, squeezed / math.sqrt(np.sum(np.abs(squeezed) ** 2) * grid.dv))
+    with pytest.raises(ValueError, match="not symmetric under the swap x_0 <-> x_1"):
+        hgp_spectrum(grid, TRAP, 20.0, phi, k=2)
     spec = hgp_spectrum(grid, TRAP, 0.0, phi, k=2)
     assert np.allclose(spec.eigenvalues, [2.0, 4.0], atol=1e-8)
 
