@@ -271,7 +271,7 @@ def _cmd_manybody(args) -> int:
             f"max |d(alpha)/dt - rate| = {rep.max_rate_mismatch:.3e}",
             f"sandwich violations {rep.sandwich_violations}, "
             f"term-bound violations {rep.bound_violations}, "
-            f"envelope c = {rep.gronwall_c:.3e}",
+            f"fitted alpha rate c = {rep.gronwall_c:.3e}",
         ]
         payload = {
             "times": rep.times,

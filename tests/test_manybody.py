@@ -1,12 +1,17 @@
 """Tests for the exact few-boson engine and counting calculus."""
 
 import dataclasses
+import importlib.util
 import itertools
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tfcond import manybody as mb
 from tfcond.grids import make_grid
 from tfcond.harness import TOLERANCES
 from tfcond.manybody import (
@@ -448,19 +453,19 @@ class TestHamiltonian:
         w = np.array([[1.0, 0.3], [0.3, 0.5]])
         sec = SymmetricSector(2, 2)
         H = assemble(sec, h, _diag_pair_tensor(w), 0.7)
-        vals = np.linalg.eigvalsh(H.matrix)
+        vals = np.linalg.eigvalsh(H.matrix.toarray())
         assert np.max(np.abs(vals - np.array(TWOBOSON_SPECTRUM))) < 1e-12
 
     def test_two_boson_noninteracting(self):
         h = np.diag([1.0, 2.0])
         sec = SymmetricSector(2, 2)
         H = assemble(sec, h, np.zeros((4, 4)), 0.0)
-        vals = np.linalg.eigvalsh(H.matrix)
+        vals = np.linalg.eigvalsh(H.matrix.toarray())
         assert np.max(np.abs(vals - np.array([2.0, 3.0, 4.0]))) < 1e-13
 
     def test_build_is_hermitian(self):
         H = _toy_hamiltonian()
-        assert np.max(np.abs(H.matrix - H.matrix.conj().T)) < 1e-12
+        assert abs(H.matrix - H.matrix.conj().T).max() < 1e-12
 
     def test_build_beta_mismatch(self):
         grid = make_grid(1, 32, 6.0)
@@ -914,6 +919,32 @@ class TestEvolution:
         a0 = rep.alpha[0] + H.sector.N ** (H.modes.grid.d * H.beta - 0.5)
         assert np.all(rep.alpha <= a0 * np.exp(rep.gronwall_c * rep.times) + 1e-12)
 
+    def test_gronwall_envelope_gates_on_term_bounds(self, monkeypatch):
+        # with the term bounds scaled down, alpha(t) leaves the integrated
+        # envelope, while an exponential rate fitted to alpha(t) still covers it
+        monkeypatch.setattr(mb, "_rate_bounds", lambda *args: 1e-3 * _rate_bounds(*args))
+        H = _toy_hamiltonian(N=4, M=3, g=0.4)
+        phi0 = np.zeros(3, dtype=complex)
+        phi0[0] = 1.0
+        psi0 = product_state(H.sector, phi0)
+        rep = evolve_and_track(
+            psi0, H, phi0, hartree_from_hamiltonian(H), np.linspace(0, 0.6, 7), 0.5
+        )
+        assert not rep.gronwall_ok
+        assert not rep.passed
+        a0 = rep.alpha[0] + H.sector.N ** (H.modes.grid.d * H.beta - 0.5)
+        assert np.all(rep.alpha <= a0 * np.exp(rep.gronwall_c * rep.times) + 1e-12)
+
+    def test_needs_grid_built_hamiltonian(self):
+        sec = SymmetricSector(2, 2)
+        H = assemble(sec, np.eye(2), np.zeros((4, 4)), 0.1)
+        phi0 = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="grid"):
+            evolve_and_track(
+                product_state(sec, phi0), H, phi0, hartree_from_hamiltonian(H),
+                np.linspace(0, 0.1, 3), 0.5,
+            )
+
     def test_rate_without_grid_gives_no_bounds(self):
         h = np.diag([1.0, 2.0])
         w = np.array([[1.0, 0.3], [0.3, 0.5]])
@@ -940,3 +971,97 @@ class TestEvolution:
         grow = np.diff(rep.alpha) > 0
         mid_rates = 0.5 * (rep.rate[1:] + rep.rate[:-1])
         assert np.all((mid_rates > 0) == grow)
+
+
+# ---------------------------------------------------------------------------
+# Dense oracle for the sparse engine: the full eigh of H.matrix.toarray().
+
+
+def _counting_seed(monkeypatch):
+    """bench/workloads.py, which holds the seed's alpha(t) and rate(t) at (8, 5)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("N, M", [(1, 2), (2, 2)])
+    def test_ground_state_of_tiny_sectors(self, N, M):
+        H = _toy_hamiltonian(N=N, M=M, g=0.1)
+        assert H.sector.D == N + 1
+        vals = np.linalg.eigvalsh(H.matrix.toarray())
+        e0, gs = ground_state(H)
+        assert abs(e0 - vals[0]) <= 1e-12 * abs(vals[0])
+        assert abs(np.vdot(gs.vector, H.matrix @ gs.vector).real - e0) <= 1e-12 * abs(e0)
+
+    @pytest.mark.parametrize("N, M", [(8, 5), (12, 5)])
+    def test_sparse_engine_matches_eigh(self, N, M, monkeypatch):
+        H = _toy_hamiltonian(N=N, M=M, g=0.1)
+        evals, evecs = np.linalg.eigh(H.matrix.toarray())
+
+        e0, gs = ground_state(H)
+        assert abs(e0 - evals[0]) <= 1e-12 * abs(evals[0])
+        assert 1 - abs(np.vdot(evecs[:, 0], gs.vector)) < 1e-10
+        e0_again, gs_again = ground_state(H)
+        assert e0_again == e0 and np.array_equal(gs_again.vector, gs.vector)
+
+        # every step evolve_and_track takes, against exp(-i H dt) by eigh
+        steps = []
+
+        def spy(H_, vec, dt, evolve=mb._evolve):
+            out = evolve(H_, vec, dt)
+            steps.append((dt, vec, out))
+            return out
+
+        monkeypatch.setattr(mb, "_evolve", spy)
+        phi0 = np.zeros(M, dtype=complex)
+        phi0[0] = 1.0
+        psi0 = product_state(H.sector, phi0)
+        times = np.linspace(0.0, 0.5, 11)
+        evolve_and_track(psi0, H, phi0, hartree_from_hamiltonian(H), times, 0.5)
+        for dt, vec, out in steps:
+            exact = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ vec))
+            assert np.max(np.abs(out - exact)) < 1e-12
+        # psi(t) on the grid, chained from psi0; the other steps are the
+        # finite-difference ones of at most 2 fd_dt = 2e-4
+        coeff0 = evecs.conj().T @ psi0.vector
+        chain = [out for dt, _, out in steps if dt > 1e-3]
+        assert len(chain) == len(times) - 1
+        for t, out in zip(times[1:], chain):
+            assert np.max(np.abs(out - evecs @ (np.exp(-1j * evals * t) * coeff0))) < 1e-12
+
+    def test_counting_config_matches_seed(self, monkeypatch):
+        seed = _counting_seed(monkeypatch)
+        H = _toy_hamiltonian(N=seed.COUNTING_N, M=seed.COUNTING_M, g=seed.COUNTING_G)
+        phi0 = np.zeros(H.sector.M, dtype=complex)
+        phi0[0] = 1.0
+        rep = evolve_and_track(
+            product_state(H.sector, phi0), H, phi0, hartree_from_hamiltonian(H),
+            seed.COUNTING_TIMES, seed.COUNTING_LAM,
+        )
+        assert rep.passed
+        assert _rel_dev(rep.alpha, np.array(seed.COUNTING_ALPHA)) <= 1e-8
+        assert _rel_dev(rep.rate, np.array(seed.COUNTING_RATE)) <= 1e-8
+
+    def test_no_dense_hamiltonian_at_16_bosons(self):
+        # a dense H alone would take D^2 * 16 B = 358 MiB at D = 4845
+        tracemalloc.start()
+        try:
+            H = _toy_hamiltonian(N=16, M=5, g=0.1)
+            ground_state(H)
+            phi0 = np.zeros(5, dtype=complex)
+            phi0[0] = 1.0
+            rep = evolve_and_track(
+                product_state(H.sector, phi0), H, phi0, hartree_from_hamiltonian(H),
+                np.linspace(0.0, 0.1, 3), 0.5,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.sector.D == 4845
+        assert rep.passed
+        assert peak < 128 * 2**20
