@@ -129,6 +129,118 @@ def tf_minimize(trap: TrapSpec, G: float, d: int = 3) -> TFProfile:
 
 
 # ---------------------------------------------------------------------------
+# Reflection-parity sectors
+# ---------------------------------------------------------------------------
+
+
+class _ParitySector:
+    """One reflection-parity sector of a cubic grid, stored on an octant.
+
+    The reflection x_ax -> -x_ax maps grid index j to (n - j) mod n and fixes
+    the origin j = n/2 and the box edge j = 0. A field of parity p (per axis,
+    0 even, 1 odd) is fixed by its values at j = n/2 + o: o = 0..n/2 on an
+    even axis, o = 1..n/2-1 on an odd one (it vanishes at the fixed points).
+    Sector vectors hold those values times sqrt(2) per axis where the point
+    has a mirror image, so :meth:`unfold` is an isometry onto the parity
+    subspace and -Lap acts per axis as T diag(k^2) T, with T the orthonormal
+    DCT-I (even) or DST-I (odd), which is its own inverse. Where ``c2`` is
+    1 per axis at a fixed point and 1/2 elsewhere, the unfolded field is
+    sqrt(c2) x at the octant points, so its density there is c2 x^2.
+    """
+
+    def __init__(self, grid: Grid, parity: tuple):
+        n, half = grid.n, grid.n // 2
+        self.parity = parity
+        self._axes = []  # per axis: octant points j, mirror points n - j, their weights
+        k2, c2 = np.zeros(()), np.ones(())
+        for odd in parity:
+            o = np.arange(1, half) if odd else np.arange(half + 1)
+            fixed = (o == 0) | (o == half)
+            # a fixed point is its own mirror: the two halves of its weight add up
+            weight = np.where(fixed, 0.5, math.sqrt(0.5))
+            mirror_weight = -weight if odd else weight
+            self._axes.append(((half + o) % n, (half - o) % n, weight, mirror_weight))
+            k2 = np.add.outer(k2, grid.k_axis[o] ** 2)
+            c2 = np.multiply.outer(c2, np.where(fixed, 1.0, 0.5))
+        self.n = n
+        self.k2 = k2
+        self.c2 = c2.ravel()
+        self.shape = k2.shape
+        self.dim = k2.size
+
+    @staticmethod
+    def _along(vec, ax, ndim):
+        return vec.reshape((-1,) + (1,) * (ndim - ax - 1))
+
+    def restrict(self, f: np.ndarray) -> np.ndarray:
+        """Sector vector of the parity part of a full-grid field (adjoint of unfold)."""
+        for ax, (plus, minus, w_plus, w_minus) in enumerate(self._axes):
+            f = (
+                np.take(f, plus, axis=ax) * self._along(w_plus, ax, f.ndim)
+                + np.take(f, minus, axis=ax) * self._along(w_minus, ax, f.ndim)
+            )
+        return f.reshape(self.dim)
+
+    def unfold(self, X: np.ndarray) -> np.ndarray:
+        """Full-grid fields (flattened, one per column) of sector vectors."""
+        f = X.reshape(self.shape + X.shape[1:])
+        for ax, (plus, minus, w_plus, w_minus) in enumerate(self._axes):
+            out = np.zeros(f.shape[:ax] + (self.n,) + f.shape[ax + 1 :])
+            axis = (slice(None),) * ax
+            out[axis + (plus,)] = f * self._along(w_plus, ax, f.ndim)
+            out[axis + (minus,)] += f * self._along(w_minus, ax, f.ndim)
+            f = out
+        return f.reshape((-1,) + X.shape[1:])
+
+    def octant(self, f: np.ndarray) -> np.ndarray:
+        """Samples of a full-grid field at the sector's octant points."""
+        return f[np.ix_(*(plus for plus, *_ in self._axes))]
+
+    def transpose(self, X: np.ndarray, axes: tuple) -> np.ndarray:
+        """Sector vectors X with their octant arrays transposed by ``axes``.
+
+        Axis ax of the result is axis axes[ax] of X, as in ``np.transpose``,
+        so the result holds vectors of the sector whose parity on axis ax is
+        ``parity[axes[ax]]``.
+        """
+        d = len(axes)
+        u = X.reshape(self.shape + X.shape[1:])
+        u = u.transpose(tuple(axes) + tuple(range(d, u.ndim)))
+        return u.reshape(X.shape)
+
+    def apply_symbol(self, symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """T symbol T X for sector vectors X (one, or one per column)."""
+        u = X.reshape(self.shape + X.shape[1:])
+        for ax, odd in enumerate(self.parity):
+            u = (sfft.dst if odd else sfft.dct)(u, type=1, axis=ax, norm="ortho")
+        u *= symbol.reshape(self.shape + (1,) * (X.ndim - 1))
+        for ax, odd in enumerate(self.parity):
+            u = (sfft.dst if odd else sfft.dct)(
+                u, type=1, axis=ax, norm="ortho", overwrite_x=True
+            )
+        return u.reshape(X.shape)
+
+
+def _require_cubic_symmetric(W: np.ndarray, name: str):
+    """ValueError unless W is invariant under each reflection and each axis swap."""
+    allowed = 1e-10 * float(np.max(np.abs(W)))
+    images = itertools.chain(
+        ((f"x_{ax} -> -x_{ax}", np.roll(np.flip(W, ax), 1, ax)) for ax in range(W.ndim)),
+        (
+            (f"the swap x_{a} <-> x_{b}", np.swapaxes(W, a, b))
+            for a, b in itertools.combinations(range(W.ndim), 2)
+        ),
+    )
+    for symmetry, image in images:
+        asym = float(np.max(np.abs(W - image)))
+        if asym > allowed:
+            raise ValueError(
+                f"{name} is not symmetric under {symmetry} "
+                f"(deviation {asym:.3e}, allowed {allowed:.3e})"
+            )
+
+
+# ---------------------------------------------------------------------------
 # Gradient-flow minimizer
 # ---------------------------------------------------------------------------
 
@@ -163,71 +275,52 @@ def suggested_half_width(trap: TrapSpec, G: float, minimum: float = 8.0) -> floa
     return max(1.6 * tf_minimize(trap, G).radius, minimum)
 
 
-def _energy_parts(vals, V, grid, G):
-    dv = grid.dv
-    rho = np.abs(vals) ** 2
-    kin = grid.kinetic(vals)
-    pot = float(np.sum(V * rho) * dv)
-    quart = float(np.sum(rho ** 2) * dv)
-    return kin, pot, quart
-
-
 def _default_initial(grid, trap, G):
-    r2 = grid.r2
     width = trap.strength ** (-1.0 / (trap.s + 2.0))
-    bump = np.exp(-r2 / (2.0 * max(width, 1.0) ** 2))
-    if G > 0:
-        tf = tf_minimize(trap, G, grid.d)
-        vals = np.sqrt(tf.density_on_grid(grid))
-        vals += 0.01 * float(np.max(vals) or 1.0) * bump
-    else:
-        vals = bump
-    return vals.astype(np.complex128)
+    bump = np.exp(-grid.r2 / (2.0 * max(width, 1.0) ** 2))
+    if G == 0:
+        return bump
+    vals = np.sqrt(tf_minimize(trap, G, grid.d).density_on_grid(grid))
+    return vals + 0.01 * float(np.max(vals) or 1.0) * bump
 
 
-def _newton_polish(vals, V, grid, G, tol, max_newton=14):
+def _newton_polish(phi, sec, w, G, dv, tol, max_newton=14):
     """Drive ||h phi - mu phi|| below tol by projected Newton steps.
 
-    The ground state is real up to a global phase, so the iterate is phased
-    and taken real first. The Newton system J d = -res with
-    J = P (-Lap + W - mu + 2 G rho) P (P the projector off phi) is solved by
-    preconditioned CG; steps are damped whenever they fail to shrink the
-    residual. Returns (real field, residual, newton_steps).
+    phi is a unit vector of the all-even sector ``sec``, w the trap on it.
+    The Newton system J d = -res with J = P (-Lap + W - mu + 2 G rho) P
+    (P the projector off phi) is solved by preconditioned CG; steps are
+    damped whenever they fail to shrink the residual. Returns
+    (phi, newton_steps).
     """
-    k2h, dv = grid.k2_half, grid.dv
-    j = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
-    phase = vals[j] / abs(vals[j])
-    phi = (vals / phase).real.copy()
-    phi /= math.sqrt(np.sum(phi ** 2) * dv)
 
     def ip(a, b):
-        return float(np.sum(a * b) * dv)
+        return float(a @ b) * dv
 
-    def lap(u):
-        return apply_symbol(k2h, u)
+    def residual(u):  # (h u - mu u off u, W = V + G rho, mu = <u, h u>)
+        W = w + G * sec.c2 * u ** 2
+        h_u = sec.apply_symbol(sec.k2, u) + W * u
+        mu = ip(u, h_u)
+        res = h_u - mu * u
+        return res - u * ip(u, res), W, mu
 
     res_norm = math.inf
     for step in range(1, max_newton + 1):
-        rho = phi ** 2
-        W = V + G * rho
-        h_phi = lap(phi) + W * phi
-        mu = ip(phi, h_phi)
-        res = h_phi - mu * phi
-        res -= phi * ip(phi, res)
+        res, W, mu = residual(phi)
         res_norm = math.sqrt(ip(res, res))
         if res_norm < tol:
-            return phi, res_norm, step - 1
+            return phi, step - 1
 
-        inv_shifted = 1.0 / (max(1.0, mu) + k2h)
-        diag = W - mu + 2.0 * G * rho
+        inv_shifted = 1.0 / (max(1.0, mu) + sec.k2)
+        diag = W - mu + 2.0 * G * sec.c2 * phi ** 2
 
         def jv(u):
             u = u - phi * ip(phi, u)
-            out = lap(u) + diag * u
+            out = sec.apply_symbol(sec.k2, u) + diag * u
             return out - phi * ip(phi, out)
 
         def precond(u):
-            return apply_symbol(inv_shifted, u)
+            return sec.apply_symbol(inv_shifted, u)
 
         # preconditioned CG on the orthogonal complement of phi
         b = -res
@@ -259,11 +352,7 @@ def _newton_polish(vals, V, grid, G, tol, max_newton=14):
         for _ in range(8):
             cand = phi + scale * x
             cand /= math.sqrt(ip(cand, cand))
-            rho_c = cand ** 2
-            h_c = lap(cand) + (V + G * rho_c) * cand
-            mu_c = ip(cand, h_c)
-            r_c = h_c - mu_c * cand
-            r_c -= cand * ip(cand, r_c)
+            r_c = residual(cand)[0]
             if math.sqrt(ip(r_c, r_c)) < res_norm:
                 phi = cand
                 break
@@ -295,6 +384,15 @@ def gp_minimize(
 ) -> GroundStateResult:
     """Minimize the cubic functional by a normalized gradient flow.
 
+    For G >= 0 and V symmetric under each reflection x_ax -> -x_ax, the
+    minimizer is unique up to a phase and positive (Lieb, Seiringer and
+    Yngvason, Phys. Rev. A 61, 043602 (2000)), so every reflection fixes it
+    and it lies in the all-even sector of :class:`_ParitySector`. Flow and
+    polish run there, in real arithmetic on the octant (DCT-I Laplacian),
+    and the field is unfolded once at the end. ``initial`` enters as the
+    even part of its modulus. V must be symmetric under each reflection and
+    each axis swap (to 1e-10 max|V|, else ``ValueError``).
+
     Each flow step treats the Laplacian with a backward-Euler spectral solve
     and the potential + nonlinearity explicitly (as the positivity-preserving
     factor exp(-dt (V + G rho - mu_R)), shifted by the current Rayleigh
@@ -305,10 +403,11 @@ def gp_minimize(
     iterate is handed to a projected-Newton polish that pushes the residual
     below ``tol``; the polish may not raise the energy.
 
-    The box must contain the cloud: half_width >= 1.2 * TF radius and
-    >= 2 * trap ground-state width; the final boundary-shell mass must stay
-    below _BOUNDARY_TOL. The flow starts at step _FLOW_DT0 and runs at
-    most _FLOW_MAX_ITER steps.
+    ``residual`` is certified on the full grid: h acts on the unfolded field
+    there with no symmetry assumed. The box must contain the cloud:
+    half_width >= 1.2 * TF radius and >= 2 * trap ground-state width, and
+    the full-grid boundary-shell mass must stay below _BOUNDARY_TOL. The
+    flow starts at step _FLOW_DT0 and runs at most _FLOW_MAX_ITER steps.
     """
     if G < 0:
         raise ValueError(f"G must be nonnegative, got {G}")
@@ -322,19 +421,28 @@ def gp_minimize(
         )
 
     V = trap.on_grid(grid)
-    dv = grid.dv
+    _require_cubic_symmetric(V, "the trap potential V")
+    sec = _ParitySector(grid, (0,) * grid.d)
+    w, c2, dv = sec.octant(V).ravel(), sec.c2, grid.dv
 
     if initial is not None:
         if initial.grid != grid:
             raise ValueError("initial guess lives on a different grid")
-        vals = initial.values.copy()
+        x = sec.restrict(np.abs(initial.values))
     else:
-        vals = _default_initial(grid, trap, G)
-    vals /= math.sqrt(np.sum(np.abs(vals) ** 2).real * dv)
+        x = sec.restrict(_default_initial(grid, trap, G))
+    if not np.any(x):
+        raise ValueError("the initial guess is zero, and so is its even part")
+    x /= math.sqrt(float(x @ x) * dv)
 
-    kin, pot, quart = _energy_parts(vals, V, grid, G)
-    energy = kin + pot + 0.5 * G * quart
-    mu_r = kin + pot + G * quart
+    def parts(x):
+        # unfold is an isometry, and the density at a sector point is c2 x^2
+        x2 = x ** 2
+        kin = float(x @ sec.apply_symbol(sec.k2, x)) * dv
+        return kin, float(w @ x2) * dv, 0.5 * G * float((c2 * x2) @ x2) * dv
+
+    kin, pot, inter = parts(x)
+    energy, mu_r = kin + pot + inter, kin + pot + 2.0 * inter
 
     dt = _FLOW_DT0
     dt_min, dt_max = 1e-5, 0.5
@@ -346,18 +454,13 @@ def gp_minimize(
     last_checked_residual = math.inf
     handoff = max(tol, _POLISH_THRESHOLD)
 
-    it = 0
     for it in range(1, _FLOW_MAX_ITER + 1):
-        rho = np.abs(vals) ** 2
-        w_shift = V + G * rho - mu_r
-        stepped = sfft.fftn(np.exp(-dt * w_shift) * vals)
-        stepped /= 1.0 + dt * grid.k2
-        # normalize in frequency space (Parseval), then return to position
-        nrm = math.sqrt(np.sum(np.abs(stepped) ** 2).real * dv / grid.npoints)
-        new_vals = sfft.ifftn(stepped / nrm)
+        factor = np.exp(-dt * (w + G * c2 * x ** 2 - mu_r))
+        new_x = sec.apply_symbol(1.0 / (1.0 + dt * sec.k2), factor * x)
+        new_x /= math.sqrt(float(new_x @ new_x) * dv)
 
-        kin, pot, quart = _energy_parts(new_vals, V, grid, G)
-        new_energy = kin + pot + 0.5 * G * quart
+        kin, pot, inter = parts(new_x)
+        new_energy = kin + pot + inter
 
         if new_energy > energy + slack * max(1.0, abs(energy)):
             dt *= 0.5
@@ -365,17 +468,16 @@ def gp_minimize(
                 break  # bias floor of the split scheme: hand off to polish
             continue
 
-        vals = new_vals
+        x = new_x
         energy = new_energy
-        mu_r = kin + pot + G * quart
+        mu_r = energy + inter
         history.append(energy)
         accepted += 1
         dt = min(dt * 1.05, dt_max)
 
         if accepted % check_every == 0:
-            hphi = apply_symbol(grid.k2_half, vals) + (V + G * np.abs(vals) ** 2) * vals
-            res_vec = hphi - mu_r * vals
-            residual = math.sqrt(np.sum(np.abs(res_vec) ** 2).real * dv)
+            res_vec = sec.apply_symbol(sec.k2, x) + (w + G * c2 * x ** 2 - mu_r) * x
+            residual = math.sqrt(float(res_vec @ res_vec) * dv)
             if residual < handoff:
                 break
             if residual > 0.97 * last_checked_residual:
@@ -390,20 +492,18 @@ def gp_minimize(
 
     newton_steps = 0
     if residual > tol:
-        phi_real, residual, newton_steps = _newton_polish(vals, V, grid, G, tol)
-        vals = phi_real.astype(np.complex128)
-        kin, pot, quart = _energy_parts(vals, V, grid, G)
-        new_energy = kin + pot + 0.5 * G * quart
+        x, newton_steps = _newton_polish(x, sec, w, G, dv, tol)
+        kin, pot, inter = parts(x)
+        new_energy = kin + pot + inter
         if new_energy > energy + 1e-8 * max(1.0, abs(energy)):
             raise RuntimeError("polish raised the energy; minimizer is suspect")
-        energy = new_energy
-        mu_r = kin + pot + G * quart
+        energy, mu_r = new_energy, new_energy + inter
         history.append(energy)
 
-    phi = Field(grid, vals)
-    boundary_mass = float(
-        np.sum(np.abs(vals[grid.boundary_shell]) ** 2).real * dv
-    )
+    phi = sec.unfold(x).reshape(grid.shape)
+    res_vec = apply_symbol(grid.k2_half, phi) + (V + G * phi ** 2 - mu_r) * phi
+    residual = math.sqrt(float(np.sum(res_vec ** 2)) * dv)
+    boundary_mass = float(np.sum(phi[grid.boundary_shell] ** 2)) * dv
     if boundary_mass > _BOUNDARY_TOL:
         raise RuntimeError(
             f"boundary-shell mass {boundary_mass:.3e} exceeds {_BOUNDARY_TOL:.1e}; "
@@ -411,12 +511,12 @@ def gp_minimize(
         )
 
     return GroundStateResult(
-        field=phi,
+        field=Field(grid, phi),
         energy=energy,
         mu=mu_r,
         kinetic=kin,
         potential=pot,
-        interaction=0.5 * G * quart,
+        interaction=inter,
         residual=residual,
         iterations=it,
         newton_steps=newton_steps,
@@ -499,89 +599,6 @@ def _captured_warnings():
                 _capture_ctx = None
 
 
-class _ParitySector:
-    """One reflection-parity sector of a cubic grid, stored on an octant.
-
-    The reflection x_ax -> -x_ax maps grid index j to (n - j) mod n and fixes
-    the origin j = n/2 and the box edge j = 0. A field of parity p (per axis,
-    0 even, 1 odd) is fixed by its values at j = n/2 + o: o = 0..n/2 on an
-    even axis, o = 1..n/2-1 on an odd one (it vanishes at the fixed points).
-    Sector vectors hold those values times sqrt(2) per axis where the point
-    has a mirror image, so :meth:`unfold` is an isometry onto the parity
-    subspace and -Lap acts per axis as T diag(k^2) T, with T the orthonormal
-    DCT-I (even) or DST-I (odd), which is its own inverse.
-    """
-
-    def __init__(self, grid: Grid, parity: tuple):
-        n, half = grid.n, grid.n // 2
-        self.parity = parity
-        self._axes = []  # per axis: octant points j, mirror points n - j, their weights
-        k2 = np.zeros(())
-        for odd in parity:
-            o = np.arange(1, half) if odd else np.arange(half + 1)
-            # a fixed point is its own mirror: the two halves of its weight add up
-            weight = np.where((o == 0) | (o == half), 0.5, math.sqrt(0.5))
-            mirror_weight = -weight if odd else weight
-            self._axes.append(((half + o) % n, (half - o) % n, weight, mirror_weight))
-            k2 = np.add.outer(k2, grid.k_axis[o] ** 2)
-        self.n = n
-        self.k2 = k2
-        self.shape = k2.shape
-        self.dim = k2.size
-
-    @staticmethod
-    def _along(vec, ax, ndim):
-        return vec.reshape((-1,) + (1,) * (ndim - ax - 1))
-
-    def restrict(self, f: np.ndarray) -> np.ndarray:
-        """Sector vector of the parity part of a full-grid field (adjoint of unfold)."""
-        for ax, (plus, minus, w_plus, w_minus) in enumerate(self._axes):
-            f = (
-                np.take(f, plus, axis=ax) * self._along(w_plus, ax, f.ndim)
-                + np.take(f, minus, axis=ax) * self._along(w_minus, ax, f.ndim)
-            )
-        return f.reshape(self.dim)
-
-    def unfold(self, X: np.ndarray) -> np.ndarray:
-        """Full-grid fields (flattened, one per column) of sector vectors."""
-        f = X.reshape(self.shape + X.shape[1:])
-        for ax, (plus, minus, w_plus, w_minus) in enumerate(self._axes):
-            out = np.zeros(f.shape[:ax] + (self.n,) + f.shape[ax + 1 :])
-            axis = (slice(None),) * ax
-            out[axis + (plus,)] = f * self._along(w_plus, ax, f.ndim)
-            out[axis + (minus,)] += f * self._along(w_minus, ax, f.ndim)
-            f = out
-        return f.reshape((-1,) + X.shape[1:])
-
-    def octant(self, f: np.ndarray) -> np.ndarray:
-        """Samples of a full-grid field at the sector's octant points."""
-        return f[np.ix_(*(plus for plus, *_ in self._axes))]
-
-    def transpose(self, X: np.ndarray, axes: tuple) -> np.ndarray:
-        """Sector vectors X with their octant arrays transposed by ``axes``.
-
-        Axis ax of the result is axis axes[ax] of X, as in ``np.transpose``,
-        so the result holds vectors of the sector whose parity on axis ax is
-        ``parity[axes[ax]]``.
-        """
-        d = len(axes)
-        u = X.reshape(self.shape + X.shape[1:])
-        u = u.transpose(tuple(axes) + tuple(range(d, u.ndim)))
-        return u.reshape(X.shape)
-
-    def apply_symbol(self, symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """T symbol T X for sector vectors X (one, or one per column)."""
-        u = X.reshape(self.shape + X.shape[1:])
-        for ax, odd in enumerate(self.parity):
-            u = (sfft.dst if odd else sfft.dct)(u, type=1, axis=ax, norm="ortho")
-        u *= symbol.reshape(self.shape + (1,) * (X.ndim - 1))
-        for ax, odd in enumerate(self.parity):
-            u = (sfft.dst if odd else sfft.dct)(
-                u, type=1, axis=ax, norm="ortho", overwrite_x=True
-            )
-        return u.reshape(X.shape)
-
-
 def _parity_orbits(d: int) -> dict:
     """The 2^d parities grouped into orbits of the axis permutations.
 
@@ -595,25 +612,6 @@ def _parity_orbits(d: int) -> dict:
         rep = tuple(parity[ax] for ax in order)
         orbits.setdefault(rep, []).append((parity, tuple(order.index(ax) for ax in range(d))))
     return orbits
-
-
-def _require_cubic_symmetric(W: np.ndarray):
-    """ValueError unless W is invariant under each reflection and each axis swap."""
-    allowed = 1e-10 * float(np.max(np.abs(W)))
-    images = itertools.chain(
-        ((f"x_{ax} -> -x_{ax}", np.roll(np.flip(W, ax), 1, ax)) for ax in range(W.ndim)),
-        (
-            (f"the swap x_{a} <-> x_{b}", np.swapaxes(W, a, b))
-            for a, b in itertools.combinations(range(W.ndim), 2)
-        ),
-    )
-    for name, image in images:
-        asym = float(np.max(np.abs(W - image)))
-        if asym > allowed:
-            raise ValueError(
-                f"V + G|phi|^2 is not symmetric under {name} "
-                f"(deviation {asym:.3e}, allowed {allowed:.3e})"
-            )
 
 
 def hgp_spectrum(
@@ -662,7 +660,7 @@ def hgp_spectrum(
     if phi.grid != grid:
         raise ValueError("phi lives on a different grid")
     W = trap.on_grid(grid) + G * np.abs(phi.values) ** 2
-    _require_cubic_symmetric(W)
+    _require_cubic_symmetric(W, "V + G|phi|^2")
     base = phi.values.real
     unit = base / np.linalg.norm(base)
     shift = max(1.0, float(np.vdot(unit, apply_symbol(grid.k2_half, unit) + W * unit)))

@@ -179,6 +179,58 @@ def test_gp_initial_guess_accepted():
     assert res.energy == pytest.approx(GP1D_ENERGY, abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "guess",
+    [
+        lambda x: np.exp(-(x - 1.0) ** 2 / 3.0),
+        lambda x: (np.exp(-x ** 2 / 3.0) + 0.1) * np.exp(0.7j),
+    ],
+    ids=["off-centre", "phased"],
+)
+def test_gp_initial_guess_reaches_default_minimizer(guess):
+    grid = make_grid(1, 512, 8.0)
+    default = gp_minimize(grid, TRAP, 20.0, tol=1e-8)
+    initial = Field(grid, guess(grid.x_axis).astype(np.complex128))
+    res = gp_minimize(grid, TRAP, 20.0, tol=1e-8, initial=initial)
+    assert abs(res.energy - default.energy) <= 1e-10
+
+
+def test_gp_zero_initial_guess_rejected():
+    grid = make_grid(1, 512, 8.0)
+    with pytest.raises(ValueError, match="initial guess is zero"):
+        gp_minimize(grid, TRAP, 20.0, initial=Field(grid, np.zeros(grid.n, complex)))
+
+
+@pytest.mark.parametrize("d,n", [(1, 512), (3, 32)])
+def test_gp_residual_is_certified_on_the_full_grid(d, n):
+    # ||h phi - mu phi|| of the returned field, recomputed with complex FFTs
+    # on the full grid and mu = <phi, h phi>
+    grid = make_grid(d, n, 8.0)
+    res = gp_minimize(grid, TRAP, 20.0, tol=1e-9)
+    phi = res.field.values
+    W = TRAP.on_grid(grid) + 20.0 * np.abs(phi) ** 2
+    h_phi = np.fft.ifftn(grid.k2 * np.fft.fftn(phi)) + W * phi
+    mu = np.vdot(phi, h_phi).real * grid.dv
+    ref = math.sqrt(np.sum(np.abs(h_phi - mu * phi) ** 2) * grid.dv)
+    assert abs(res.residual - ref) <= 1e-12
+    assert res.residual < 1e-9
+
+
+class _ShiftedTrap(TrapSpec):
+    """The harmonic trap with its centre moved to x_0 = 0.5 on the grid."""
+
+    def on_grid(self, grid):
+        x = grid.coords()
+        return self.strength * ((x[0] - 0.5) ** 2 + sum(c ** 2 for c in x[1:]))
+
+
+def test_gp_requires_reflection_symmetric_trap():
+    for d in (1, 2):
+        grid = make_grid(d, 64, 8.0)
+        with pytest.raises(ValueError, match="not symmetric under x_0 -> -x_0"):
+            gp_minimize(grid, _ShiftedTrap(1.0, 2), 20.0)
+
+
 def test_gp_box_too_small_rejected():
     grid = make_grid(1, 64, 2.0)
     with pytest.raises(ValueError, match="half-width"):
@@ -199,6 +251,149 @@ def test_gp_argument_validation():
     other = Field(make_grid(1, 256, 8.0), np.ones(256, dtype=complex))
     with pytest.raises(ValueError, match="different grid"):
         gp_minimize(grid, TRAP, 1.0, initial=other)
+
+
+# Frozen full-grid minimizer: the flow and Newton polish as they ran on the
+# whole grid in complex arithmetic before gp_minimize moved to the all-even
+# parity sector. Kept as the slow-path oracle of that move.
+
+
+def _full_grid_parts(vals, V, grid):
+    rho = np.abs(vals) ** 2
+    return grid.kinetic(vals), float(np.sum(V * rho) * grid.dv), float(np.sum(rho ** 2) * grid.dv)
+
+
+def _full_grid_polish(vals, V, grid, G, tol, max_newton=14):
+    k2h, dv = grid.k2_half, grid.dv
+    j = np.unravel_index(np.argmax(np.abs(vals)), vals.shape)
+    phi = (vals / (vals[j] / abs(vals[j]))).real.copy()
+    phi /= math.sqrt(np.sum(phi ** 2) * dv)
+
+    def ip(a, b):
+        return float(np.sum(a * b) * dv)
+
+    for step in range(1, max_newton + 1):
+        rho = phi ** 2
+        W = V + G * rho
+        h_phi = apply_symbol(k2h, phi) + W * phi
+        mu = ip(phi, h_phi)
+        res = h_phi - mu * phi
+        res -= phi * ip(phi, res)
+        res_norm = math.sqrt(ip(res, res))
+        if res_norm < tol:
+            return phi, res_norm, step - 1
+        inv_shifted = 1.0 / (max(1.0, mu) + k2h)
+        diag = W - mu + 2.0 * G * rho
+
+        def jv(u):
+            u = u - phi * ip(phi, u)
+            out = apply_symbol(k2h, u) + diag * u
+            return out - phi * ip(phi, out)
+
+        b = -res
+        x = np.zeros_like(phi)
+        r = b.copy()
+        z = apply_symbol(inv_shifted, r)
+        p = z.copy()
+        rz = ip(r, z)
+        cg_tol = min(0.3, math.sqrt(res_norm)) * res_norm
+        for _ in range(400):
+            ap = jv(p)
+            pap = ip(p, ap)
+            if pap <= 0:
+                break
+            alpha = rz / pap
+            x += alpha * p
+            r -= alpha * ap
+            if math.sqrt(ip(r, r)) < cg_tol:
+                break
+            z = apply_symbol(inv_shifted, r)
+            rz_new = ip(r, z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        if ip(x, x) == 0.0:
+            x = apply_symbol(inv_shifted, b)
+        scale = 1.0
+        for _ in range(8):
+            cand = phi + scale * x
+            cand /= math.sqrt(ip(cand, cand))
+            h_c = apply_symbol(k2h, cand) + (V + G * cand ** 2) * cand
+            mu_c = ip(cand, h_c)
+            r_c = h_c - mu_c * cand
+            r_c -= cand * ip(cand, r_c)
+            if math.sqrt(ip(r_c, r_c)) < res_norm:
+                phi = cand
+                break
+            scale *= 0.5
+        else:
+            raise RuntimeError("oracle polish stalled")
+    raise RuntimeError("oracle polish did not converge")
+
+
+def _full_grid_gp_minimize(grid, trap, G, tol):
+    """(field, energy, mu, residual, iterations, newton_steps) from the default start."""
+    V = trap.on_grid(grid)
+    dv = grid.dv
+    width = trap.strength ** (-1.0 / (trap.s + 2.0))
+    bump = np.exp(-grid.r2 / (2.0 * max(width, 1.0) ** 2))
+    vals = np.sqrt(tf_minimize(trap, G, grid.d).density_on_grid(grid))
+    vals = (vals + 0.01 * float(np.max(vals)) * bump).astype(np.complex128)
+    vals /= math.sqrt(np.sum(np.abs(vals) ** 2).real * dv)
+
+    kin, pot, quart = _full_grid_parts(vals, V, grid)
+    energy = kin + pot + 0.5 * G * quart
+    mu_r = kin + pot + G * quart
+    dt, dt_min, dt_max = 0.1, 1e-5, 0.5
+    residual = last_checked = math.inf
+    accepted = 0
+    handoff = max(tol, 3e-2)
+    for it in range(1, 20_001):
+        rho = np.abs(vals) ** 2
+        stepped = np.fft.fftn(np.exp(-dt * (V + G * rho - mu_r)) * vals)
+        stepped /= 1.0 + dt * grid.k2
+        nrm = math.sqrt(np.sum(np.abs(stepped) ** 2).real * dv / grid.npoints)
+        new_vals = np.fft.ifftn(stepped / nrm)
+        kin, pot, quart = _full_grid_parts(new_vals, V, grid)
+        new_energy = kin + pot + 0.5 * G * quart
+        if new_energy > energy + 1e-12 * max(1.0, abs(energy)):
+            dt *= 0.5
+            if dt < dt_min:
+                break
+            continue
+        vals, energy, mu_r = new_vals, new_energy, kin + pot + G * quart
+        accepted += 1
+        dt = min(dt * 1.05, dt_max)
+        if accepted % 10 == 0:
+            hphi = apply_symbol(grid.k2_half, vals) + (V + G * np.abs(vals) ** 2) * vals
+            residual = math.sqrt(np.sum(np.abs(hphi - mu_r * vals) ** 2).real * dv)
+            if residual < handoff:
+                break
+            if residual > 0.97 * last_checked:
+                dt = max(0.25 * dt, dt_min)
+            last_checked = residual
+    newton_steps = 0
+    if residual > tol:
+        phi, residual, newton_steps = _full_grid_polish(vals, V, grid, G, tol)
+        vals = phi.astype(np.complex128)
+        kin, pot, quart = _full_grid_parts(vals, V, grid)
+        energy, mu_r = kin + pot + 0.5 * G * quart, kin + pot + G * quart
+    return vals, energy, mu_r, residual, it, newton_steps
+
+
+@pytest.mark.parametrize(
+    "d,n,G", [(1, 512, 20.0), (2, 64, 20.0), (3, 32, 20.0)], ids=["1d", "2d", "3d"]
+)
+def test_gp_matches_full_grid_oracle(d, n, G):
+    grid = make_grid(d, n, 8.0)
+    res = gp_minimize(grid, TRAP, G, tol=1e-9)
+    vals, energy, mu, residual, iterations, newton_steps = _full_grid_gp_minimize(
+        grid, TRAP, G, 1e-9
+    )
+    assert (res.iterations, res.newton_steps) == (iterations, newton_steps)
+    assert np.max(np.abs(res.field.values - vals)) <= 1e-10
+    assert res.energy == pytest.approx(energy, rel=1e-12)
+    assert res.mu == pytest.approx(mu, rel=1e-12)
+    assert residual < 1e-9
 
 
 def test_suggested_half_width():
@@ -317,6 +512,9 @@ def test_parity_sector_operators_match_apply_symbol(d, n):
         assert np.max(np.abs(full.T @ full - X.T @ X)) <= 1e-12 * sec.dim
         back = np.stack([sec.restrict(col.reshape(grid.shape)) for col in full.T], axis=1)
         assert np.max(np.abs(back - X)) <= 1e-14
+        # the unfolded density at the octant points is c2 X^2
+        density = sec.octant(full[:, 0].reshape(grid.shape) ** 2).ravel()
+        assert np.max(np.abs(density - sec.c2 * X[:, 0] ** 2)) <= 1e-14 * np.max(density)
         cols = full.reshape(grid.shape + (3,))
         for symbol, full_symbol in (
             (sec.k2, grid.k2_half),
