@@ -270,8 +270,7 @@ def _cmd_manybody(args) -> int:
             f"counting-rate identity: N={N} M={M} g={g} modes={mode_kind}",
             f"max |d(alpha)/dt - rate| = {rep.max_rate_mismatch:.3e}",
             f"sandwich violations {rep.sandwich_violations}, "
-            f"term-bound violations {rep.bound_violations}, "
-            f"fitted alpha rate c = {rep.gronwall_c:.3e}",
+            f"term-bound violations {rep.bound_violations}",
         ]
         payload = {
             "times": rep.times,
@@ -280,7 +279,6 @@ def _cmd_manybody(args) -> int:
             "max_rate_mismatch": rep.max_rate_mismatch,
             "sandwich_violations": rep.sandwich_violations,
             "bound_violations": rep.bound_violations,
-            "gronwall_c": rep.gronwall_c,
             "galerkin_leakage": rep.galerkin_leakage,
             "passed": passed,
         }

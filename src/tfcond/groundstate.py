@@ -220,6 +220,27 @@ class _ParitySector:
             )
         return u.reshape(X.shape)
 
+    def preconditioner(self, c: float, w: np.ndarray):
+        """M = S (c - Lap)^{-1} S with S = diag(sqrt(c / (c + w))), as a function.
+
+        The potential-aware preconditioner of Antoine, Levitt and Tang
+        (J. Comput. Phys. 343, 92 (2017)) for -Lap + w: c > 0 is the shift
+        and w >= 0 a potential at the octant points, so M is symmetric
+        positive definite. Where w dominates, S scales the residual down by
+        the local 1/(c + w), which (c - Lap)^{-1} alone ignores. The
+        returned function takes one sector vector or a column block.
+        """
+        inv_shifted = 1.0 / (c + self.k2)
+        scale = np.sqrt(c / (c + w))
+
+        def apply(X):
+            s = scale.reshape((-1,) + (1,) * (X.ndim - 1))
+            out = self.apply_symbol(inv_shifted, s * X)
+            out *= s
+            return out
+
+        return apply
+
 
 def _require_cubic_symmetric(W: np.ndarray, name: str):
     """ValueError unless W is invariant under each reflection and each axis swap."""
@@ -289,9 +310,12 @@ def _newton_polish(phi, sec, w, G, dv, tol, max_newton=14):
 
     phi is a unit vector of the all-even sector ``sec``, w the trap on it.
     The Newton system J d = -res with J = P (-Lap + W - mu + 2 G rho) P
-    (P the projector off phi) is solved by preconditioned CG; steps are
-    damped whenever they fail to shrink the residual. Returns
-    (phi, newton_steps).
+    (P the projector off phi) is solved by CG preconditioned with
+    S (c - Lap)^{-1} S, S = diag(sqrt(c / (c + (W - mu)_+))), c = max(1, mu):
+    the potential-aware preconditioner of Antoine, Levitt and Tang (J.
+    Comput. Phys. 343, 92 (2017)), :meth:`_ParitySector.preconditioner`,
+    which also gives the gradient fallback. Steps are damped whenever they
+    fail to shrink the residual. Returns (phi, newton_steps).
     """
 
     def ip(a, b):
@@ -311,16 +335,13 @@ def _newton_polish(phi, sec, w, G, dv, tol, max_newton=14):
         if res_norm < tol:
             return phi, step - 1
 
-        inv_shifted = 1.0 / (max(1.0, mu) + sec.k2)
+        precond = sec.preconditioner(max(1.0, mu), np.maximum(W - mu, 0.0))
         diag = W - mu + 2.0 * G * sec.c2 * phi ** 2
 
         def jv(u):
             u = u - phi * ip(phi, u)
             out = sec.apply_symbol(sec.k2, u) + diag * u
             return out - phi * ip(phi, out)
-
-        def precond(u):
-            return sec.apply_symbol(inv_shifted, u)
 
         # preconditioned CG on the orthogonal complement of phi
         b = -res
@@ -631,11 +652,13 @@ def hgp_spectrum(
     splits into the 2^d sectors of :class:`_ParitySector`, and sectors that
     an axis permutation maps onto each other share their spectrum. One
     representative per orbit of sectors, the one with its odd axes first,
-    is solved by preconditioned LOBPCG with the shifted preconditioner
-    (c - Lap)^{-1}, c = max(1, <phi, h phi>), the shift the Newton polish of
-    :func:`gp_minimize` uses. Its levels count once per orbit member, and
-    the member's eigenvectors are the representative's with the octant
-    arrays transposed.
+    is solved by LOBPCG with the potential-aware preconditioner
+    S (c - Lap)^{-1} S, S = diag(sqrt(c / (c + W))), c = max(1, <phi, h phi>)
+    (:meth:`_ParitySector.preconditioner`, after Antoine, Levitt and Tang,
+    J. Comput. Phys. 343, 92 (2017)), which the Newton polish of
+    :func:`gp_minimize` uses with (W - mu)_+ in place of W. Its levels count
+    once per orbit member, and the member's eigenvectors are the
+    representative's with the octant arrays transposed.
 
     phi must be the ground state of its own h, as :func:`gp_minimize`
     returns it: the all-even sector starts from phi itself, without noise,
@@ -670,7 +693,7 @@ def hgp_spectrum(
 
     def sector_operators(sec):
         w = sec.octant(W).ravel()
-        inv_shifted = 1.0 / (shift + sec.k2)
+        scaled = sec.preconditioner(shift, w)
 
         def h(X):
             return sec.apply_symbol(sec.k2, X) + w.reshape((-1,) + (1,) * (X.ndim - 1)) * X
@@ -678,7 +701,7 @@ def hgp_spectrum(
         def precond(X):
             nonlocal iterations
             iterations += 1  # LOBPCG preconditions once per iteration it does not stop
-            return sec.apply_symbol(inv_shifted, X)
+            return scaled(X)
 
         return _operator(sec.dim, h), _operator(sec.dim, precond)
 

@@ -1034,7 +1034,6 @@ class TrackReport:
     energy: np.ndarray
     sandwich_violations: int
     bound_violations: int
-    gronwall_c: float
     gronwall_ok: bool
     galerkin_leakage: float
 
@@ -1077,8 +1076,7 @@ def evolve_and_track(
     alpha, the exact counting rate, its finite-difference cross-check from
     psi(t), the reduced-density distance, the three rate-term estimates, and
     the sandwich inequalities.  gronwall_ok holds when alpha stays below
-    alpha(0) + int |g| (2 b1 + b2 + 2 b3) dt, the integrated term bounds;
-    gronwall_c is the exponential rate fitted to alpha(t).
+    alpha(0) + int |g| (2 b1 + b2 + 2 b3) dt, the integrated term bounds.
     """
     if H.modes is None or H.kernel is None or H.beta is None:
         raise ValueError("needs a grid-built Hamiltonian")
@@ -1146,9 +1144,6 @@ def evolve_and_track(
         abs(H.g) * (bounds @ np.array([2.0, 1.0, 2.0])), t_grid, initial=0.0
     )
     gron_ok = bool(np.all(a_arr <= envelope + 1e-12))
-    a0 = a_arr[0] + sector.N ** (grid.d * H.beta - lam)
-    above = (t_grid > 0) & (a_arr > a0)
-    gron_c = max(float(np.max(np.log(a_arr[above] / a0) / t_grid[above], initial=0.0)), 1e-9)
 
     return TrackReport(
         times=t_grid,
@@ -1162,7 +1157,6 @@ def evolve_and_track(
         energy=ener,
         sandwich_violations=sandwich_bad,
         bound_violations=bound_bad,
-        gronwall_c=gron_c,
         gronwall_ok=gron_ok,
         galerkin_leakage=leakage,
     )

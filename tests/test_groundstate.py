@@ -5,6 +5,7 @@ Reference values marked as frozen come from tests/oracles/gp1d_oracle.py
 the spectral solver under test.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -253,9 +254,11 @@ def test_gp_argument_validation():
         gp_minimize(grid, TRAP, 1.0, initial=other)
 
 
-# Frozen full-grid minimizer: the flow and Newton polish as they ran on the
-# whole grid in complex arithmetic before gp_minimize moved to the all-even
-# parity sector. Kept as the slow-path oracle of that move.
+# Full-grid minimizer: the flow and Newton polish as they ran on the whole
+# grid in complex arithmetic before gp_minimize moved to the all-even parity
+# sector. Kept as the slow-path oracle of that move; its Newton preconditioner
+# carries the same potential scaling as _ParitySector.preconditioner, built
+# on the full grid.
 
 
 def _full_grid_parts(vals, V, grid):
@@ -282,7 +285,9 @@ def _full_grid_polish(vals, V, grid, G, tol, max_newton=14):
         res_norm = math.sqrt(ip(res, res))
         if res_norm < tol:
             return phi, res_norm, step - 1
-        inv_shifted = 1.0 / (max(1.0, mu) + k2h)
+        c = max(1.0, mu)
+        inv_shifted = 1.0 / (c + k2h)
+        s = np.sqrt(c / (c + np.maximum(W - mu, 0.0)))
         diag = W - mu + 2.0 * G * rho
 
         def jv(u):
@@ -293,7 +298,7 @@ def _full_grid_polish(vals, V, grid, G, tol, max_newton=14):
         b = -res
         x = np.zeros_like(phi)
         r = b.copy()
-        z = apply_symbol(inv_shifted, r)
+        z = s * apply_symbol(inv_shifted, s * r)
         p = z.copy()
         rz = ip(r, z)
         cg_tol = min(0.3, math.sqrt(res_norm)) * res_norm
@@ -307,12 +312,12 @@ def _full_grid_polish(vals, V, grid, G, tol, max_newton=14):
             r -= alpha * ap
             if math.sqrt(ip(r, r)) < cg_tol:
                 break
-            z = apply_symbol(inv_shifted, r)
+            z = s * apply_symbol(inv_shifted, s * r)
             rz_new = ip(r, z)
             p = z + (rz_new / rz) * p
             rz = rz_new
         if ip(x, x) == 0.0:
-            x = apply_symbol(inv_shifted, b)
+            x = s * apply_symbol(inv_shifted, s * b)
         scale = 1.0
         for _ in range(8):
             cand = phi + scale * x
@@ -446,7 +451,8 @@ def test_apply_symbol_matches_full_fft_oracle(d, n, columns):
     assert got.shape == field.shape
     assert np.max(np.abs(got.ravel() - ref.ravel())) <= 1e-12 * np.max(np.abs(ref))
 
-    # the shifted preconditioner (c - Lap)^{-1}: oracle with W = 0 and 1/(c + k2)
+    # a symbol other than k2: the resolvent (c - Lap)^{-1} inside the sector
+    # preconditioner, against the oracle with W = 0 and 1/(c + k2)
     c = 6.5
     ref_m = _apply_h(X, shape, 1.0 / (c + k2), np.zeros(shape))
     got_m = apply_symbol(1.0 / (c + k2_half), field)
@@ -497,12 +503,16 @@ def test_spectrum_against_dense_diagonalization():
 
 @pytest.mark.parametrize("d,n", [(1, 16), (2, 16), (3, 8)])
 def test_parity_sector_operators_match_apply_symbol(d, n):
-    # every sector's DCT-I/DST-I Laplacian and shifted preconditioner, applied
-    # on the octant and unfolded, against the full-grid multiplier on the
-    # unfolded vectors; wrong endpoint weights break this
+    # every sector's DCT-I/DST-I Laplacian and preconditioner, applied on the
+    # octant and unfolded, against the full-grid multipliers on the unfolded
+    # vectors; wrong endpoint weights break this
     grid = make_grid(d, n, 3.0)
     rng = np.random.default_rng(13)
     c = 6.5
+    w_full = np.random.default_rng(19).uniform(0.0, 300.0, grid.shape)
+    for ax in range(d):  # reflection-symmetric, as the potentials of h are
+        w_full = 0.5 * (w_full + np.roll(np.flip(w_full, ax), 1, ax))
+    s_full = np.sqrt(c / (c + w_full))[..., None]
     for parity in itertools.product((0, 1), repeat=d):
         sec = _ParitySector(grid, parity)
         X = rng.standard_normal((sec.dim, 3))
@@ -516,15 +526,21 @@ def test_parity_sector_operators_match_apply_symbol(d, n):
         density = sec.octant(full[:, 0].reshape(grid.shape) ** 2).ravel()
         assert np.max(np.abs(density - sec.c2 * X[:, 0] ** 2)) <= 1e-14 * np.max(density)
         cols = full.reshape(grid.shape + (3,))
-        for symbol, full_symbol in (
-            (sec.k2, grid.k2_half),
-            (1.0 / (c + sec.k2), 1.0 / (c + grid.k2_half)),
+        # -Lap, and M = S (c - Lap)^{-1} S with S = diag(sqrt(c / (c + w)))
+        precond = sec.preconditioner(c, sec.octant(w_full).ravel())
+        for op, ref in (
+            (lambda Y: sec.apply_symbol(sec.k2, Y), apply_symbol(grid.k2_half, cols)),
+            (precond, s_full * apply_symbol(1.0 / (c + grid.k2_half), s_full * cols)),
         ):
-            ref = apply_symbol(full_symbol, cols).reshape(full.shape)
-            got = sec.unfold(sec.apply_symbol(symbol, X))
+            ref = ref.reshape(full.shape)
+            got = sec.unfold(op(X))
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), parity
-            one = sec.unfold(sec.apply_symbol(symbol, X[:, 0]))
+            one = sec.unfold(op(X[:, 0]))
             assert np.max(np.abs(one - ref[:, 0])) <= 1e-12 * np.max(np.abs(ref)), parity
+        # LOBPCG and CG need M symmetric positive definite
+        dense = precond(np.eye(sec.dim))
+        assert np.max(np.abs(dense - dense.T)) <= 1e-12 * np.max(np.abs(dense)), parity
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T))[0] > 0, parity
 
 
 def _dense_h(grid, W):
@@ -539,30 +555,49 @@ def _dense_h(grid, W):
     return 0.5 * (out + out.T)
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(2, 32, 8.0, 20.0), (2, 32, 8.0, 0.0), (3, 16, 6.0, 20.0)],
-    ids=["2d-G20", "2d-G0", "3d-G20"],
-)
-def dense_reference(request):
-    d, n, half_width, G = request.param
+# (d, n, half_width, G) of the dense-oracle spectrum cases
+_DENSE_CASES = {
+    "2d-G20": (2, 32, 8.0, 20.0),
+    "2d-G0": (2, 32, 8.0, 0.0),
+    "3d-G20": (3, 16, 6.0, 20.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_case(name):
+    """(grid, G, phi, lowest 8 eigenvalues of the dense oracle) of one case."""
+    d, n, half_width, G = _DENSE_CASES[name]
     grid = make_grid(d, n, half_width)
     res = gp_minimize(grid, TRAP, G, tol=1e-9)
     W = TRAP.on_grid(grid) + G * np.abs(res.field.values) ** 2
     return grid, G, res.field, np.linalg.eigvalsh(_dense_h(grid, W))[:8]
 
 
-def test_spectrum_against_dense_diagonalization_up_to_k8(dense_reference):
+@pytest.mark.parametrize("case", list(_DENSE_CASES))
+def test_spectrum_against_dense_diagonalization_up_to_k8(case):
     # the sector split must find every level below the k-th, including those
     # that share a value across sectors (the G = 0 oscillator: 2, 4, 4, 6, 6,
     # 6, 8, 8 in 2D) or within one sector
-    grid, G, phi, ref = dense_reference
+    grid, G, phi, ref = _dense_case(case)
     for k in range(2, 9):
         spec = hgp_spectrum(grid, TRAP, G, phi, k=k)
         err = float(np.max(np.abs(spec.eigenvalues - ref[:k])))
         assert err <= 1e-9, (k, err, spec.eigenvalues, ref[:k])
         assert spec.converged
         assert spec.warnings == (), (k, spec.warnings)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_spectrum_converges_inside_near_degenerate_clusters(k):
+    # seed 3 on the 3D case: the (-++) sector's growth solve targets 9.1765,
+    # 3e-3 below another level of the same sector; LOBPCG must still converge
+    # within maxiter there, without a warning
+    grid, G, phi, ref = _dense_case("3d-G20")
+    spec = hgp_spectrum(grid, TRAP, G, phi, k=k, seed=3)
+    err = float(np.max(np.abs(spec.eigenvalues - ref[:k])))
+    assert err <= 1e-9, (k, err, spec.eigenvalues, ref[:k])
+    assert spec.converged
+    assert spec.warnings == (), (k, spec.warnings)
 
 
 @pytest.mark.parametrize("d,n", [(2, 16), (3, 16)])
