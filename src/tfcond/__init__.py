@@ -4,8 +4,8 @@ The package covers the three layers that show up when a trapped Bose gas is
 pushed into the Thomas-Fermi regime:
 
 * mean-field ground states -- Gross-Pitaevskii minimizers, their spectra,
-  Thomas-Fermi profiles and the semiclassical rescaling that connects them
-  (:mod:`tfcond.groundstate`);
+  Thomas-Fermi profiles and the strong-coupling scaling laws that connect
+  them (:mod:`tfcond.groundstate`);
 * mean-field dynamics -- Gross-Pitaevskii vs. Hartree propagation after the
   trap is switched off (:mod:`tfcond.dynamics`);
 * the many-body layer -- small occupation-number models used to verify the
@@ -30,7 +30,7 @@ from .dynamics import (
     sobolev_monitor,
     strichartz_check,
 )
-from .grids import Field, Grid, convolve, make_grid, transform
+from .grids import Field, Grid, convolve, make_grid
 from .groundstate import (
     GroundStateResult,
     SpectrumResult,
@@ -59,7 +59,6 @@ from .manybody import (
 from .model import (
     DerivedScales,
     InteractionSpec,
-    ModelConfig,
     RegimeParams,
     TrapSpec,
     derived_scales,
@@ -71,10 +70,8 @@ __all__ = [
     "Grid",
     "convolve",
     "make_grid",
-    "transform",
     "DerivedScales",
     "InteractionSpec",
-    "ModelConfig",
     "RegimeParams",
     "TrapSpec",
     "derived_scales",

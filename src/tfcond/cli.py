@@ -137,6 +137,10 @@ def _cmd_study(args) -> int:
         block = _take(cfg, "study", keys)
     if block["values"] is None:
         raise ValueError("study block needs values")
+    if args.kind is not None and block["kind"] not in (None, args.kind):
+        raise ValueError(
+            f"{args.command} runs the {args.kind} study, but the config asks for {block['kind']}"
+        )
     block["values"] = tuple(block["values"])
     flags = {"kind": args.kind, "out_dir": args.out, "seed": args.seed, "workers": args.workers}
     block.update((key, flag) for key, flag in flags.items() if flag is not None)
@@ -172,7 +176,7 @@ def _cmd_dynamics(args) -> int:
         phi0 = gs.gp_minimize(grid, trap, g * inter.integral(grid.d)).field
     elif initial == "gaussian":
         vals = np.exp(-grid.r2 / 2.0).astype(np.complex128)
-        phi0 = normalize(Field(grid, vals, "position"))
+        phi0 = normalize(Field(grid, vals))
     else:
         raise ValueError(f"unknown initial state {initial!r}")
     rep = dyn.compare_h_vs_gp(phi0, inter, g, N, pcfg)
@@ -289,10 +293,17 @@ def _cmd_manybody(args) -> int:
 
 
 def _cmd_scattering(args) -> int:
-    # the interaction comes as a block or as its keys at the top level
+    # the interaction comes as a block or as its keys at the top level, not
+    # both; the top-level keys are read by type only, so an absent one is None
     keys = {"interaction": None, "kappa": None, "r_max": 12.0, "mesh": 4096, "born_window": None}
-    cfg = _load_config(args.config, {**keys, **_INTERACTION_KEYS})
-    flat = {key: cfg[key] for key in _INTERACTION_KEYS}
+    keys.update((key, type(default)) for key, default in _INTERACTION_KEYS.items())
+    cfg = _load_config(args.config, keys)
+    flat = {key: cfg[key] for key in _INTERACTION_KEYS if cfg[key] is not None}
+    if cfg["interaction"] is not None and flat:
+        raise ValueError(
+            f"interaction key(s) {sorted(flat)} given both at the top level "
+            "and in the interaction block"
+        )
     block = flat if cfg["interaction"] is None else cfg["interaction"]
     inter = InteractionSpec(**_take(block, "interaction", _INTERACTION_KEYS))
     kappas = _numbers(1e-3 if cfg["kappa"] is None else cfg["kappa"], "kappa")
@@ -332,22 +343,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, *int_flags, config_required=True):
         p.add_argument(
             "--config",
             required=config_required,
             help="JSON config file",
         )
         p.add_argument("--out", default=None, help="directory for artifacts")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        for flag in int_flags:
+            p.add_argument(flag, type=int, default=None)
 
     p = sub.add_parser("groundstate", help="minimize the cubic functional, report spectrum")
     common(p)
     p.set_defaults(func=_cmd_groundstate)
 
     p = sub.add_parser("gap", help="spectral-gap sweep over the coupling")
-    common(p)
+    common(p, "--seed", "--workers")
     p.set_defaults(func=_cmd_study, kind="gap_vs_g")
 
     p = sub.add_parser("dynamics", help="convolution-vs-cubic flow comparison")
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dynamics)
 
     p = sub.add_parser("manybody", help="exact few-boson verifications")
-    common(p, config_required=False)
+    common(p, "--seed", config_required=False)
     p.add_argument("--N", type=int, default=None, help="particle number")
     p.add_argument("--M", type=int, default=None, help="mode count")
     p.add_argument(
@@ -371,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_manybody)
 
     p = sub.add_parser("study", help="run a parameter study from a spec")
-    common(p)
+    common(p, "--seed", "--workers")
     p.set_defaults(func=_cmd_study, kind=None)
 
     p = sub.add_parser("scattering", help="zero-energy scattering length")

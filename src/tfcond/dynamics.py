@@ -138,8 +138,6 @@ def propagate(
     -- pick dt accordingly.  The trap argument exists for exploratory runs;
     the distance studies all run trap-free.
     """
-    if phi0.basis != "position":
-        raise ValueError("phi0 must be a position-basis field")
     grid = phi0.grid
     dt_eff, nsteps = _step_plan(grid, config)
 
@@ -179,7 +177,7 @@ def propagate(
     snaps = [] if config.snapshots else None
 
     def record(j, w_now):
-        f = Field(grid, vals, "position")
+        f = Field(grid, vals)
         times.append(j * dt_eff)
         mass.append(norm(f, "L2") ** 2)
         e_free.append(_energy(vals, grid, vext, 0.5 * w_now))
@@ -226,7 +224,7 @@ def propagate(
         h1=np.asarray(h1),
         h2=np.asarray(h2),
         linf=np.asarray(linf),
-        final=Field(grid, vals, "position"),
+        final=Field(grid, vals),
         dt=dt_eff,
         equation=config.equation,
         snapshots=snaps,

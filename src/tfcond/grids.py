@@ -3,15 +3,11 @@
 Uniform tensor grids on the box [-L, L)^d with FFT-based calculus. Quadrature
 is everywhere the plain Riemann sum ``h^d * sum(...)``, which is spectrally
 accurate for smooth fields that decay inside the box; derivatives are exact
-multiplications by ``i k`` in frequency space. Forward/backward transforms use
-the unitary FFT normalization, so Parseval holds with the *same* quadrature
-weight in both bases.
+multiplications by ``i k`` in frequency space.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,23 +19,13 @@ __all__ = [
     "Field",
     "make_grid",
     "field_from_function",
-    "transform",
     "apply_symbol",
     "inner",
     "norm",
     "gradient",
-    "laplacian",
     "convolve",
     "normalize",
-    "save_field",
-    "load_field",
-    "field_to_csv",
 ]
-
-_BASES = ("position", "frequency")
-
-# hard cap for CSV export; larger fields go through save_field instead
-_CSV_MAX_POINTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -157,19 +143,12 @@ def make_grid(d: int, n: int, half_width: float) -> Grid:
 
 @dataclass
 class Field:
-    """Complex-valued samples on a :class:`Grid`, tagged by basis.
-
-    ``basis`` is ``"position"`` for point samples and ``"frequency"`` for
-    unitary-FFT coefficients (FFT mode ordering).
-    """
+    """Complex-valued point samples on a :class:`Grid`."""
 
     grid: Grid
     values: np.ndarray
-    basis: str = "position"
 
     def __post_init__(self):
-        if self.basis not in _BASES:
-            raise ValueError(f"basis must be one of {_BASES}, got {self.basis!r}")
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != self.grid.shape:
             raise ValueError(
@@ -178,39 +157,30 @@ class Field:
         self.values = vals
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.basis)
+        return Field(self.grid, self.values.copy())
 
     def _check_compatible(self, other: "Field"):
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
-        if self.basis != other.basis:
-            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
 
     def __add__(self, other: "Field") -> "Field":
         self._check_compatible(other)
-        return Field(self.grid, self.values + other.values, self.basis)
+        return Field(self.grid, self.values + other.values)
 
     def __sub__(self, other: "Field") -> "Field":
         self._check_compatible(other)
-        return Field(self.grid, self.values - other.values, self.basis)
+        return Field(self.grid, self.values - other.values)
 
     def __mul__(self, c) -> "Field":
-        return Field(self.grid, self.values * complex(c), self.basis)
+        return Field(self.grid, self.values * complex(c))
 
     __rmul__ = __mul__
 
 
 def field_from_function(grid: Grid, fn) -> Field:
-    """Sample ``fn(*coords)`` on the grid (position basis)."""
+    """Sample ``fn(*coords)`` on the grid."""
     vals = np.broadcast_to(fn(*grid.coords()), grid.shape)
     return Field(grid, np.array(vals, dtype=np.complex128))
-
-
-def transform(f: Field) -> Field:
-    """Unitary FFT between position and frequency representations."""
-    if f.basis == "position":
-        return Field(f.grid, np.fft.fftn(f.values, norm="ortho"), "frequency")
-    return Field(f.grid, np.fft.ifftn(f.values, norm="ortho"), "position")
 
 
 def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -236,20 +206,14 @@ def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def inner(f: Field, g: Field) -> complex:
-    """L2 inner product h^d * sum(conj(f) g); requires matching grid/basis."""
+    """L2 inner product h^d * sum(conj(f) g); requires a matching grid."""
     f._check_compatible(g)
     return complex(np.vdot(f.values, g.values) * f.grid.dv)
-
-
-def _require_position(f: Field, what: str):
-    if f.basis != "position":
-        raise ValueError(f"{what} requires a position-basis field")
 
 
 def norm(f: Field, kind: str = "L2") -> float:
     """Field norms: L2, L4, Linf, H1, H2.
 
-    L2 works in either basis (Parseval); the rest require position basis.
     H1^2 = L2^2 + |grad|^2, H2^2 adds the Laplacian term.
     """
     kind = kind.upper()
@@ -257,7 +221,6 @@ def norm(f: Field, kind: str = "L2") -> float:
     dv = f.grid.dv
     if kind == "L2":
         return float(np.sqrt(np.sum(np.abs(vals) ** 2).real * dv))
-    _require_position(f, f"norm {kind}")
     if kind == "L4":
         return float(np.sum(np.abs(vals) ** 4).real * dv) ** 0.25
     if kind == "LINF":
@@ -271,22 +234,12 @@ def norm(f: Field, kind: str = "L2") -> float:
 
 
 def gradient(f: Field) -> list:
-    """Spectral gradient, one position-basis Field per axis."""
-    _require_position(f, "gradient")
+    """Spectral gradient, one Field per axis."""
     hat = np.fft.fftn(f.values)
     out = []
     for ax in range(f.grid.d):
-        out.append(
-            Field(f.grid, np.fft.ifftn(1j * f.grid.k_along(ax) * hat), "position")
-        )
+        out.append(Field(f.grid, np.fft.ifftn(1j * f.grid.k_along(ax) * hat)))
     return out
-
-
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian (position basis in, position basis out)."""
-    _require_position(f, "laplacian")
-    hat = np.fft.fftn(f.values)
-    return Field(f.grid, np.fft.ifftn(-f.grid.k2 * hat), "position")
 
 
 def convolve(kernel: Field, f: Field) -> Field:
@@ -294,17 +247,16 @@ def convolve(kernel: Field, f: Field) -> Field:
 
     FFT product scaled by the cell volume h^d, so the result approximates the
     continuum convolution when both factors decay inside the box. The kernel
-    is given as ordinary position samples (origin at the center of the box)
+    is given as ordinary point samples (origin at the center of the box)
     and acts as a function of the displacement x - y (:meth:`Grid.kernel_symbol`);
     a complex kernel acts as its real part plus i times its imaginary part.
     """
-    _require_position(kernel, "convolve")
     kernel._check_compatible(f)
     grid, k = f.grid, kernel.values
     out = apply_symbol(grid.kernel_symbol(k.real), f.values)
     if np.any(k.imag != 0):
         out = out + 1j * apply_symbol(grid.kernel_symbol(k.imag), f.values)
-    return Field(grid, out, "position")
+    return Field(grid, out)
 
 
 def normalize(f: Field) -> Field:
@@ -312,49 +264,5 @@ def normalize(f: Field) -> Field:
     n2 = norm(f, "L2")
     if n2 == 0.0:
         raise ValueError("cannot normalize the zero field")
-    return Field(f.grid, f.values / n2, f.basis)
+    return Field(f.grid, f.values / n2)
 
-
-def save_field(path, f: Field):
-    """Write a field: one JSON header line + little-endian (re, im) doubles."""
-    header = {
-        "d": f.grid.d,
-        "n": f.grid.n,
-        "L": f.grid.half_width,
-        "basis": f.basis,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-
-
-def load_field(path) -> Field:
-    """Read a field written by :func:`save_field`."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        raw = fh.read()
-    grid = Grid(d=int(header["d"]), n=int(header["n"]), half_width=float(header["L"]))
-    expected = 16 * grid.npoints
-    if len(raw) != expected:
-        raise ValueError(f"payload has {len(raw)} bytes, expected {expected}")
-    vals = np.frombuffer(raw, dtype="<c16").reshape(grid.shape)
-    return Field(grid, vals.astype(np.complex128), header["basis"])
-
-
-def field_to_csv(path, f: Field):
-    """CSV export (x_0..x_{d-1}, re, im); only for small grids."""
-    if f.grid.npoints > _CSV_MAX_POINTS:
-        raise ValueError(
-            f"grid has {f.grid.npoints} points; CSV export capped at {_CSV_MAX_POINTS}"
-        )
-    coords = np.meshgrid(*([f.grid.x_axis] * f.grid.d), indexing="ij")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{ax}" for ax in range(f.grid.d)] + ["re", "im"])
-        flat = f.values.ravel()
-        cols = [c.ravel() for c in coords]
-        for i in range(flat.size):
-            writer.writerow(
-                [repr(float(c[i])) for c in cols]
-                + [repr(float(flat[i].real)), repr(float(flat[i].imag))]
-            )

@@ -6,10 +6,8 @@ normalized-gradient-flow minimizer for the cubic energy functional
     E[phi] = <phi, (-Lap + V) phi> + (G/2) ||phi||_4^4,       ||phi||_2 = 1,
 
 the low-lying spectrum of the linearized operator h = -Lap + V + G |phi|^2,
-the semiclassical rescaling that turns the strong-coupling problem into a
-small-epsilon Schroedinger problem, and diagnostics for the strong-coupling
-scaling laws (sup norms, Thomas-Fermi convergence, smearing of the
-interaction kernel, Agmon-type tail decay).
+and diagnostics for the strong-coupling scaling laws (sup norms,
+Thomas-Fermi convergence, smearing of the interaction kernel).
 """
 
 from __future__ import annotations
@@ -32,21 +30,15 @@ __all__ = [
     "TFProfile",
     "GroundStateResult",
     "SpectrumResult",
-    "SemiclassicalMap",
     "LinfReport",
     "GapReport",
-    "DecayDiagnostics",
     "tf_minimize",
     "gp_minimize",
     "hgp_spectrum",
     "suggested_half_width",
-    "semiclassical_epsilon",
-    "semiclassical_map",
-    "semiclassical_roundtrip",
     "linf_diagnostics",
     "tf_profile_distance",
     "interaction_gap",
-    "agmon_tail",
 ]
 
 
@@ -791,89 +783,6 @@ def _operator(dim: int, fn) -> LinearOperator:
 
 
 # ---------------------------------------------------------------------------
-# Semiclassical rescaling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SemiclassicalMap:
-    """Strong-coupling field rescaled to the small-epsilon frame."""
-
-    epsilon: float
-    energy_scale: float
-    psi: Field
-    psi0: Field
-    energy_original: float
-    energy_rescaled: float
-    identity_error: float
-    roundtrip_error: float
-
-
-def semiclassical_epsilon(G: float, s: float) -> float:
-    """epsilon = G^{-(s+2)/(2(s+3))} (three-dimensional convention)."""
-    if G <= 0:
-        raise ValueError(f"epsilon needs G > 0, got {G}")
-    return G ** (-(s + 2.0) / (2.0 * (s + 3.0)))
-
-
-def semiclassical_map(f: Field, s: float, epsilon: float) -> Field:
-    """Pure relabeling phi(x) = eps^{3/(s+2)} psi(eps^{2/(s+2)} x), d=3 only."""
-    if f.grid.d != 3:
-        raise ValueError("the semiclassical rescaling is three-dimensional")
-    scale_x = epsilon ** (2.0 / (s + 2.0))
-    new_grid = Grid(d=3, n=f.grid.n, half_width=f.grid.half_width * scale_x)
-    return Field(new_grid, f.values * epsilon ** (-3.0 / (s + 2.0)), f.basis)
-
-
-def _quadratic_energy(f: Field, kinetic_coeff: float, potential: np.ndarray) -> float:
-    pot = float(np.sum(potential * np.abs(f.values) ** 2) * f.grid.dv)
-    return kinetic_coeff * f.grid.kinetic(f.values) + pot
-
-
-def semiclassical_roundtrip(
-    phi: Field, phi_gp: Field, trap: TrapSpec, G: float
-) -> SemiclassicalMap:
-    """Check <phi, h phi> = eps^{-2s/(s+2)} <psi, h_eps psi> on matched grids.
-
-    h uses the interaction G |phi_gp|^2; h_eps = -eps^2 Lap + V + |psi0|^2
-    with psi0 the rescaled phi_gp. The identity is exact up to rounding
-    because the rescaling is a relabeling of the same samples.
-    """
-    if phi.grid != phi_gp.grid:
-        raise ValueError("phi and phi_gp must share a grid")
-    s = trap.s
-    eps = semiclassical_epsilon(G, s)
-    psi = semiclassical_map(phi, s, eps)
-    psi0 = semiclassical_map(phi_gp, s, eps)
-
-    e_orig = _quadratic_energy(
-        phi, 1.0, trap.on_grid(phi.grid) + G * np.abs(phi_gp.values) ** 2
-    )
-    e_resc = _quadratic_energy(
-        psi, eps ** 2, trap.on_grid(psi.grid) + np.abs(psi0.values) ** 2
-    )
-    scale = eps ** (-2.0 * s / (s + 2.0))
-    identity_error = abs(e_orig - scale * e_resc) / max(abs(e_orig), 1e-300)
-
-    back = semiclassical_map(psi, s, 1.0 / eps)  # inverse rescale
-    # inverse map: amplitudes and box return to the originals exactly
-    roundtrip_error = float(
-        np.max(np.abs(back.values - phi.values))
-        + abs(back.grid.half_width - phi.grid.half_width)
-    )
-    return SemiclassicalMap(
-        epsilon=eps,
-        energy_scale=scale,
-        psi=psi,
-        psi0=psi0,
-        energy_original=e_orig,
-        energy_rescaled=e_resc,
-        identity_error=identity_error,
-        roundtrip_error=roundtrip_error,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Scaling-law diagnostics
 # ---------------------------------------------------------------------------
 
@@ -985,58 +894,3 @@ def interaction_gap(phi: Field, interaction: InteractionSpec, N: int) -> GapRepo
     )
     return GapReport(measured=measured, bound=bound, N=N)
 
-
-@dataclass
-class DecayDiagnostics:
-    """Tail-decay fit of log|phi| against the trap's Agmon weight."""
-
-    slope: float
-    intercept: float
-    n_points: int
-    r: np.ndarray
-    log_phi: np.ndarray
-    agmon: np.ndarray
-
-
-def agmon_weight(r, trap: TrapSpec):
-    """A(r) = sqrt(lam) r^{1+s/2} / (1+s/2), the weight with |A'|^2 = V."""
-    r = np.asarray(r, dtype=float)
-    p = 1.0 + trap.s / 2.0
-    return math.sqrt(trap.strength) * r ** p / p
-
-
-def agmon_tail(
-    phi: Field,
-    trap: TrapSpec,
-    epsilon: float,
-    r_window: tuple,
-    floor: float = 1e-140,
-) -> DecayDiagnostics:
-    """Fit log|phi| ~ intercept - slope * A(r)/eps^2 inside a radial window.
-
-    Points below ``floor`` (underflow guard) or below 1e-13 of the peak
-    (spectral noise floor) are excluded; at least 10 points must remain.
-    """
-    r_lo, r_hi = r_window
-    if not 0 <= r_lo < r_hi:
-        raise ValueError(f"bad window {r_window}")
-    r = np.sqrt(phi.grid.r2).ravel()
-    amp = np.abs(phi.values).ravel()
-    peak = float(np.max(amp))
-    mask = (r >= r_lo) & (r <= r_hi) & (amp > max(floor, 1e-13 * peak))
-    if int(np.sum(mask)) < 10:
-        raise ValueError(
-            f"only {int(np.sum(mask))} usable points in window {r_window}"
-        )
-    rr, aa = r[mask], amp[mask]
-    weight = agmon_weight(rr, trap) / epsilon ** 2
-    logs = np.log(aa)
-    coef = np.polyfit(weight, logs, 1)
-    return DecayDiagnostics(
-        slope=float(-coef[0]),
-        intercept=float(coef[1]),
-        n_points=int(len(rr)),
-        r=rr,
-        log_phi=logs,
-        agmon=weight,
-    )

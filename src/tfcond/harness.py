@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +193,7 @@ def _coupling_sweep_setup(spec: StudySpec):
 
 def _gaussian_state(grid) -> Field:
     vals = np.exp(-grid.r2 / 2.0) / math.pi ** (grid.d / 4.0)
-    return normalize(Field(grid, vals.astype(np.complex128), "position"))
+    return normalize(Field(grid, vals.astype(np.complex128)))
 
 
 def _run_points(spec: StudySpec, worker):
@@ -428,7 +428,7 @@ def _strang_order(grid, G, phi0) -> float:
     for dt in dts:
         cfg = dyn.PropagatorConfig(dt=dt, t_final=t_short, record_every=10**9)
         out = dyn.propagate(phi0, None, None, G, cfg).final
-        errs.append(norm(Field(grid, out.values - ref.values, "position"), "L2"))
+        errs.append(norm(Field(grid, out.values - ref.values), "L2"))
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     return float(np.mean(slopes))
 

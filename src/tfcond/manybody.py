@@ -323,7 +323,7 @@ def pair_tensor(modes: ModeBasis, kernel: Field) -> np.ndarray:
     V = np.zeros((M, M, M, M), dtype=complex)
     for b in range(M):
         for d in range(M):
-            conv = convolve(kernel, Field(grid, P[b, d], "position")).values
+            conv = convolve(kernel, Field(grid, P[b, d])).values
             V[:, b, :, d] = np.einsum("acx,x->ac", P, conv) * grid.dv
     V = V.reshape(M * M, M * M)
     return 0.5 * (V + V.conj().T)
@@ -601,7 +601,7 @@ def _rate_bounds(H: ManyBodyHamiltonian, phi: np.ndarray, a_val: float, lam: flo
     vmax = max(v1, v2_scaled)
 
     phi_grid = H.modes.expand(phi)
-    f = Field(grid, phi_grid, "position")
+    f = Field(grid, phi_grid)
     linf = norm(f, "Linf")
     l4 = norm(f, "L4")
 
@@ -635,7 +635,7 @@ def interaction_lower_bound(H: ManyBodyHamiltonian, phi: np.ndarray) -> float:
     c = np.asarray(phi, dtype=complex)
     c = c / np.linalg.norm(c)
     rho = np.abs(H.modes.expand(c)) ** 2
-    conv = convolve(H.kernel, Field(grid, rho, "position")).values.real
+    conv = convolve(H.kernel, Field(grid, rho)).values.real
     ip = float(np.sum(conv * rho) * grid.dv)
     U = H.modes.values
     Wm = (U.conj() * conv[None, :]) @ U.T * grid.dv
@@ -914,7 +914,7 @@ def gp_modes_ground(
     h_eff = np.asarray(h_mat, dtype=complex)
     for _ in range(max_iter):
         rho = np.abs(modes.expand(c)) ** 2
-        conv = convolve(kernel, Field(grid, rho, "position")).values.real
+        conv = convolve(kernel, Field(grid, rho)).values.real
         Wm = (U.conj() * conv[None, :]) @ U.T * grid.dv
         h_eff = np.asarray(h_mat) + g * 0.5 * (Wm + Wm.conj().T)
         vals, vecs = np.linalg.eigh(h_eff)
@@ -1090,7 +1090,7 @@ def evolve_and_track(
     c0n = c0n / np.linalg.norm(c0n)
     phi_grid = H.modes.expand(c0n)
     rho = np.abs(phi_grid) ** 2
-    conv = convolve(H.kernel, Field(grid, rho, "position")).values.real
+    conv = convolve(H.kernel, Field(grid, rho)).values.real
     rhs_grid = conv * phi_grid
     inside = H.modes.expand(H.modes.project(rhs_grid))
     num = float(np.sqrt(np.sum(np.abs(rhs_grid - inside) ** 2) * grid.dv))

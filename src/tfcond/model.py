@@ -10,9 +10,8 @@ the interaction profile, and the low-energy scattering length of ``kappa v``.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -27,13 +26,11 @@ __all__ = [
     "AdmissibilityReport",
     "Assumption1Report",
     "ScatteringResult",
-    "ModelConfig",
     "sphere_area",
     "derived_scales",
     "admissibility",
     "check_assumption1",
     "scattering_length",
-    "load_config",
 ]
 
 
@@ -400,36 +397,6 @@ def scattering_length(
     )
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Bundle of trap, interaction, and regime parameters."""
-
-    trap: TrapSpec = field(default_factory=TrapSpec)
-    interaction: InteractionSpec = field(default_factory=InteractionSpec)
-    regime: RegimeParams | None = None
-
-    def scales(self) -> DerivedScales:
-        if self.regime is None:
-            raise ValueError("config has no regime block")
-        return derived_scales(self.trap, self.interaction, self.regime)
-
-    def to_dict(self) -> dict:
-        out = {
-            "trap": {"strength": self.trap.strength, "s": self.trap.s},
-            "interaction": {
-                "profile": self.interaction.profile,
-                "beta": self.interaction.beta,
-            },
-        }
-        if self.regime is not None:
-            out["regime"] = {
-                "N": self.regime.N,
-                "g_N": self.regime.g_N,
-                "lambda_weight": self.regime.lambda_weight,
-            }
-        return out
-
-
 # config schemas for _take: each key maps to its default
 _TRAP_KEYS = {"strength": 1.0, "s": 2.0}
 _INTERACTION_KEYS = {"profile": "gaussian", "beta": 0.2}
@@ -469,25 +436,3 @@ def _take(block, where: str, schema: dict) -> dict:
         out[key] = value
     return out
 
-
-def config_from_dict(data: dict) -> ModelConfig:
-    """Build a ModelConfig from a plain dict, rejecting unknown keys."""
-    keys = {"trap": _TRAP_KEYS, "interaction": _INTERACTION_KEYS, "regime": None}
-    cfg = _take(data, "top-level", keys)
-    inter = InteractionSpec(**cfg["interaction"])
-    regime = None
-    if cfg["regime"] is not None:
-        reg = _take(cfg["regime"], "regime", {"N": int, "g_N": float, "lambda_weight": float})
-        if reg["N"] is None or reg["g_N"] is None:
-            raise ValueError("regime block needs both N and g_N")
-        regime = RegimeParams(beta=inter.beta, **reg)
-    return ModelConfig(trap=TrapSpec(**cfg["trap"]), interaction=inter, regime=regime)
-
-
-def load_config(path) -> ModelConfig:
-    """Load a JSON config {trap: {...}, interaction: {...}, regime: {...}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config root must be a JSON object")
-    return config_from_dict(data)

@@ -23,7 +23,7 @@ from tfcond.model import InteractionSpec, TrapSpec
 def gaussian_packet(grid, a=1.0):
     # unit-mass Gaussian, exact free evolution known in closed form
     vals = (np.pi * a) ** (-grid.d / 4) * np.exp(-grid.r2 / (2 * a))
-    return Field(grid, vals.astype(complex), "position")
+    return Field(grid, vals.astype(complex))
 
 
 def free_gaussian_at(grid, a, t):
@@ -31,7 +31,7 @@ def free_gaussian_at(grid, a, t):
     vals = (np.pi * a) ** (-grid.d / 4) * (a / b) ** (grid.d / 2) * np.exp(
         -grid.r2 / (2 * b)
     )
-    return Field(grid, vals, "position")
+    return Field(grid, vals)
 
 
 # --- configuration -----------------------------------------------------------
@@ -77,7 +77,7 @@ def test_plane_wave_constant_state_phase_rotation():
     grid = make_grid(1, 256, 10.0)
     rho = 1.0 / (2 * grid.half_width)
     vals = np.full(grid.shape, np.sqrt(rho), dtype=complex)
-    phi0 = Field(grid, vals, "position")
+    phi0 = Field(grid, vals)
     G = 3.0
     trace = propagate(phi0, None, None, G, PropagatorConfig(dt=1e-3, t_final=0.5))
     exact = vals * np.exp(-1j * G * rho * 0.5)
@@ -87,7 +87,7 @@ def test_plane_wave_constant_state_phase_rotation():
 def test_mass_and_energy_conservation():
     grid = make_grid(1, 1024, 12.0)
     x = grid.coords()[0]
-    phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.3 * np.cos(x)), "position"))
+    phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.3 * np.cos(x))))
     trace = propagate(
         phi0, None, None, 5.0, PropagatorConfig(dt=2.5e-4, t_final=0.5, record_every=50)
     )
@@ -99,7 +99,7 @@ def test_mass_and_energy_conservation():
 def test_strang_order_two():
     grid = make_grid(1, 512, 12.0)
     x = grid.coords()[0]
-    phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.3 * np.cos(x)), "position"))
+    phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.3 * np.cos(x))))
     ref = propagate(
         phi0, None, None, 1.0, PropagatorConfig(dt=0.1 / 2**7, t_final=0.1)
     ).final
@@ -118,13 +118,13 @@ def test_time_reversal():
     # conjugation swaps the direction of time for real potentials
     grid = make_grid(1, 512, 12.0)
     x = grid.coords()[0]
-    phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.2j * np.sin(x)), "position"))
+    phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.2j * np.sin(x))))
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2)
     fwd = propagate(phi0, None, None, 1.5, cfg).final
     back = propagate(
-        Field(grid, np.conj(fwd.values), "position"), None, None, 1.5, cfg
+        Field(grid, np.conj(fwd.values)), None, None, 1.5, cfg
     ).final
-    err = norm(Field(grid, np.conj(back.values) - phi0.values, "position"), "L2")
+    err = norm(Field(grid, np.conj(back.values) - phi0.values), "L2")
     assert err < 1e-10
 
 
@@ -133,11 +133,11 @@ def test_gauge_invariance():
     phi0 = gaussian_packet(grid)
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2, record_every=20)
     tr_a = propagate(phi0, None, None, 2.0, cfg)
-    shifted = Field(grid, phi0.values * np.exp(0.7j), "position")
+    shifted = Field(grid, phi0.values * np.exp(0.7j))
     tr_b = propagate(shifted, None, None, 2.0, cfg)
     for name in ("mass", "e_free", "h1", "h2", "linf"):
         assert np.max(np.abs(getattr(tr_a, name) - getattr(tr_b, name))) < 1e-12
-    rotated = Field(grid, tr_a.final.values * np.exp(0.7j), "position")
+    rotated = Field(grid, tr_a.final.values * np.exp(0.7j))
     assert norm(tr_b.final - rotated, "L2") < 1e-12
 
 
@@ -274,7 +274,7 @@ def test_non_finite_input_rejected():
     vals[3] = np.nan
     with pytest.raises(RuntimeError, match="non-finite"):
         propagate(
-            Field(grid, vals, "position"),
+            Field(grid, vals),
             None,
             None,
             0.0,
@@ -296,7 +296,7 @@ def test_delta_kernel_hartree_equals_gp():
     phi0 = _trapped_state(grid, g * inter.integral(1))
     dk = np.zeros(grid.shape)
     dk[grid.n // 2] = inter.integral(1) / grid.dv
-    delta = Field(grid, dk, "position")
+    delta = Field(grid, dk)
     cfg = PropagatorConfig(dt=5e-4, t_final=0.2, record_every=50)
     rep = compare_h_vs_gp(phi0, inter, g, 64, cfg, kernel_override=delta)
     assert rep.passed
@@ -402,7 +402,7 @@ def test_sobolev_envelope_random_states():
         raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         hat = np.fft.fft(raw)
         hat[kfrac > 0.05] = 0.0
-        f = normalize(Field(grid, np.fft.ifft(hat) * np.exp(-x**2 / 6), "position"))
+        f = normalize(Field(grid, np.fft.ifft(hat) * np.exp(-x**2 / 6)))
         trace = propagate(
             f, None, None, 2.0, PropagatorConfig(dt=5e-4, t_final=0.2, record_every=40)
         )

@@ -16,20 +16,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tfcond.grids import Field, apply_symbol, laplacian, make_grid, norm
+from tfcond.grids import Field, apply_symbol, make_grid, norm
 from tfcond.groundstate import (
-    DecayDiagnostics,
     _ParitySector,
     _parity_orbits,
-    agmon_tail,
-    agmon_weight,
     gp_minimize,
     hgp_spectrum,
     interaction_gap,
     linf_diagnostics,
-    semiclassical_epsilon,
-    semiclassical_map,
-    semiclassical_roundtrip,
     suggested_half_width,
     tf_minimize,
     tf_profile_distance,
@@ -465,7 +459,7 @@ def test_grid_k2_half_gives_the_laplacian():
         grid = make_grid(d, 16, 3.0)
         assert grid.k2_half.shape == (16,) * (d - 1) + (9,)
         u = rng.standard_normal(grid.shape)
-        ref = -laplacian(Field(grid, u)).values
+        ref = np.fft.ifftn(grid.k2 * np.fft.fftn(u))
         got = apply_symbol(grid.k2_half, u)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -723,44 +717,6 @@ def test_spectrum_requires_two_levels():
 
 
 # ---------------------------------------------------------------------------
-# Semiclassical rescaling
-# ---------------------------------------------------------------------------
-
-
-def test_semiclassical_epsilon_values():
-    assert semiclassical_epsilon(1.0, 2) == 1.0
-    G = 5568.0
-    assert semiclassical_epsilon(G, 2) == pytest.approx(G ** -0.4, rel=1e-14)
-    with pytest.raises(ValueError, match="G > 0"):
-        semiclassical_epsilon(0.0, 2)
-
-
-def test_semiclassical_energy_identity():
-    grid = make_grid(3, 32, 8.0)
-    for G in (2.0, 40.0):
-        res = gp_minimize(grid, TRAP, G, tol=1e-7)
-        sc = semiclassical_roundtrip(res.field, res.field, TRAP, G)
-        assert sc.identity_error < 1e-12
-        assert sc.roundtrip_error < 1e-12
-        # the gap of h rescales by energy_scale * eps^2 = G^{-2/(s+3)}
-        assert sc.energy_scale * sc.epsilon ** 2 == pytest.approx(
-            G ** (-2.0 / 5.0), rel=1e-12
-        )
-
-
-def test_semiclassical_map_is_relabeling():
-    grid = make_grid(3, 16, 4.0)
-    rng = np.random.default_rng(3)
-    f = Field(grid, rng.standard_normal(grid.shape) * (1 + 0j))
-    eps = 0.3
-    mapped = semiclassical_map(f, 2, eps)
-    assert mapped.grid.half_width == pytest.approx(4.0 * eps ** 0.5)
-    assert np.allclose(mapped.values, f.values * eps ** -0.75)
-    with pytest.raises(ValueError, match="three-dimensional"):
-        semiclassical_map(Field(make_grid(1, 16, 4.0), np.ones(16, complex)), 2, eps)
-
-
-# ---------------------------------------------------------------------------
 # Scaling-law diagnostics
 # ---------------------------------------------------------------------------
 
@@ -812,43 +768,3 @@ def test_interaction_gap_resolution_guard():
     with pytest.raises(ValueError, match="resolve"):
         interaction_gap(res.field, inter, 10 ** 6)
 
-
-def test_agmon_weight_matches_trap():
-    # |A'(r)|^2 = V(r) for the homogeneous trap
-    r = np.linspace(0.1, 4.0, 200)
-    a = agmon_weight(r, TRAP)
-    da = np.gradient(a, r, edge_order=2)
-    assert np.allclose(da ** 2, TRAP.radial(r), rtol=1e-3)
-    quartic = TrapSpec(strength=2.0, s=4)
-    rq = np.linspace(0.5, 4.0, 2000)
-    aq = agmon_weight(rq, quartic)
-    daq = np.gradient(aq, rq, edge_order=2)
-    assert np.allclose(daq ** 2, quartic.radial(rq), rtol=1e-3)
-
-
-def test_agmon_tail_harmonic_slope():
-    grid = make_grid(1, 4096, 8.0)
-    res = gp_minimize(grid, TRAP, 0.0, tol=1e-10)
-    diag = agmon_tail(res.field, TRAP, 1.0, (2.0, 4.5))
-    assert isinstance(diag, DecayDiagnostics)
-    assert diag.slope == pytest.approx(1.0, abs=1e-4)
-    assert diag.n_points > 100
-    # epsilon enters only through the weight normalization
-    half = agmon_tail(res.field, TRAP, 2.0, (2.0, 4.5))
-    assert half.slope == pytest.approx(4.0 * diag.slope, rel=1e-12)
-
-
-def test_agmon_tail_harmonic_slope_3d():
-    grid = make_grid(3, 32, 8.0)
-    res = gp_minimize(grid, TRAP, 0.0, tol=1e-9)
-    diag = agmon_tail(res.field, TRAP, 1.0, (2.5, 4.0))
-    assert diag.slope == pytest.approx(1.0, abs=1e-3)
-
-
-def test_agmon_tail_window_validation():
-    grid = make_grid(1, 512, 8.0)
-    res = gp_minimize(grid, TRAP, 0.0, tol=1e-8)
-    with pytest.raises(ValueError, match="bad window"):
-        agmon_tail(res.field, TRAP, 1.0, (3.0, 2.0))
-    with pytest.raises(ValueError, match="usable points"):
-        agmon_tail(res.field, TRAP, 1.0, (7.99, 8.0))

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,11 +14,22 @@ import numpy as np
 import pytest
 
 import tfcond
+from tfcond import cli
 from tfcond import groundstate as gs
 from tfcond.harness import Check, StudySpec, fit_loglog, run_study, write_csv
 from tfcond.dynamics import PropagatorConfig, compare_h_vs_gp
 from tfcond.grids import make_grid
 from tfcond.model import InteractionSpec, TrapSpec
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["tfcond"] + [f"tfcond.{m.name}" for m in pkgutil.iter_modules(tfcond.__path__)],
+)
+def test_every_all_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
 
 
 class TestFitLoglog:
@@ -406,6 +418,14 @@ class TestCli:
             ("study", {"kind": "gap_vs_g"}),
             ("gap", {"g_values": [1, "x"]}),
             ("manybody", {"N": 2, "M": 2, "g": "0.1"}),
+            # the interaction given both as a block and as top-level keys
+            (
+                "scattering",
+                {"interaction": {"profile": "gaussian"}, "profile": "hollow_gaussian",
+                 "kappa": 0.001},
+            ),
+            # gap runs gap_vs_g only
+            ("gap", {"study": {"kind": "lemma26_vs_N", "values": [64, 128, 256], "grid_d": 1}}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, command, config):
@@ -414,6 +434,31 @@ class TestCli:
         proc = _cli(command, "--config", str(cfg))
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["groundstate", "--config", "c.json", "--seed", "1"],
+            ["groundstate", "--config", "c.json", "--workers", "2"],
+            ["dynamics", "--config", "c.json", "--seed", "1"],
+            ["dynamics", "--config", "c.json", "--workers", "2"],
+            ["scattering", "--config", "c.json", "--seed", "1"],
+            ["scattering", "--config", "c.json", "--workers", "2"],
+            ["manybody", "--workers", "2"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_seed_and_workers_flags_where_read(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["manybody", "--seed", "3"]).seed == 3
+        for command in ("gap", "study"):
+            args = parser.parse_args([command, "--config", "c.json", "--seed", "3", "--workers", "2"])
+            assert (args.seed, args.workers) == (3, 2)
 
     def test_readme_and_benchmark_configs_exit_0(self, tmp_path, monkeypatch):
         configs = _readme_configs()

@@ -843,7 +843,7 @@ class TestGapChain:
         c = np.linalg.eigh(h_gp)[1][:, 0]
         grid = H.modes.grid
         rho = np.abs(H.modes.expand(c)) ** 2
-        conv = convolve(H.kernel, Field(grid, rho, "position")).values.real
+        conv = convolve(H.kernel, Field(grid, rho)).values.real
         U = H.modes.values
         Wm = (U.conj() * conv[None, :]) @ U.T * grid.dv
         rebuilt = H.h_mat + H.g * 0.5 * (Wm + Wm.conj().T)

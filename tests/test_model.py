@@ -1,6 +1,5 @@
 """Tests for model parameters, derived scales, and scattering."""
 
-import json
 import math
 
 import numpy as np
@@ -9,15 +8,12 @@ import pytest
 from tfcond.grids import make_grid
 from tfcond.model import (
     InteractionSpec,
-    ModelConfig,
     RegimeParams,
     TrapSpec,
     _take,
     admissibility,
     check_assumption1,
-    config_from_dict,
     derived_scales,
-    load_config,
     scattering_length,
     sphere_area,
 )
@@ -204,41 +200,6 @@ def test_effective_scattering_ratio_decreases_with_n():
     assert ratios[0] > ratios[1] > ratios[2] > 0
 
 
-def test_config_roundtrip(tmp_path):
-    data = {
-        "trap": {"strength": 1.0, "s": 2.0},
-        "interaction": {"profile": "gaussian", "beta": 0.2},
-        "regime": {"N": 1000, "g_N": 10.0, "lambda_weight": 0.5},
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
-    cfg = load_config(path)
-    assert cfg.trap.s == 2.0
-    assert cfg.interaction.profile == "gaussian"
-    assert cfg.regime.N == 1000 and cfg.regime.beta == 0.2
-    assert cfg.to_dict()["regime"]["g_N"] == 10.0
-    sc = cfg.scales()
-    assert sc.tf_radius == pytest.approx(10.0 ** 0.2)
-
-
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown top-level"):
-        config_from_dict({"trap": {}, "extra": 1})
-    with pytest.raises(ValueError, match="trap"):
-        config_from_dict({"trap": {"strenght": 1.0}})
-    with pytest.raises(ValueError, match="regime"):
-        config_from_dict({"regime": {"N": 10, "g_N": 1.0, "mode": "x"}})
-    with pytest.raises(ValueError, match="N and g_N"):
-        config_from_dict({"regime": {"N": 10}})
-
-
-def test_config_defaults_without_regime():
-    cfg = config_from_dict({})
-    assert isinstance(cfg, ModelConfig)
-    with pytest.raises(ValueError):
-        cfg.scales()
-
-
 def test_take_types_values_by_their_defaults():
     schema = {"grid": {"n": 64, "half_width": 8.0}, "name": "x", "any": None, "opt": float}
     out = _take({"grid": {"n": 32.0, "half_width": 3}, "any": [1]}, "config", schema)
@@ -254,18 +215,9 @@ def test_take_types_values_by_their_defaults():
         ({"name": 3}, "'name' must be of type str"),
         ({"opt": "1"}, "'opt' must be of type float"),
         ({"grid": {"m": 1}}, r"unknown grid key\(s\): \['m'\]"),
+        ({"zzz": 1}, r"unknown config key\(s\): \['zzz'\]"),
     ]
     for block, message in bad:
         with pytest.raises(ValueError, match=message):
             _take(block, "config", schema)
 
-
-def test_config_rejects_wrong_types():
-    with pytest.raises(ValueError, match="'s' must be of type float"):
-        config_from_dict({"trap": {"s": True}})
-    with pytest.raises(ValueError, match="'N' must be of type int"):
-        config_from_dict({"regime": {"N": 10.5, "g_N": 1.0}})
-    with pytest.raises(ValueError, match="regime block must be a JSON object"):
-        config_from_dict({"regime": 3})
-    cfg = config_from_dict({"regime": {"N": 10.0, "g_N": 1}})
-    assert cfg.regime.N == 10 and cfg.regime.g_N == 1.0 and cfg.regime.lambda_weight is None
