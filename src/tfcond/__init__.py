@@ -20,94 +20,4 @@ parameter studies behind the ``tfcond`` command line tool.
 
 __version__ = "0.1.0"
 
-from .dynamics import (
-    BoundEvaluator,
-    ComparisonReport,
-    PropagationTrace,
-    PropagatorConfig,
-    compare_h_vs_gp,
-    propagate,
-    sobolev_monitor,
-    strichartz_check,
-)
-from .grids import Field, Grid, convolve, make_grid
-from .groundstate import (
-    GroundStateResult,
-    SpectrumResult,
-    TFProfile,
-    gp_minimize,
-    hgp_spectrum,
-    interaction_gap,
-    linf_diagnostics,
-    tf_minimize,
-    tf_profile_distance,
-)
-from .harness import FitResult, StudyResult, StudySpec, fit_loglog, run_study
-from .manybody import (
-    ManyBodyHamiltonian,
-    ManyBodyState,
-    ModeBasis,
-    SymmetricSector,
-    alpha,
-    evolve_and_track,
-    ground_state,
-    product_state,
-    reduced_density,
-    verify_appendix,
-    verify_gap_chain,
-)
-from .model import (
-    DerivedScales,
-    InteractionSpec,
-    RegimeParams,
-    TrapSpec,
-    derived_scales,
-    scattering_length,
-)
-
-__all__ = [
-    "Field",
-    "Grid",
-    "convolve",
-    "make_grid",
-    "DerivedScales",
-    "InteractionSpec",
-    "RegimeParams",
-    "TrapSpec",
-    "derived_scales",
-    "scattering_length",
-    "TFProfile",
-    "GroundStateResult",
-    "SpectrumResult",
-    "tf_minimize",
-    "gp_minimize",
-    "hgp_spectrum",
-    "interaction_gap",
-    "linf_diagnostics",
-    "tf_profile_distance",
-    "PropagatorConfig",
-    "PropagationTrace",
-    "BoundEvaluator",
-    "ComparisonReport",
-    "propagate",
-    "compare_h_vs_gp",
-    "sobolev_monitor",
-    "strichartz_check",
-    "SymmetricSector",
-    "ModeBasis",
-    "ManyBodyState",
-    "ManyBodyHamiltonian",
-    "product_state",
-    "ground_state",
-    "reduced_density",
-    "alpha",
-    "evolve_and_track",
-    "verify_appendix",
-    "verify_gap_chain",
-    "StudySpec",
-    "StudyResult",
-    "FitResult",
-    "fit_loglog",
-    "run_study",
-    "__version__",
-]
+__all__ = ["__version__"]

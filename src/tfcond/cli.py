@@ -39,10 +39,12 @@ def _load_config(path: str | None, keys: dict | None = None) -> dict:
 
 
 def _numbers(value, where: str) -> list:
-    """A number or a list of numbers, as a list of floats."""
+    """A number or a nonempty list of numbers, as a list of floats."""
     items = value if isinstance(value, list) else [value]
-    if not all(type(v) in (int, float) for v in items):
-        raise ValueError(f"{where!r} must be a number or a list of numbers, got {value!r}")
+    if not items or not all(type(v) in (int, float) for v in items):
+        raise ValueError(
+            f"{where!r} must be a number or a nonempty list of numbers, got {value!r}"
+        )
     return [float(v) for v in items]
 
 
@@ -358,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_groundstate)
 
     p = sub.add_parser("gap", help="spectral-gap sweep over the coupling")
-    common(p, "--seed", "--workers")
-    p.set_defaults(func=_cmd_study, kind="gap_vs_g")
+    common(p, "--seed")
+    p.set_defaults(func=_cmd_study, kind="gap_vs_g", workers=None)  # gap_vs_g runs on one thread
 
     p = sub.add_parser("dynamics", help="convolution-vs-cubic flow comparison")
     common(p)

@@ -38,6 +38,14 @@ __all__ = [
 _REFERENCE_SPACING = 0.25
 # Largest potential phase per step, in radians, that propagate accepts.
 _PHASE_THRESHOLD = 0.75
+# The Hartree-vs-GP bound is calibrated to twice the distance at the first
+# record point, so that check is not a tie.
+_CALIBRATION_MARGIN = 2.0
+# The H1 energy bound holds exactly for the continuous flow; 5% covers the
+# energy error of the time splitting.
+_H1_SLACK = 1.05
+# Bounded trajectories breathe by a few percent in H2 about the fitted envelope.
+_H2_LOG_SLACK = 0.05
 
 
 def default_dt(grid: Grid) -> float:
@@ -62,7 +70,6 @@ class PropagatorConfig:
     record_every: int = 10
     equation: str = "gp"
     snapshots: bool = False
-    energy_drift_tol: float | None = None
 
     def __post_init__(self):
         if self.dt is not None and not self.dt > 0:
@@ -231,10 +238,6 @@ def propagate(
     )
     if trace.mass_drift > 1e-12 * max(1.0, trace.mass[0]):
         raise RuntimeError(f"mass drift {trace.mass_drift:.3e} exceeds 1e-12")
-    if config.energy_drift_tol is not None and trace.energy_drift > config.energy_drift_tol:
-        raise RuntimeError(
-            f"energy drift {trace.energy_drift:.3e} exceeds {config.energy_drift_tol:.3e}"
-        )
     return trace
 
 
@@ -247,11 +250,10 @@ class BoundEvaluator:
     """Right-hand sides of the convergence estimates.
 
     The envelope constant c_envelope enters the H^2 growth factor
-    c_n(t) = h2_0 * exp(c_envelope * g^2 * (E0^2 + g^2 N^{-2 beta} L0^4) |t|);
-    c_v sets the exponential rates and prefactor the overall constant.  The
-    theory fixes only the shapes, so c_envelope is fitted from the measured
-    H^2 envelope and prefactor is calibrated at the first record point, then
-    both are held fixed.
+    c_n(t) = h2_0 * exp(c_envelope * g^2 * (E0^2 + g^2 N^{-2 beta} L0^4) |t|)
+    and prefactor is the overall constant.  The theory fixes only the shapes,
+    so c_envelope is fitted from the measured H^2 envelope and prefactor is
+    calibrated at the first record point, then both are held fixed.
     """
 
     N: int
@@ -261,7 +263,6 @@ class BoundEvaluator:
     linf0: float
     h2_0: float
     c_envelope: float = 1.0
-    c_v: float = 1.0
     prefactor: float = 1.0
 
     @classmethod
@@ -300,17 +301,17 @@ class BoundEvaluator:
             * (1.0 + self.e_free0 + self.g * self.N ** (-self.beta) * self.linf0 ** 2)
             * self.N ** (-self.beta / 2)
         )
-        return amp * np.exp(min(self.c_v * self.c_n(t) ** 2 * self.g * abs(t), 500.0))
+        return amp * np.exp(min(self.c_n(t) ** 2 * self.g * abs(t), 500.0))
 
     def hartree_gp_bound(self, t: float) -> float:
         """Estimate for ||phi_gp(t) - phi_h(t)||_2."""
         return self.prefactor * self._shape(t)
 
-    def calibrate(self, t1: float, measured1: float, margin: float = 2.0) -> None:
+    def calibrate(self, t1: float, measured1: float) -> None:
         """Fix the overall constant from the earliest record point."""
         shape = self._shape(t1)
         if shape > 0 and measured1 > 0:
-            self.prefactor = max(1.0, margin * measured1 / shape)
+            self.prefactor = max(1.0, _CALIBRATION_MARGIN * measured1 / shape)
 
 
 @dataclass
@@ -355,7 +356,6 @@ def compare_h_vs_gp(
     N: int,
     config: PropagatorConfig,
     kernel_override: Field | None = None,
-    c_v: float = 1.0,
     trace_gp: PropagationTrace | None = None,
 ) -> ComparisonReport:
     """Run the cubic and the convolution flow side by side.
@@ -370,9 +370,7 @@ def compare_h_vs_gp(
     ``trace_gp``; only the convolution flow then runs here.  A trace that is
     not that flow raises ValueError.
     """
-    evaluator = BoundEvaluator.from_field(
-        phi0, N, interaction.beta, g, interaction=interaction, c_v=c_v
-    )
+    evaluator = BoundEvaluator.from_field(phi0, N, interaction.beta, g, interaction=interaction)
     run_cfg = dataclasses.replace(config, snapshots=True)
     h_cfg = dataclasses.replace(run_cfg, equation="hartree")
 
@@ -443,22 +441,20 @@ def sobolev_monitor(
     g: float,
     N: int | None = None,
     beta: float | None = None,
-    h1_slack: float = 1.05,
-    log_slack: float = 0.05,
 ) -> SobolevReport:
     """Check the Sobolev-norm growth envelopes along a trap-free trajectory.
 
     H1 is compared against the conserved-energy bound sqrt(mass + E_free(0))
-    (exact for a defocusing nonlinearity, up to the slack factor).  For H2 an
+    (exact for a defocusing nonlinearity, up to _H1_SLACK).  For H2 an
     exponential envelope H2(0) * exp(c * r * t) with theory rate unit
     r = g^2 (E0^2 + g^2 N^{-2 beta} L0^4) is fitted on the first half of the
     records and checked on the second half; c_fitted feeds BoundEvaluator.
-    log_slack absorbs the few-percent breathing of H2 along bounded
+    _H2_LOG_SLACK absorbs the few-percent breathing of H2 along bounded
     trajectories; genuine exponential growth beyond the fitted envelope
     still fails the check.
     """
     e0 = trace.e_free[0]
-    h1_bound = h1_slack * float(np.sqrt(trace.mass[0] + max(e0, 0.0)))
+    h1_bound = _H1_SLACK * float(np.sqrt(trace.mass[0] + max(e0, 0.0)))
     h1_sup = float(np.max(trace.h1))
     h1_ok = h1_sup <= h1_bound
 
@@ -474,7 +470,7 @@ def sobolev_monitor(
         for t, lr in zip(trace.times[1:mid], log_ratio[1:mid]):
             c_fitted = max(c_fitted, lr / (rate * t))
     h2_ok = bool(
-        np.all(log_ratio[mid:] <= c_fitted * rate * trace.times[mid:] + log_slack)
+        np.all(log_ratio[mid:] <= c_fitted * rate * trace.times[mid:] + _H2_LOG_SLACK)
     )
     return SobolevReport(
         h1_sup=h1_sup,

@@ -12,7 +12,6 @@ Thomas-Fermi convergence, smearing of the interaction kernel).
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import threading
@@ -569,47 +568,9 @@ class SpectrumResult:
     warnings: tuple = ()
 
 
-# Warning capture that is safe while sweep points solve on several threads:
-# ``warnings.catch_warnings`` swaps process-wide state, so one capture stays
-# open while any thread captures, and it routes each warning to the log of the
-# thread that raised it. Warnings from other threads still reach the handler
-# installed before the capture opened (under an "always" filter meanwhile).
-_capture_lock = threading.Lock()
-_capture_logs = {}  # thread id -> list of messages
-_capture_ctx = None  # the open catch_warnings context
-_capture_forward = None  # that previous handler
-
-
-def _route_warning(message, category, filename, lineno, file=None, line=None):
-    log = _capture_logs.get(threading.get_ident())
-    if log is not None:
-        log.append(f"{category.__name__}: {message}")
-    else:
-        _capture_forward(message, category, filename, lineno, file, line)
-
-
-@contextlib.contextmanager
-def _captured_warnings():
-    """Collect this thread's warnings into the yielded list, not stderr."""
-    global _capture_ctx, _capture_forward
-    tid = threading.get_ident()
-    log = []
-    with _capture_lock:
-        if not _capture_logs:
-            _capture_ctx = warnings.catch_warnings()
-            _capture_ctx.__enter__()
-            warnings.simplefilter("always")
-            _capture_forward = warnings.showwarning
-            warnings.showwarning = _route_warning
-        _capture_logs[tid] = log
-    try:
-        yield log
-    finally:
-        with _capture_lock:
-            del _capture_logs[tid]
-            if not _capture_logs:
-                _capture_ctx.__exit__(None, None, None)
-                _capture_ctx = None
+# ``warnings.catch_warnings`` swaps process-wide state, so the spectrum solves
+# that record LOBPCG's warnings run one at a time
+_warnings_lock = threading.Lock()
 
 
 def _parity_orbits(d: int) -> dict:
@@ -668,7 +629,8 @@ def hgp_spectrum(
     ``residuals`` and ``converged`` come from h on the full grid, applied to
     every unfolded eigenvector, copies included, without any symmetry.
     ``iterations`` counts the representative solves only. LOBPCG warnings
-    are returned in ``SpectrumResult.warnings`` instead of printed.
+    are returned in ``SpectrumResult.warnings`` instead of printed; recording
+    them swaps process-wide state, so concurrent calls solve one at a time.
     """
     if k < 2:
         raise ValueError("need at least two eigenvalues for a gap")
@@ -719,7 +681,8 @@ def hgp_spectrum(
     values = [np.empty(0)] * len(sectors)
     vectors = [np.empty((sec.dim, 0)) for sec in sectors]
     pending = range(len(sectors))
-    with _captured_warnings() as caught:
+    with _warnings_lock, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         while pending:
             for i in pending:
                 A, M = ops[i]
@@ -774,7 +737,7 @@ def hgp_spectrum(
         mu0=mu0,
         converged=converged,
         iterations=iterations,
-        warnings=tuple(caught),
+        warnings=tuple(f"{w.category.__name__}: {w.message}" for w in caught),
     )
 
 

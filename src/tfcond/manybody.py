@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh, expm_multiply
 from scipy.special import comb, gammaln
@@ -71,7 +70,6 @@ class ModeBasis:
 
     grid: Grid
     values: np.ndarray  # (M, n), quadrature-orthonormal rows
-    kind: str = "custom"
 
     @property
     def M(self) -> int:
@@ -103,7 +101,7 @@ class ModeBasis:
         h = 0.5 * (h + h.T)
         _, vecs = np.linalg.eigh(h)
         modes = vecs[:, :M].T / np.sqrt(grid.dv)
-        basis = cls(grid=grid, values=modes.astype(complex), kind="harmonic")
+        basis = cls(grid=grid, values=modes.astype(complex))
         basis.check_orthonormal()
         return basis
 
@@ -119,7 +117,7 @@ class ModeBasis:
         for m in orders[:M]:
             k = np.pi * m / grid.half_width
             rows.append(np.exp(1j * k * x) / np.sqrt(L2))
-        basis = cls(grid=grid, values=np.array(rows), kind="planewave")
+        basis = cls(grid=grid, values=np.array(rows))
         basis.check_orthonormal()
         return basis
 
@@ -996,6 +994,8 @@ class HartreeOnModes:
         return np.concatenate([dc.real, dc.imag])
 
     def flow(self, c0: np.ndarray, t_end: float, rtol: float = 1e-12):
+        from scipy.integrate import solve_ivp  # imported here: slow to import, rarely run
+
         y0 = np.concatenate([np.asarray(c0, complex).real, np.asarray(c0, complex).imag])
         sol = solve_ivp(
             self.rhs,
@@ -1140,9 +1140,8 @@ def evolve_and_track(
         psin[i] = float(np.linalg.norm(pv))
         ener[i] = float(np.vdot(pv, H.matrix @ pv).real)
 
-    envelope = a_arr[0] + cumulative_trapezoid(
-        abs(H.g) * (bounds @ np.array([2.0, 1.0, 2.0])), t_grid, initial=0.0
-    )
+    growth = abs(H.g) * (bounds @ np.array([2.0, 1.0, 2.0]))
+    envelope = a_arr[0] + np.r_[0.0, np.cumsum(np.diff(t_grid) * (growth[1:] + growth[:-1]) / 2)]
     gron_ok = bool(np.all(a_arr <= envelope + 1e-12))
 
     return TrackReport(

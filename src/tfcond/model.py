@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .grids import Field, Grid
 
@@ -37,6 +36,13 @@ __all__ = [
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^d (2, 2*pi, 4*pi for d=1,2,3)."""
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def _radial_quad(fn) -> float:
+    """integral of fn(r) over r in [0, inf)."""
+    from scipy.integrate import quad  # imported here: it adds about 0.2 s to every start-up
+
+    return quad(fn, 0.0, np.inf, limit=200)[0]
 
 
 @dataclass(frozen=True)
@@ -97,19 +103,14 @@ class InteractionSpec:
 
     def integral(self, d: int = 3) -> float:
         """integral of v over R^d."""
-        fn = lambda r: self.radial(r) * r ** (d - 1)
-        val, _ = integrate.quad(fn, 0.0, np.inf, limit=200)
-        return sphere_area(d) * val
+        return sphere_area(d) * _radial_quad(lambda r: self.radial(r) * r ** (d - 1))
 
     def first_moment(self, d: int = 3) -> float:
         """integral of |x| |v(x)| over R^d."""
-        fn = lambda r: np.abs(self.radial(r)) * r ** d
-        val, _ = integrate.quad(fn, 0.0, np.inf, limit=200)
-        return sphere_area(d) * val
+        return sphere_area(d) * _radial_quad(lambda r: np.abs(self.radial(r)) * r ** d)
 
     def l2_norm(self, d: int = 3) -> float:
-        fn = lambda r: self.radial(r) ** 2 * r ** (d - 1)
-        val, _ = integrate.quad(fn, 0.0, np.inf, limit=200)
+        val = _radial_quad(lambda r: self.radial(r) ** 2 * r ** (d - 1))
         return math.sqrt(sphere_area(d) * val)
 
     def kernel_on_grid(self, grid: Grid, N: int) -> Field:

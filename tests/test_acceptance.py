@@ -10,11 +10,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from tfcond.dynamics import strichartz_check
 from tfcond.grids import make_grid
-from tfcond.groundstate import gp_minimize, hgp_spectrum, tf_minimize, tf_profile_distance
+from tfcond.groundstate import gp_minimize, hgp_spectrum, tf_minimize
 from tfcond.harness import StudySpec, run_study
 from tfcond.manybody import (
     ModeBasis,

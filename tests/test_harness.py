@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 import tfcond
 from tfcond import cli
 from tfcond import groundstate as gs
-from tfcond.harness import Check, StudySpec, fit_loglog, run_study, write_csv
+from tfcond.harness import StudySpec, fit_loglog, run_study, write_csv
 from tfcond.dynamics import PropagatorConfig, compare_h_vs_gp
 from tfcond.grids import make_grid
 from tfcond.model import InteractionSpec, TrapSpec
@@ -230,6 +231,41 @@ class TestRunStudy:
         assert not check.passed and check.value == 1.0
         assert not res.passed
 
+    def test_threads_only_where_a_sweep_gains(self, monkeypatch):
+        # the coupling sweep solves its points on one thread at any workers
+        threads = []
+        minimize = gs.gp_minimize
+
+        def recording_minimize(*args, **kw):
+            threads.append(threading.get_ident())
+            return minimize(*args, **kw)
+
+        monkeypatch.setattr(gs, "gp_minimize", recording_minimize)
+        spec = StudySpec(
+            kind="gap_vs_g", values=(0.5, 1.0, 2.0), grid_n=16, half_width=8.0, workers=2
+        )
+        assert run_study(spec).passed
+        assert len(threads) == 3 and len(set(threads)) == 1
+
+        # an N sweep still spreads its points over the workers: both points
+        # must be inside the comparison at once to pass the barrier
+        point_threads = []
+        barrier = threading.Barrier(2, timeout=60)
+
+        def recording_compare(*args, **kw):
+            point_threads.append(threading.get_ident())
+            barrier.wait()
+            return compare_h_vs_gp(*args, **kw)
+
+        monkeypatch.setattr("tfcond.dynamics.compare_h_vs_gp", recording_compare)
+        spec = StudySpec(
+            kind="hgp_rate_vs_N", values=(64, 256), grid_d=1, grid_n=256, half_width=8.0,
+            t_final=0.05, dt=1e-3, workers=2,
+        )
+        res = run_study(spec)
+        assert [r["status"] for r in res.rows] == ["ok", "ok"]
+        assert len(set(point_threads)) == 2
+
     def test_artifacts_written(self, tmp_path):
         spec = _small_lemma26(out_dir=str(tmp_path))
         res = run_study(spec)
@@ -273,10 +309,10 @@ def _readme_configs():
 _PACKAGE_ROOT = str(Path(tfcond.__file__).resolve().parents[1])
 
 
-def _cli(*argv, timeout=300):
+def _python(*argv, timeout=300):
     path = os.pathsep.join(filter(None, (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "tfcond.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -284,7 +320,16 @@ def _cli(*argv, timeout=300):
     )
 
 
+def _cli(*argv, timeout=300):
+    return _python("-m", "tfcond.cli", *argv, timeout=timeout)
+
+
 class TestCli:
+    def test_cli_import_leaves_scipy_integrate_out(self):
+        proc = _python("-c", "import sys, tfcond.cli; print('scipy.integrate' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_scattering_pass(self, tmp_path):
         cfg = tmp_path / "scat.json"
         cfg.write_text(
@@ -426,6 +471,8 @@ class TestCli:
             ),
             # gap runs gap_vs_g only
             ("gap", {"study": {"kind": "lemma26_vs_N", "values": [64, 128, 256], "grid_d": 1}}),
+            # an empty coupling list computes nothing
+            ("scattering", {"kappa": []}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, command, config):
@@ -445,6 +492,7 @@ class TestCli:
             ["scattering", "--config", "c.json", "--seed", "1"],
             ["scattering", "--config", "c.json", "--workers", "2"],
             ["manybody", "--workers", "2"],
+            ["gap", "--config", "c.json", "--workers", "2"],
         ],
     )
     def test_flags_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
@@ -456,9 +504,9 @@ class TestCli:
     def test_seed_and_workers_flags_where_read(self):
         parser = cli.build_parser()
         assert parser.parse_args(["manybody", "--seed", "3"]).seed == 3
-        for command in ("gap", "study"):
-            args = parser.parse_args([command, "--config", "c.json", "--seed", "3", "--workers", "2"])
-            assert (args.seed, args.workers) == (3, 2)
+        assert parser.parse_args(["gap", "--config", "c.json", "--seed", "3"]).seed == 3
+        args = parser.parse_args(["study", "--config", "c.json", "--seed", "3", "--workers", "2"])
+        assert (args.seed, args.workers) == (3, 2)
 
     def test_readme_and_benchmark_configs_exit_0(self, tmp_path, monkeypatch):
         configs = _readme_configs()

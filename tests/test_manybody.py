@@ -15,7 +15,6 @@ from tfcond import manybody as mb
 from tfcond.grids import make_grid
 from tfcond.harness import TOLERANCES
 from tfcond.manybody import (
-    HartreeOnModes,
     ManyBodyState,
     ModeBasis,
     ProjectorContext,
