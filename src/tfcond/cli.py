@@ -143,6 +143,12 @@ def _cmd_study(args) -> int:
         raise ValueError(
             f"{args.command} runs the {args.kind} study, but the config asks for {block['kind']}"
         )
+    kind = args.kind or block["kind"]
+    raw = cfg["study"] if "study" in cfg else cfg
+    if kind in harness._ONE_THREAD_KINDS and (
+        args.workers is not None or raw.get("workers") is not None
+    ):
+        raise ValueError(f"{kind} solves its points on one thread and takes no workers")
     block["values"] = tuple(block["values"])
     flags = {"kind": args.kind, "out_dir": args.out, "seed": args.seed, "workers": args.workers}
     block.update((key, flag) for key, flag in flags.items() if flag is not None)

@@ -143,13 +143,12 @@ def propagate(
     about 2e-16 per step (at most 4.5e-13 over the 2000 steps of each
     criterion-07 run), so runs past ~5e3 steps can exceed the 1e-12 conservation guard
     -- pick dt accordingly.  The trap argument exists for exploratory runs;
-    the distance studies all run trap-free.
+    the distance studies all run trap-free.  The run is the one-row case of
+    the stacked stepper that also steps a sweep's convolution flows side by
+    side, so both give the same bits.
     """
     grid = phi0.grid
-    dt_eff, nsteps = _step_plan(grid, config)
-
     vext = trap.on_grid(grid) if trap is not None else None
-
     if config.equation == "hartree":
         kernel = kernel_override
         if kernel is None:
@@ -157,20 +156,72 @@ def propagate(
                 raise ValueError("hartree propagation needs interaction and N")
             kernel = interaction.kernel_on_grid(grid, N)
         # w = g (kernel * rho), one real-to-complex convolution per call
-        symbol = g * grid.kernel_symbol(kernel.values)
-
-        def w_of(rho):
-            return apply_symbol(symbol, rho)
-
+        coupling = g * grid.kernel_symbol(kernel.values)
     else:
         big_g = g * interaction.integral(grid.d) if interaction is not None else g
+        coupling = np.full((1,) * grid.d, big_g, dtype=float)  # w = big_g rho
+    (out,) = _strang(phi0, vext, coupling[np.newaxis], config)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _hartree_flows(
+    phi0: Field, interaction: InteractionSpec, g: float, config: PropagatorConfig, Ns
+) -> list:
+    """The trap-free convolution flows of phi0 at each N of Ns, as one stack.
+
+    Entry i is what propagate(phi0, None, interaction, g, hartree config,
+    Ns[i]) returns, bit for bit, or the exception it raises.
+    """
+    grid = phi0.grid
+    out, symbols = [None] * len(Ns), {}
+    for i, N in enumerate(Ns):
+        try:
+            symbols[i] = g * grid.kernel_symbol(interaction.kernel_on_grid(grid, N).values)
+        except Exception as exc:  # this N fails as propagate would, the rest go on
+            out[i] = exc
+    if symbols:
+        cfg = dataclasses.replace(config, equation="hartree")
+        flows = _strang(phi0, None, np.stack(list(symbols.values())), cfg)
+        for i, flow in zip(symbols, flows):
+            out[i] = flow
+    return out
+
+
+def _strang(phi0: Field, vext, couplings: np.ndarray, config: PropagatorConfig) -> list:
+    """Strang-step one trajectory of phi0 per row of couplings, side by side.
+
+    The rows share the grid, vext, dt and the record times and are held
+    along a leading axis; every transform runs over the grid axes only, so
+    each row gets the bits it would get alone.  couplings[i] gives row i its
+    W[rho]: G, broadcast over the grid, for W = G rho ("gp"), or an rfftn
+    kernel symbol for W = irfftn(symbol * rfftn(rho)) ("hartree").  Each row
+    is checked as a run of its own: the phase guard, non-finite records and
+    the mass-drift guard.  Returns one PropagationTrace per row, or the
+    exception that row raised; a failed row leaves the stack at once.
+    """
+    grid = phi0.grid
+    dt_eff, nsteps = _step_plan(grid, config)
+    axes = tuple(range(1, grid.d + 1))
+
+    if config.equation == "hartree":
 
         def w_of(rho):
-            return big_g * rho
+            hat = sfft.rfftn(rho, axes=axes)
+            hat *= couplings
+            return sfft.irfftn(hat, s=grid.shape, axes=axes, overwrite_x=True)
+
+    else:
+
+        def w_of(rho):
+            return couplings * rho
 
     kin_phase = np.exp(-1j * dt_eff * grid.k2)
-    theta = np.empty(grid.shape)
-    phase = np.empty(grid.shape, dtype=complex)
+    rows = list(range(len(couplings)))  # the stack's rows, as indices into couplings
+    vals = np.stack([phi0.values] * len(rows))
+    theta = np.empty(vals.shape)
+    phase = np.empty(vals.shape, dtype=complex)
 
     def kick(vals, w, scale):
         # vals *= exp(i scale (W + V_ext)), without a complex exp
@@ -179,66 +230,80 @@ def propagate(
         np.sin(theta, out=phase.imag)
         vals *= phase
 
-    vals = phi0.values.astype(complex).copy()
-    times, mass, e_free, h1, h2, linf = [], [], [], [], [], []
-    snaps = [] if config.snapshots else None
+    names = ("times", "mass", "e_free", "h1", "h2", "linf")
+    records = [{name: [] for name in names} for _ in rows]
+    snaps = [[] if config.snapshots else None for _ in rows]
+    out = [None] * len(rows)
 
-    def record(j, w_now):
-        f = Field(grid, vals)
-        times.append(j * dt_eff)
-        mass.append(norm(f, "L2") ** 2)
-        e_free.append(_energy(vals, grid, vext, 0.5 * w_now))
-        h1.append(norm(f, "H1"))
-        h2.append(norm(f, "H2"))
-        linf.append(norm(f, "Linf"))
-        if snaps is not None:
-            snaps.append(f.copy())
-        if not np.isfinite(mass[-1]):
+    def record(i, j, v, w_now):
+        # row i at step j; the phase guard refuses the row before its first step
+        if j == 0:
+            w_ext = w_now if vext is None else w_now + vext
+            phase_sup = dt_eff * float(np.max(np.abs(w_ext)))
+            if phase_sup > _PHASE_THRESHOLD:
+                raise ValueError(
+                    f"potential phase per step {phase_sup:.3g} rad exceeds "
+                    f"{_PHASE_THRESHOLD}; reduce dt"
+                )
+        f = Field(grid, v)
+        rec = records[i]
+        rec["times"].append(j * dt_eff)
+        rec["mass"].append(norm(f, "L2") ** 2)
+        rec["e_free"].append(_energy(v, grid, vext, 0.5 * w_now))
+        rec["h1"].append(norm(f, "H1"))
+        rec["h2"].append(norm(f, "H2"))
+        rec["linf"].append(norm(f, "Linf"))
+        if snaps[i] is not None:
+            snaps[i].append(f.copy())
+        if not np.isfinite(rec["mass"][-1]):
             raise RuntimeError("propagation produced non-finite values")
-
-    w = w_of(np.abs(vals) ** 2)
-    phase_sup = dt_eff * float(np.max(np.abs(w + (vext if vext is not None else 0.0))))
-    if phase_sup > _PHASE_THRESHOLD:
-        raise ValueError(
-            f"potential phase per step {phase_sup:.3g} rad exceeds "
-            f"{_PHASE_THRESHOLD}; reduce dt"
-        )
-    record(0, w)
 
     # The trailing half phase of one step and the leading half phase of the
     # next act on the same density, so interior pairs are fused into full
     # phases; this halves the rounding-error accumulation in the modulus.
     half = -0.5 * dt_eff
     pending_half = True
-    for j in range(1, nsteps + 1):
-        kick(vals, w, half if pending_half else 2 * half)
-        hat = sfft.fftn(vals, overwrite_x=True)
-        hat *= kin_phase
-        vals = sfft.ifftn(hat, overwrite_x=True)
-        w = w_of(np.abs(vals) ** 2)
-        if j % config.record_every == 0 or j == nsteps:
+    w = w_of(np.abs(vals) ** 2)
+    for j in range(nsteps + 1):
+        if j > 0:
+            kick(vals, w, half if pending_half else 2 * half)
+            hat = sfft.fftn(vals, axes=axes, overwrite_x=True)
+            hat *= kin_phase
+            vals = sfft.ifftn(hat, axes=axes, overwrite_x=True)
+            w = w_of(np.abs(vals) ** 2)
+            pending_half = j % config.record_every == 0 or j == nsteps
+            if not pending_half:
+                continue
             kick(vals, w, half)
             w = w_of(np.abs(vals) ** 2)
-            record(j, w)
-            pending_half = True
-        else:
-            pending_half = False
+        keep = []
+        for k, i in enumerate(rows):
+            try:
+                record(i, j, vals[k], w[k])
+                keep.append(k)
+            except (ValueError, RuntimeError) as exc:
+                out[i] = exc
+        if len(keep) < len(rows):
+            rows = [rows[k] for k in keep]
+            vals, w, couplings = vals[keep], w[keep], couplings[keep]
+            theta = np.empty(vals.shape)
+            phase = np.empty(vals.shape, dtype=complex)
+            if not rows:
+                break
 
-    trace = PropagationTrace(
-        times=np.asarray(times),
-        mass=np.asarray(mass),
-        e_free=np.asarray(e_free),
-        h1=np.asarray(h1),
-        h2=np.asarray(h2),
-        linf=np.asarray(linf),
-        final=Field(grid, vals),
-        dt=dt_eff,
-        equation=config.equation,
-        snapshots=snaps,
-    )
-    if trace.mass_drift > 1e-12 * max(1.0, trace.mass[0]):
-        raise RuntimeError(f"mass drift {trace.mass_drift:.3e} exceeds 1e-12")
-    return trace
+    for k, i in enumerate(rows):
+        trace = PropagationTrace(
+            **{name: np.asarray(values) for name, values in records[i].items()},
+            final=Field(grid, vals[k].copy()),
+            dt=dt_eff,
+            equation=config.equation,
+            snapshots=snaps[i],
+        )
+        if trace.mass_drift > 1e-12 * max(1.0, trace.mass[0]):
+            out[i] = RuntimeError(f"mass drift {trace.mass_drift:.3e} exceeds 1e-12")
+        else:
+            out[i] = trace
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +393,26 @@ class ComparisonReport:
     passed: bool
 
 
-def _check_gp_trace(trace: PropagationTrace, phi0: Field, config: PropagatorConfig, e_free0):
-    """Refuse a trace that is not the recorded cubic flow of phi0 under config.
+def _check_trace(name: str, trace: PropagationTrace, equation: str, phi0: Field, config, e_free0):
+    """Refuse a trace that is not the recorded ``equation`` flow of phi0 under config.
 
-    e_free0 is the cubic free energy of phi0 at this run's coupling.
+    e_free0 is that flow's free energy of phi0 at this run's coupling (and
+    kernel); name is the argument the trace came in.
     """
-    if trace.equation != "gp":
-        raise ValueError(f"trace_gp is a {trace.equation!r} trace, not 'gp'")
+    if trace.equation != equation:
+        raise ValueError(f"{name} is a {trace.equation!r} trace, not {equation!r}")
     if trace.snapshots is None:
-        raise ValueError("trace_gp has no snapshots; propagate it with snapshots=True")
+        raise ValueError(f"{name} has no snapshots; propagate it with snapshots=True")
     dt_eff, nsteps = _step_plan(phi0.grid, config)
     steps = [j for j in range(nsteps + 1) if j % config.record_every == 0 or j == nsteps]
     if trace.dt != dt_eff or not np.array_equal(trace.times, [j * dt_eff for j in steps]):
-        raise ValueError("trace_gp was recorded with another dt or other record times")
+        raise ValueError(f"{name} was recorded with another dt or other record times")
     if trace.snapshots[0].grid != phi0.grid or not np.array_equal(
         trace.snapshots[0].values, phi0.values
     ):
-        raise ValueError("trace_gp does not start from phi0")
+        raise ValueError(f"{name} does not start from phi0")
     if abs(trace.e_free[0] - e_free0) > 1e-12 * max(1.0, abs(e_free0)):
-        raise ValueError("trace_gp was propagated at another coupling")
+        raise ValueError(f"{name} was propagated at another coupling")
 
 
 def compare_h_vs_gp(
@@ -357,6 +423,7 @@ def compare_h_vs_gp(
     config: PropagatorConfig,
     kernel_override: Field | None = None,
     trace_gp: PropagationTrace | None = None,
+    trace_hartree: PropagationTrace | None = None,
 ) -> ComparisonReport:
     """Run the cubic and the convolution flow side by side.
 
@@ -365,17 +432,19 @@ def compare_h_vs_gp(
     growth of the cubic run and the overall constant from the first record
     point.  Raises if the calibrated bound is ever exceeded.
 
-    The cubic flow does not depend on N, so a sweep over N may propagate it
-    once (``config`` with snapshots=True, equation="gp") and pass it as
-    ``trace_gp``; only the convolution flow then runs here.  A trace that is
-    not that flow raises ValueError.
+    Either flow may come in precomputed, propagated with ``config`` and
+    snapshots=True: ``trace_gp`` (equation="gp"), which a sweep over N
+    propagates once since the cubic flow does not depend on N, and
+    ``trace_hartree`` (equation="hartree", this N or kernel_override), which
+    a sweep steps together with the flows of its other N.  Only a flow not
+    passed in runs here.  A trace that is not that flow raises ValueError.
     """
     evaluator = BoundEvaluator.from_field(phi0, N, interaction.beta, g, interaction=interaction)
     run_cfg = dataclasses.replace(config, snapshots=True)
     h_cfg = dataclasses.replace(run_cfg, equation="hartree")
+    gp_cfg = dataclasses.replace(run_cfg, equation="gp")
 
-    if trace_gp is None:
-        gp_cfg = dataclasses.replace(run_cfg, equation="gp")
+    if trace_gp is None and trace_hartree is None:
         with ThreadPoolExecutor(max_workers=2) as pool:
             fut_gp = pool.submit(propagate, phi0, None, interaction, g, gp_cfg)
             fut_h = pool.submit(
@@ -383,8 +452,22 @@ def compare_h_vs_gp(
             )
             trace_gp, trace_h = fut_gp.result(), fut_h.result()
     else:
-        _check_gp_trace(trace_gp, phi0, config, evaluator.e_free0)
-        trace_h = propagate(phi0, None, interaction, g, h_cfg, N, kernel_override)
+        if trace_gp is None:
+            trace_gp = propagate(phi0, None, interaction, g, gp_cfg)
+        else:
+            _check_trace("trace_gp", trace_gp, "gp", phi0, config, evaluator.e_free0)
+        if trace_hartree is None:
+            trace_h = propagate(phi0, None, interaction, g, h_cfg, N, kernel_override)
+        else:
+            kernel = kernel_override
+            if kernel is None:
+                kernel = interaction.kernel_on_grid(phi0.grid, N)
+            rho = np.abs(phi0.values) ** 2
+            # the same expression as the convolution flow's first record
+            w_half = 0.5 * apply_symbol(g * phi0.grid.kernel_symbol(kernel.values), rho)
+            e_free0 = _energy(phi0.values, phi0.grid, None, w_half)
+            _check_trace("trace_hartree", trace_hartree, "hartree", phi0, config, e_free0)
+            trace_h = trace_hartree
 
     if len(trace_gp.times) != len(trace_h.times):
         raise RuntimeError("record grids of the two runs disagree")

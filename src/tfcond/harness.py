@@ -46,7 +46,17 @@ STUDY_KINDS = (
     "manybody_suite",
 )
 
+# the coupling sweeps solve one point at a time: their 3D GP points ran
+# 10-30% slower on 2 threads, so they take no workers
+_ONE_THREAD_KINDS = ("gap_vs_g", "linf_vs_g", "tf_convergence")
+
 _MANYBODY_CHECKS = ("appendix", "gapchain", "gronwall")
+
+# Most Hartree flows stepped as one stack in hgp_rate_vs_N.  On the flow1d
+# sweep (7 N, 2 threads, 2 vCPUs) the process peaked at 86.9 MiB with one
+# flow per thread, 88.8 MiB with stacks of 2 and 92.5 MiB with one stack per
+# thread (4 + 3 rows), which ran within the run-to-run noise of stacks of 2.
+_STACK_ROWS = 2
 
 # every numeric pass/fail threshold used by the study checks, in one place
 TOLERANCES = {
@@ -80,7 +90,9 @@ class StudySpec:
     lam: float = 0.5
     mb_trials: int = 200
     seed: int = 0
-    workers: int = 2  # threads for N sweeps and manybody_suite; g sweeps run on 1
+    # threads: lemma26_vs_N and manybody_suite share their points among them,
+    # hgp_rate_vs_N its stacks of Hartree flows; g sweeps run on 1
+    workers: int = 2
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -196,22 +208,24 @@ def _gaussian_state(grid) -> Field:
     return normalize(Field(grid, vals.astype(np.complex128)))
 
 
+def _point(worker, v, spent: float = 0.0) -> dict:
+    """The row of worker(v), with its status and its time (plus spent before)."""
+    t0 = time.perf_counter()
+    try:
+        row = worker(v)
+        row["status"] = "ok"
+    except Exception as exc:  # per-point failures recorded, sweep continues
+        row = {"status": f"failed: {exc}"}
+    # timing is kept out of the CSV so reruns stay byte-identical
+    row["_elapsed_s"] = spent + time.perf_counter() - t0
+    return row
+
+
 def _run_points(values, worker, workers: int):
     """Evaluate worker(value) per sweep point on up to workers threads, in order."""
-
-    def one(v):
-        t0 = time.perf_counter()
-        try:
-            row = worker(v)
-            row["status"] = "ok"
-        except Exception as exc:  # per-point failures recorded, sweep continues
-            row = {"status": f"failed: {exc}"}
-        # timing is kept out of the CSV so reruns stay byte-identical
-        row["_elapsed_s"] = time.perf_counter() - t0
-        return row
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, values))
+        return list(pool.map(lambda v: _point(worker, v), values))
+
 
 
 def _ok(rows):
@@ -243,7 +257,7 @@ def _study_gap_vs_g(spec: StudySpec):
             "spectrum_converged": spec_res.converged,
         }
 
-    rows = _run_points(spec.values, worker, 1)  # 3D GP points ran 10-30% slower on 2 threads
+    rows = _run_points(spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
     ok = _ok(rows)
     checks = []
     if ok:
@@ -297,7 +311,7 @@ def _study_linf_vs_g(spec: StudySpec):
             "tf_reference": rep.tf_reference,
         }
 
-    rows = _run_points(spec.values, worker, 1)  # 3D GP points ran 10-30% slower on 2 threads
+    rows = _run_points(spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
     ok = _ok(rows)
     checks = []
     if ok:
@@ -345,7 +359,7 @@ def _study_tf_convergence(spec: StudySpec):
             "energy": res.energy,
         }
 
-    rows = _run_points(spec.values, worker, 1)  # 3D GP points ran 10-30% slower on 2 threads
+    rows = _run_points(spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
     ok = _ok(rows)
     checks = []
     if len(ok) >= 2:
@@ -447,12 +461,15 @@ def _study_hgp_rate_vs_N(spec: StudySpec):
     except (ValueError, RuntimeError) as exc:
         trace_gp = exc
 
-    def worker(N):
-        if isinstance(trace_gp, Exception):
-            raise trace_gp
-        rep = dyn.compare_h_vs_gp(phi0, inter, spec.g, int(N), cfg, trace_gp=trace_gp)
+    def worker(point):
+        N, trace_h = point
+        if isinstance(trace_h, Exception):
+            raise trace_h
+        rep = dyn.compare_h_vs_gp(
+            phi0, inter, spec.g, N, cfg, trace_gp=trace_gp, trace_hartree=trace_h
+        )
         return {
-            "N": int(N),
+            "N": N,
             "grid_n": n,
             "half_width": half,
             "beta": spec.beta,
@@ -466,7 +483,27 @@ def _study_hgp_rate_vs_N(spec: StudySpec):
             "bound_respected": rep.passed,
         }
 
-    rows = _run_points(spec.values, worker, spec.workers)
+    def run_stack(Ns):
+        # the convolution flows of a stack step together; each point's time
+        # is its share of the stack plus its own comparison
+        t0 = time.perf_counter()
+        traces = [trace_gp] * len(Ns)  # the cubic flow's error, if it failed
+        if not isinstance(trace_gp, Exception):
+            try:
+                traces = dyn._hartree_flows(phi0, inter, spec.g, cfg, Ns)
+            except Exception as exc:  # the stack's points fail, the sweep goes on
+                traces = [exc] * len(Ns)
+        spent = (time.perf_counter() - t0) / len(Ns)
+        return [_point(worker, point, spent) for point in zip(Ns, traces)]
+
+    # contiguous stacks, stepped by spec.workers threads: a step of a stack
+    # costs little more than one flow's, and each row keeps its snapshots
+    # until its comparison, so a stack holds at most _STACK_ROWS flows
+    Ns = [int(N) for N in spec.values]
+    size = min(_STACK_ROWS, -(-len(Ns) // spec.workers))
+    stacks = [Ns[i : i + size] for i in range(0, len(Ns), size)]
+    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+        rows = [row for part in pool.map(run_stack, stacks) for row in part]
     ok = _ok(rows)
     checks = []
     fits = {}

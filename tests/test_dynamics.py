@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tfcond import dynamics as dyn
 from tfcond.dynamics import (
     BoundEvaluator,
     PropagatorConfig,
@@ -250,6 +251,68 @@ def test_complex_kernel_rejected():
         propagate(phi0, None, None, 1.0, cfg, kernel_override=kernel)
 
 
+# --- a stack of convolution flows against one flow per N --------------------
+
+_TRACE_ARRAYS = ("times", "mass", "e_free", "h1", "h2", "linf")
+
+
+def _assert_same_trace(a, b):
+    for name in _TRACE_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.dt, a.equation) == (b.dt, b.equation)
+    assert np.array_equal(a.final.values, b.final.values)
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(sa.values, sb.values)
+
+
+@pytest.mark.parametrize("d, n, half_width, t_final", [(1, 256, 8.0, 0.05), (2, 32, 6.0, 0.02)])
+def test_hartree_stack_equals_one_propagate_per_n(d, n, half_width, t_final):
+    grid = make_grid(d, n, half_width)
+    x = grid.coords()[0]
+    phi0 = normalize(
+        Field(grid, np.exp(-grid.r2 / 2) * (1 + 0.3 * np.cos(x) + 0.2j * np.sin(x)))
+    )
+    inter = InteractionSpec(profile="gaussian", beta=0.2)
+    cfg = PropagatorConfig(dt=1e-3, t_final=t_final, record_every=7, snapshots=True)
+    Ns = [64, 128, 256]
+    stack = dyn._hartree_flows(phi0, inter, 4.0, cfg, Ns)
+    assert len(stack) == 3
+    for N, trace in zip(Ns, stack):
+        alone = propagate(phi0, None, inter, 4.0, replace(cfg, equation="hartree"), N)
+        assert len(alone.times) >= 4  # a last record off the record_every grid too
+        _assert_same_trace(trace, alone)
+
+
+def test_a_failed_row_leaves_the_stack_with_its_own_error(monkeypatch):
+    grid = make_grid(1, 256, 8.0)
+    phi0 = gaussian_packet(grid)
+    inter = InteractionSpec(profile="gaussian", beta=0.2)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, record_every=10, snapshots=True)
+    kernel_on_grid = InteractionSpec.kernel_on_grid
+
+    def kernel(self, grid, N):
+        k = kernel_on_grid(self, grid, N)
+        if N == 128:  # non-finite from the first step on
+            return Field(grid, np.where(np.arange(grid.n) == 3, np.nan, k.values.real))
+        if N == 512:  # refused by the phase guard
+            return Field(grid, 1e6 * k.values.real)
+        return k
+
+    monkeypatch.setattr(InteractionSpec, "kernel_on_grid", kernel)
+    Ns = [64, 128, 256, 512, 1024]
+    stack = dyn._hartree_flows(phi0, inter, 4.0, cfg, Ns)
+    h_cfg = replace(cfg, equation="hartree")
+    for N, out in zip(Ns, stack):
+        if N in (128, 512):
+            match = "non-finite" if N == 128 else "phase"
+            with pytest.raises(type(out), match=match) as alone:
+                propagate(phi0, None, inter, 4.0, h_cfg, N)
+            assert str(out) == str(alone.value)
+        else:
+            _assert_same_trace(out, propagate(phi0, None, inter, 4.0, h_cfg, N))
+
+
 # --- guards ------------------------------------------------------------------
 
 
@@ -361,6 +424,36 @@ def test_compare_refuses_a_gp_trace_of_another_state():
     trace = propagate(other, None, inter, 2.0, replace(cfg, snapshots=True))
     with pytest.raises(ValueError, match="phi0"):
         compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_gp=trace)
+
+
+def test_compare_reuses_a_hartree_trace_bitwise():
+    _, inter, phi0, cfg = _gp_trace_case()
+    h_cfg = replace(cfg, snapshots=True, equation="hartree")
+    trace_h = propagate(phi0, None, inter, 2.0, h_cfg, 64)
+    alone = compare_h_vs_gp(phi0, inter, 2.0, 64, cfg)
+    reused = compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_hartree=trace_h)
+    assert reused.trace_hartree is trace_h
+    assert np.array_equal(reused.distance, alone.distance)
+    assert np.array_equal(reused.bound, alone.bound)
+
+
+@pytest.mark.parametrize(
+    "what, trace_cfg, g_trace, N_trace, match",
+    [
+        ("gp trace", dict(equation="gp"), 2.0, 64, "'hartree'"),
+        ("no snapshots", dict(snapshots=False), 2.0, 64, "snapshots"),
+        ("other dt", dict(dt=2e-3), 2.0, 64, "dt"),
+        ("other record times", dict(record_every=4), 2.0, 64, "record times"),
+        ("other coupling", {}, 3.0, 64, "coupling"),
+        ("other N", {}, 2.0, 128, "coupling"),
+    ],
+)
+def test_compare_refuses_a_foreign_hartree_trace(what, trace_cfg, g_trace, N_trace, match):
+    _, inter, phi0, cfg = _gp_trace_case()
+    tcfg = replace(cfg, **{"snapshots": True, "equation": "hartree", **trace_cfg})
+    trace = propagate(phi0, None, inter, g_trace, tcfg, N=N_trace)
+    with pytest.raises(ValueError, match=match):
+        compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_hartree=trace)
 
 
 def test_bound_evaluator_positive_and_monotone():

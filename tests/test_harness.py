@@ -16,10 +16,11 @@ import pytest
 
 import tfcond
 from tfcond import cli
+from tfcond import dynamics as dyn
 from tfcond import groundstate as gs
 from tfcond.harness import StudySpec, fit_loglog, run_study, write_csv
-from tfcond.dynamics import PropagatorConfig, compare_h_vs_gp
-from tfcond.grids import make_grid
+from tfcond.dynamics import PropagatorConfig, compare_h_vs_gp, propagate
+from tfcond.grids import Field, make_grid
 from tfcond.model import InteractionSpec, TrapSpec
 
 
@@ -247,24 +248,59 @@ class TestRunStudy:
         assert run_study(spec).passed
         assert len(threads) == 3 and len(set(threads)) == 1
 
-        # an N sweep still spreads its points over the workers: both points
-        # must be inside the comparison at once to pass the barrier
-        point_threads = []
+        # an N sweep steps its convolution flows in stacks of at most two:
+        # at workers=2 both stacks must be inside the stepper at once to pass
+        # the barrier, at workers=1 both run on one thread
+        stack_calls = []
         barrier = threading.Barrier(2, timeout=60)
+        strang = dyn._strang
 
-        def recording_compare(*args, **kw):
-            point_threads.append(threading.get_ident())
-            barrier.wait()
-            return compare_h_vs_gp(*args, **kw)
+        def recording_strang(phi0, vext, couplings, config):
+            if config.equation == "hartree":
+                stack_calls.append((threading.get_ident(), len(couplings)))
+                if workers == 2:
+                    barrier.wait()
+            return strang(phi0, vext, couplings, config)
 
-        monkeypatch.setattr("tfcond.dynamics.compare_h_vs_gp", recording_compare)
+        monkeypatch.setattr(dyn, "_strang", recording_strang)
+        for workers in (2, 1):
+            stack_calls.clear()
+            spec = StudySpec(
+                kind="hgp_rate_vs_N", values=(64, 128, 256), grid_d=1, grid_n=256,
+                half_width=8.0, t_final=0.05, dt=1e-3, workers=workers,
+            )
+            res = run_study(spec)
+            assert [r["status"] for r in res.rows] == ["ok", "ok", "ok"]
+            assert [r["N"] for r in res.rows] == [64, 128, 256]
+            assert sorted(size for _, size in stack_calls) == [1, 2]
+            assert len({ident for ident, _ in stack_calls}) == workers
+
+    def test_hgp_rate_failed_flow_fails_only_its_point(self, monkeypatch):
+        kernel_on_grid = InteractionSpec.kernel_on_grid
+
+        def kernel(self, grid, N):
+            k = kernel_on_grid(self, grid, N)
+            if N == 128:
+                return Field(grid, np.where(np.arange(grid.n) == 3, np.nan, k.values.real))
+            return k
+
+        monkeypatch.setattr(InteractionSpec, "kernel_on_grid", kernel)
         spec = StudySpec(
-            kind="hgp_rate_vs_N", values=(64, 256), grid_d=1, grid_n=256, half_width=8.0,
-            t_final=0.05, dt=1e-3, workers=2,
+            kind="hgp_rate_vs_N", values=(64, 128, 256), grid_d=1, grid_n=256,
+            half_width=8.0, t_final=0.05, dt=1e-3, workers=1,
         )
         res = run_study(spec)
-        assert [r["status"] for r in res.rows] == ["ok", "ok"]
-        assert len(set(point_threads)) == 2
+        inter = InteractionSpec(profile=spec.profile, beta=spec.beta)
+        grid = make_grid(1, spec.grid_n, spec.half_width)
+        trap = TrapSpec(strength=spec.trap_strength, s=spec.trap_s)
+        phi0 = gs.gp_minimize(grid, trap, spec.g * inter.integral(1)).field
+        cfg = PropagatorConfig(dt=spec.dt, t_final=spec.t_final, record_every=200)
+        with pytest.raises(RuntimeError) as alone:
+            propagate(phi0, None, inter, spec.g, dataclasses.replace(cfg, equation="hartree"), 128)
+        assert [r["status"] for r in res.rows] == ["ok", f"failed: {alone.value}", "ok"]
+        for row in (res.rows[0], res.rows[2]):
+            rep = compare_h_vs_gp(phi0, inter, spec.g, row["N"], cfg)
+            assert row["final_distance"] == rep.final_distance
 
     def test_artifacts_written(self, tmp_path):
         spec = _small_lemma26(out_dir=str(tmp_path))
@@ -445,12 +481,11 @@ class TestCli:
             ("scattering", {"interaction": {"profile": "gaussian", "bta": 0.2}}),
         ],
     )
-    def test_unknown_config_key_exits_2(self, tmp_path, command, config):
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        proc = _cli(command, "--config", str(cfg))
-        assert proc.returncode == 2
-        assert "unknown" in proc.stderr
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert "unknown" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, config",
@@ -473,14 +508,19 @@ class TestCli:
             ("gap", {"study": {"kind": "lemma26_vs_N", "values": [64, 128, 256], "grid_d": 1}}),
             # an empty coupling list computes nothing
             ("scattering", {"kappa": []}),
+            # the coupling sweeps run on one thread: a workers value, from the
+            # config or the flag, would be ignored
+            ("gap", {"g_values": [0.5, 1.0, 2.0], "grid_n": 16, "workers": 7}),
+            ("study", {"study": {"kind": "linf_vs_g", "values": [1, 2, 4], "workers": 1}}),
+            ("study --workers 2", {"kind": "tf_convergence", "values": [1, 2, 4]}),
         ],
     )
-    def test_bad_config_value_exits_2(self, tmp_path, command, config):
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        proc = _cli(command, "--config", str(cfg))
-        assert proc.returncode == 2, proc.stderr
-        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert cli.main([*command.split(), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
