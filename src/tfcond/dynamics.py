@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .grids import Field, Grid, apply_symbol, norm
+from .grids import Field, Grid, norm
 from .model import InteractionSpec, TrapSpec
 
 __all__ = [
@@ -69,7 +69,6 @@ class PropagatorConfig:
     t_final: float = 1.0
     record_every: int = 10
     equation: str = "gp"
-    snapshots: bool = False
 
     def __post_init__(self):
         if self.dt is not None and not self.dt > 0:
@@ -95,7 +94,6 @@ class PropagationTrace:
     final: Field
     dt: float
     equation: str
-    snapshots: list | None = None
 
     @property
     def mass_drift(self) -> float:
@@ -144,8 +142,8 @@ def propagate(
     criterion-07 run), so runs past ~5e3 steps can exceed the 1e-12 conservation guard
     -- pick dt accordingly.  The trap argument exists for exploratory runs;
     the distance studies all run trap-free.  The run is the one-row case of
-    the stacked stepper that also steps a sweep's convolution flows side by
-    side, so both give the same bits.
+    the stacked stepper that also steps the convolution flows of a
+    Hartree-vs-GP sweep side by side, so both give the same bits.
     """
     grid = phi0.grid
     vext = trap.on_grid(grid) if trap is not None else None
@@ -166,30 +164,9 @@ def propagate(
     return out
 
 
-def _hartree_flows(
-    phi0: Field, interaction: InteractionSpec, g: float, config: PropagatorConfig, Ns
+def _strang(
+    phi0: Field, vext, couplings: np.ndarray, config: PropagatorConfig, on_record=None
 ) -> list:
-    """The trap-free convolution flows of phi0 at each N of Ns, as one stack.
-
-    Entry i is what propagate(phi0, None, interaction, g, hartree config,
-    Ns[i]) returns, bit for bit, or the exception it raises.
-    """
-    grid = phi0.grid
-    out, symbols = [None] * len(Ns), {}
-    for i, N in enumerate(Ns):
-        try:
-            symbols[i] = g * grid.kernel_symbol(interaction.kernel_on_grid(grid, N).values)
-        except Exception as exc:  # this N fails as propagate would, the rest go on
-            out[i] = exc
-    if symbols:
-        cfg = dataclasses.replace(config, equation="hartree")
-        flows = _strang(phi0, None, np.stack(list(symbols.values())), cfg)
-        for i, flow in zip(symbols, flows):
-            out[i] = flow
-    return out
-
-
-def _strang(phi0: Field, vext, couplings: np.ndarray, config: PropagatorConfig) -> list:
     """Strang-step one trajectory of phi0 per row of couplings, side by side.
 
     The rows share the grid, vext, dt and the record times and are held
@@ -200,6 +177,8 @@ def _strang(phi0: Field, vext, couplings: np.ndarray, config: PropagatorConfig) 
     is checked as a run of its own: the phase guard, non-finite records and
     the mass-drift guard.  Returns one PropagationTrace per row, or the
     exception that row raised; a failed row leaves the stack at once.
+    on_record(i, values), if given, sees row i's field at each of its
+    record points, after that record's guards.
     """
     grid = phi0.grid
     dt_eff, nsteps = _step_plan(grid, config)
@@ -232,7 +211,6 @@ def _strang(phi0: Field, vext, couplings: np.ndarray, config: PropagatorConfig) 
 
     names = ("times", "mass", "e_free", "h1", "h2", "linf")
     records = [{name: [] for name in names} for _ in rows]
-    snaps = [[] if config.snapshots else None for _ in rows]
     out = [None] * len(rows)
 
     def record(i, j, v, w_now):
@@ -253,10 +231,10 @@ def _strang(phi0: Field, vext, couplings: np.ndarray, config: PropagatorConfig) 
         rec["h1"].append(norm(f, "H1"))
         rec["h2"].append(norm(f, "H2"))
         rec["linf"].append(norm(f, "Linf"))
-        if snaps[i] is not None:
-            snaps[i].append(f.copy())
         if not np.isfinite(rec["mass"][-1]):
             raise RuntimeError("propagation produced non-finite values")
+        if on_record is not None:
+            on_record(i, v)
 
     # The trailing half phase of one step and the leading half phase of the
     # next act on the same density, so interior pairs are fused into full
@@ -297,7 +275,6 @@ def _strang(phi0: Field, vext, couplings: np.ndarray, config: PropagatorConfig) 
             final=Field(grid, vals[k].copy()),
             dt=dt_eff,
             equation=config.equation,
-            snapshots=snaps[i],
         )
         if trace.mass_drift > 1e-12 * max(1.0, trace.mass[0]):
             out[i] = RuntimeError(f"mass drift {trace.mass_drift:.3e} exceeds 1e-12")
@@ -393,103 +370,80 @@ class ComparisonReport:
     passed: bool
 
 
-def _check_trace(name: str, trace: PropagationTrace, equation: str, phi0: Field, config, e_free0):
-    """Refuse a trace that is not the recorded ``equation`` flow of phi0 under config.
-
-    e_free0 is that flow's free energy of phi0 at this run's coupling (and
-    kernel); name is the argument the trace came in.
-    """
-    if trace.equation != equation:
-        raise ValueError(f"{name} is a {trace.equation!r} trace, not {equation!r}")
-    if trace.snapshots is None:
-        raise ValueError(f"{name} has no snapshots; propagate it with snapshots=True")
-    dt_eff, nsteps = _step_plan(phi0.grid, config)
-    steps = [j for j in range(nsteps + 1) if j % config.record_every == 0 or j == nsteps]
-    if trace.dt != dt_eff or not np.array_equal(trace.times, [j * dt_eff for j in steps]):
-        raise ValueError(f"{name} was recorded with another dt or other record times")
-    if trace.snapshots[0].grid != phi0.grid or not np.array_equal(
-        trace.snapshots[0].values, phi0.values
-    ):
-        raise ValueError(f"{name} does not start from phi0")
-    if abs(trace.e_free[0] - e_free0) > 1e-12 * max(1.0, abs(e_free0)):
-        raise ValueError(f"{name} was propagated at another coupling")
-
-
 def compare_h_vs_gp(
-    phi0: Field,
-    interaction: InteractionSpec,
-    g: float,
-    N: int,
-    config: PropagatorConfig,
-    kernel_override: Field | None = None,
-    trace_gp: PropagationTrace | None = None,
-    trace_hartree: PropagationTrace | None = None,
+    phi0: Field, interaction: InteractionSpec, g: float, N: int, config: PropagatorConfig
 ) -> ComparisonReport:
-    """Run the cubic and the convolution flow side by side.
+    """Run the cubic and the convolution flow of phi0 at particle number N.
 
     Records the L2 distance at every record point together with the
     evaluator's bound; the envelope constant comes from the measured H^2
     growth of the cubic run and the overall constant from the first record
-    point.  Raises if the calibrated bound is ever exceeded.
-
-    Either flow may come in precomputed, propagated with ``config`` and
-    snapshots=True: ``trace_gp`` (equation="gp"), which a sweep over N
-    propagates once since the cubic flow does not depend on N, and
-    ``trace_hartree`` (equation="hartree", this N or kernel_override), which
-    a sweep steps together with the flows of its other N.  Only a flow not
-    passed in runs here.  A trace that is not that flow raises ValueError.
+    point.  passed is False if the calibrated bound is ever exceeded.  This
+    is the one-N case of the sweep hgp_rate_vs_N runs, with the same bits.
     """
-    evaluator = BoundEvaluator.from_field(phi0, N, interaction.beta, g, interaction=interaction)
-    run_cfg = dataclasses.replace(config, snapshots=True)
-    h_cfg = dataclasses.replace(run_cfg, equation="hartree")
-    gp_cfg = dataclasses.replace(run_cfg, equation="gp")
+    (out,) = _compare_sweep(phi0, interaction, g, [N], config, workers=1)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    if trace_gp is None and trace_hartree is None:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_gp = pool.submit(propagate, phi0, None, interaction, g, gp_cfg)
-            fut_h = pool.submit(
-                propagate, phi0, None, interaction, g, h_cfg, N, kernel_override
-            )
-            trace_gp, trace_h = fut_gp.result(), fut_h.result()
-    else:
-        if trace_gp is None:
-            trace_gp = propagate(phi0, None, interaction, g, gp_cfg)
-        else:
-            _check_trace("trace_gp", trace_gp, "gp", phi0, config, evaluator.e_free0)
-        if trace_hartree is None:
-            trace_h = propagate(phi0, None, interaction, g, h_cfg, N, kernel_override)
-        else:
-            kernel = kernel_override
-            if kernel is None:
-                kernel = interaction.kernel_on_grid(phi0.grid, N)
-            rho = np.abs(phi0.values) ** 2
-            # the same expression as the convolution flow's first record
-            w_half = 0.5 * apply_symbol(g * phi0.grid.kernel_symbol(kernel.values), rho)
-            e_free0 = _energy(phi0.values, phi0.grid, None, w_half)
-            _check_trace("trace_hartree", trace_hartree, "hartree", phi0, config, e_free0)
-            trace_h = trace_hartree
 
-    if len(trace_gp.times) != len(trace_h.times):
-        raise RuntimeError("record grids of the two runs disagree")
-    dist = np.array(
-        [
-            norm(a - b, "L2")
-            for a, b in zip(trace_gp.snapshots, trace_h.snapshots)
-        ]
+def _compare_sweep(phi0: Field, interaction: InteractionSpec, g: float, Ns, config, workers):
+    """compare_h_vs_gp at each N of Ns: its report, or the exception it raises.
+
+    The cubic flow does not depend on N: it is stepped once and keeps its
+    fields at the record points.  The N values are cut into `workers`
+    contiguous stacks, each stepped through _strang on a thread of its own;
+    at every record point each convolution row takes its L2 distance to the
+    cubic field of that record, so no row keeps fields of its own.  A stacked
+    row gets the bits it would get alone.
+    """
+    grid = phi0.grid
+    gp_fields = []
+    big_g = np.full((1,) * (grid.d + 1), g * interaction.integral(grid.d))
+    (trace_gp,) = _strang(
+        phi0, None, big_g, dataclasses.replace(config, equation="gp"),
+        lambda i, v: gp_fields.append(v.copy()),
     )
+    if isinstance(trace_gp, Exception):
+        return [trace_gp] * len(Ns)  # every N fails with the error of the cubic flow
+    h_cfg = dataclasses.replace(config, equation="hartree")
 
-    sob = sobolev_monitor(trace_gp, g=g, N=N, beta=interaction.beta)
-    evaluator.c_envelope = sob.c_fitted
+    def run_stack(stack):
+        out, rows, symbols = [None] * len(stack), [], []  # stacked row i is stack[rows[i]]
+        for k, N in enumerate(stack):
+            try:
+                symbols.append(g * grid.kernel_symbol(interaction.kernel_on_grid(grid, N).values))
+                rows.append(k)
+            except Exception as exc:  # this N fails as propagate would, the rest go on
+                out[k] = exc
+        dists = [[] for _ in rows]
+
+        def distance(i, v):
+            dists[i].append(norm(Field(grid, gp_fields[len(dists[i])] - v), "L2"))
+
+        if rows:
+            flows = _strang(phi0, None, np.stack(symbols), h_cfg, distance)
+            for k, flow, dist in zip(rows, flows, dists):
+                out[k] = flow if isinstance(flow, Exception) else _comparison(
+                    phi0, interaction, g, stack[k], trace_gp, flow, np.array(dist)
+                )
+        return out
+
+    parts = np.array_split(np.arange(len(Ns)), min(workers, len(Ns)))
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        stacks = pool.map(run_stack, [[Ns[i] for i in part] for part in parts])
+        return [out for stack in stacks for out in stack]
+
+
+def _comparison(phi0, interaction, g, N, trace_gp, trace_h, dist) -> ComparisonReport:
+    """The bound of one N's distance curve, checked at every record point."""
+    evaluator = BoundEvaluator.from_field(phi0, N, interaction.beta, g, interaction=interaction)
+    evaluator.c_envelope = sobolev_monitor(trace_gp, g=g, N=N, beta=interaction.beta).c_fitted
     if len(trace_gp.times) > 1:
         evaluator.calibrate(trace_gp.times[1], dist[1])
     bound = np.array([evaluator.hartree_gp_bound(t) for t in trace_gp.times])
-
     floor = 1e-10 * max(1.0, float(np.max(np.abs(phi0.values))))
-    ok0 = dist[0] <= floor
-    ok_rest = bool(np.all(dist[1:] <= bound[1:] * (1 + 1e-12)))
-    passed = ok0 and ok_rest
-    if not passed:
-        raise RuntimeError("measured distance exceeded the calibrated bound")
+    passed = dist[0] <= floor and np.all(dist[1:] <= bound[1:] * (1 + 1e-12))
     return ComparisonReport(
         times=trace_gp.times,
         distance=dist,
@@ -498,7 +452,7 @@ def compare_h_vs_gp(
         trace_gp=trace_gp,
         trace_hartree=trace_h,
         evaluator=evaluator,
-        passed=passed,
+        passed=bool(passed),
     )
 
 

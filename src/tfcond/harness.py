@@ -52,12 +52,6 @@ _ONE_THREAD_KINDS = ("gap_vs_g", "linf_vs_g", "tf_convergence")
 
 _MANYBODY_CHECKS = ("appendix", "gapchain", "gronwall")
 
-# Most Hartree flows stepped as one stack in hgp_rate_vs_N.  On the flow1d
-# sweep (7 N, 2 threads, 2 vCPUs) the process peaked at 86.9 MiB with one
-# flow per thread, 88.8 MiB with stacks of 2 and 92.5 MiB with one stack per
-# thread (4 + 3 rows), which ran within the run-to-run noise of stacks of 2.
-_STACK_ROWS = 2
-
 # every numeric pass/fail threshold used by the study checks, in one place
 TOLERANCES = {
     "gap_flat_factor": 3.0,  # rescaled gap max/min across the sweep
@@ -91,7 +85,7 @@ class StudySpec:
     mb_trials: int = 200
     seed: int = 0
     # threads: lemma26_vs_N and manybody_suite share their points among them,
-    # hgp_rate_vs_N its stacks of Hartree flows; g sweeps run on 1
+    # hgp_rate_vs_N steps one stack of its Hartree flows on each; g sweeps run on 1
     workers: int = 2
     out_dir: str | None = None
 
@@ -208,24 +202,26 @@ def _gaussian_state(grid) -> Field:
     return normalize(Field(grid, vals.astype(np.complex128)))
 
 
-def _point(worker, v, spent: float = 0.0) -> dict:
-    """The row of worker(v), with its status and its time (plus spent before)."""
+def _point(key, worker, v, spent: float = 0.0) -> dict:
+    """The row of worker(v), with its status and its time (plus spent before).
+
+    A failed row still carries the swept value v, under key.
+    """
     t0 = time.perf_counter()
     try:
         row = worker(v)
         row["status"] = "ok"
     except Exception as exc:  # per-point failures recorded, sweep continues
-        row = {"status": f"failed: {exc}"}
+        row = {key: v, "status": f"failed: {exc}"}
     # timing is kept out of the CSV so reruns stay byte-identical
     row["_elapsed_s"] = spent + time.perf_counter() - t0
     return row
 
 
-def _run_points(values, worker, workers: int):
+def _run_points(key, values, worker, workers: int):
     """Evaluate worker(value) per sweep point on up to workers threads, in order."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: _point(worker, v), values))
-
+        return list(pool.map(lambda v: _point(key, worker, v), values))
 
 
 def _ok(rows):
@@ -257,7 +253,7 @@ def _study_gap_vs_g(spec: StudySpec):
             "spectrum_converged": spec_res.converged,
         }
 
-    rows = _run_points(spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
+    rows = _run_points("g", spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
     ok = _ok(rows)
     checks = []
     if ok:
@@ -311,7 +307,7 @@ def _study_linf_vs_g(spec: StudySpec):
             "tf_reference": rep.tf_reference,
         }
 
-    rows = _run_points(spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
+    rows = _run_points("g", spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
     ok = _ok(rows)
     checks = []
     if ok:
@@ -359,7 +355,7 @@ def _study_tf_convergence(spec: StudySpec):
             "energy": res.energy,
         }
 
-    rows = _run_points(spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
+    rows = _run_points("g", spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
     ok = _ok(rows)
     checks = []
     if len(ok) >= 2:
@@ -399,7 +395,7 @@ def _study_lemma26_vs_N(spec: StudySpec):
             "ratio": rep.ratio,
         }
 
-    rows = _run_points(spec.values, worker, spec.workers)
+    rows = _run_points("N", spec.values, worker, spec.workers)
     ok = _ok(rows)
     checks = []
     fits = {}
@@ -451,23 +447,18 @@ def _study_hgp_rate_vs_N(spec: StudySpec):
     grid = make_grid(1, n, half)
     G = spec.g * inter.integral(1)
     phi0 = gs.gp_minimize(grid, trap, G).field
-    cfg = dyn.PropagatorConfig(
-        dt=spec.dt, t_final=spec.t_final, record_every=200, snapshots=True
-    )
-    # the cubic flow does not depend on N: one trajectory serves every point,
-    # and if it fails, every point fails with its error as it would alone
-    try:
-        trace_gp = dyn.propagate(phi0, None, inter, spec.g, cfg)
-    except (ValueError, RuntimeError) as exc:
-        trace_gp = exc
+    cfg = dyn.PropagatorConfig(dt=spec.dt, t_final=spec.t_final, record_every=200)
+    # one sweep steps the cubic flow once and the Hartree flows in one stack
+    # per worker thread; each point's time is its share of the sweep
+    Ns = [int(N) for N in spec.values]
+    t0 = time.perf_counter()
+    reports = dict(zip(Ns, dyn._compare_sweep(phi0, inter, spec.g, Ns, cfg, spec.workers)))
+    spent = (time.perf_counter() - t0) / len(Ns)
 
-    def worker(point):
-        N, trace_h = point
-        if isinstance(trace_h, Exception):
-            raise trace_h
-        rep = dyn.compare_h_vs_gp(
-            phi0, inter, spec.g, N, cfg, trace_gp=trace_gp, trace_hartree=trace_h
-        )
+    def worker(N):
+        rep = reports[N]
+        if isinstance(rep, Exception):
+            raise rep
         return {
             "N": N,
             "grid_n": n,
@@ -483,30 +474,21 @@ def _study_hgp_rate_vs_N(spec: StudySpec):
             "bound_respected": rep.passed,
         }
 
-    def run_stack(Ns):
-        # the convolution flows of a stack step together; each point's time
-        # is its share of the stack plus its own comparison
-        t0 = time.perf_counter()
-        traces = [trace_gp] * len(Ns)  # the cubic flow's error, if it failed
-        if not isinstance(trace_gp, Exception):
-            try:
-                traces = dyn._hartree_flows(phi0, inter, spec.g, cfg, Ns)
-            except Exception as exc:  # the stack's points fail, the sweep goes on
-                traces = [exc] * len(Ns)
-        spent = (time.perf_counter() - t0) / len(Ns)
-        return [_point(worker, point, spent) for point in zip(Ns, traces)]
-
-    # contiguous stacks, stepped by spec.workers threads: a step of a stack
-    # costs little more than one flow's, and each row keeps its snapshots
-    # until its comparison, so a stack holds at most _STACK_ROWS flows
-    Ns = [int(N) for N in spec.values]
-    size = min(_STACK_ROWS, -(-len(Ns) // spec.workers))
-    stacks = [Ns[i : i + size] for i in range(0, len(Ns), size)]
-    with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-        rows = [row for part in pool.map(run_stack, stacks) for row in part]
+    rows = [_point("N", worker, N, spent) for N in Ns]
     ok = _ok(rows)
     checks = []
     fits = {}
+    if ok:
+        violated = sum(1 for r in ok if not r["bound_respected"])
+        checks.append(
+            Check(
+                "bound_respected",
+                "the distance between the convolution flow and the cubic flow "
+                "stays within its calibrated bound at every record point of every N",
+                float(violated),
+                violated == 0,
+            )
+        )
     if len(ok) >= 2:
         dists = [r["final_distance"] for r in ok]
         monotone = all(b < a for a, b in zip(dists, dists[1:]))
@@ -607,7 +589,7 @@ def _study_manybody_suite(spec: StudySpec):
             "metric_ok": rep.passed,
         }
 
-    rows = _run_points(spec.values, worker, spec.workers)
+    rows = _run_points("check", spec.values, worker, spec.workers)
     ok = _ok(rows)
     checks = []
     if ok:

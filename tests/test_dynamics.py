@@ -153,16 +153,6 @@ def test_trap_run_conserves_total_energy():
     assert trace.mass_drift < 1e-12
 
 
-def test_snapshot_recording():
-    grid = make_grid(1, 256, 10.0)
-    phi0 = gaussian_packet(grid)
-    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, record_every=10, snapshots=True)
-    trace = propagate(phi0, None, None, 1.0, cfg)
-    assert trace.snapshots is not None
-    assert len(trace.snapshots) == len(trace.times)
-    assert norm(trace.snapshots[0] - phi0, "L2") == 0.0
-
-
 # --- the fast step against the plain reference step -------------------------
 
 
@@ -251,7 +241,7 @@ def test_complex_kernel_rejected():
         propagate(phi0, None, None, 1.0, cfg, kernel_override=kernel)
 
 
-# --- a stack of convolution flows against one flow per N --------------------
+# --- a sweep's stacked convolution flows against one flow per N -------------
 
 _TRACE_ARRAYS = ("times", "mass", "e_free", "h1", "h2", "linf")
 
@@ -261,9 +251,6 @@ def _assert_same_trace(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert (a.dt, a.equation) == (b.dt, b.equation)
     assert np.array_equal(a.final.values, b.final.values)
-    assert len(a.snapshots) == len(b.snapshots)
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        assert np.array_equal(sa.values, sb.values)
 
 
 @pytest.mark.parametrize("d, n, half_width, t_final", [(1, 256, 8.0, 0.05), (2, 32, 6.0, 0.02)])
@@ -274,21 +261,28 @@ def test_hartree_stack_equals_one_propagate_per_n(d, n, half_width, t_final):
         Field(grid, np.exp(-grid.r2 / 2) * (1 + 0.3 * np.cos(x) + 0.2j * np.sin(x)))
     )
     inter = InteractionSpec(profile="gaussian", beta=0.2)
-    cfg = PropagatorConfig(dt=1e-3, t_final=t_final, record_every=7, snapshots=True)
+    cfg = PropagatorConfig(dt=1e-3, t_final=t_final, record_every=7)
     Ns = [64, 128, 256]
-    stack = dyn._hartree_flows(phi0, inter, 4.0, cfg, Ns)
-    assert len(stack) == 3
-    for N, trace in zip(Ns, stack):
+    sweep = dyn._compare_sweep(phi0, inter, 4.0, Ns, cfg, workers=1)  # one stack of 3
+    gp = propagate(phi0, None, inter, 4.0, cfg)
+    assert len(sweep) == 3
+    for N, rep in zip(Ns, sweep):
         alone = propagate(phi0, None, inter, 4.0, replace(cfg, equation="hartree"), N)
         assert len(alone.times) >= 4  # a last record off the record_every grid too
-        _assert_same_trace(trace, alone)
+        _assert_same_trace(rep.trace_hartree, alone)
+        _assert_same_trace(rep.trace_gp, gp)
+        assert rep.final_distance == norm(gp.final - alone.final, "L2")
+        one = compare_h_vs_gp(phi0, inter, 4.0, N, cfg)
+        assert np.array_equal(rep.distance, one.distance)
+        assert np.array_equal(rep.bound, one.bound)
+        assert rep.passed and one.passed
 
 
 def test_a_failed_row_leaves_the_stack_with_its_own_error(monkeypatch):
     grid = make_grid(1, 256, 8.0)
     phi0 = gaussian_packet(grid)
     inter = InteractionSpec(profile="gaussian", beta=0.2)
-    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, record_every=10, snapshots=True)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, record_every=10)
     kernel_on_grid = InteractionSpec.kernel_on_grid
 
     def kernel(self, grid, N):
@@ -301,16 +295,16 @@ def test_a_failed_row_leaves_the_stack_with_its_own_error(monkeypatch):
 
     monkeypatch.setattr(InteractionSpec, "kernel_on_grid", kernel)
     Ns = [64, 128, 256, 512, 1024]
-    stack = dyn._hartree_flows(phi0, inter, 4.0, cfg, Ns)
+    sweep = dyn._compare_sweep(phi0, inter, 4.0, Ns, cfg, workers=1)  # one stack of 5
     h_cfg = replace(cfg, equation="hartree")
-    for N, out in zip(Ns, stack):
+    for N, out in zip(Ns, sweep):
         if N in (128, 512):
             match = "non-finite" if N == 128 else "phase"
             with pytest.raises(type(out), match=match) as alone:
                 propagate(phi0, None, inter, 4.0, h_cfg, N)
             assert str(out) == str(alone.value)
         else:
-            _assert_same_trace(out, propagate(phi0, None, inter, 4.0, h_cfg, N))
+            _assert_same_trace(out.trace_hartree, propagate(phi0, None, inter, 4.0, h_cfg, N))
 
 
 # --- guards ------------------------------------------------------------------
@@ -361,9 +355,13 @@ def test_delta_kernel_hartree_equals_gp():
     dk[grid.n // 2] = inter.integral(1) / grid.dv
     delta = Field(grid, dk)
     cfg = PropagatorConfig(dt=5e-4, t_final=0.2, record_every=50)
-    rep = compare_h_vs_gp(phi0, inter, g, 64, cfg, kernel_override=delta)
-    assert rep.passed
-    assert np.max(rep.distance) < 1e-12
+    gp = propagate(phi0, None, inter, g, cfg)
+    hartree = propagate(
+        phi0, None, inter, g, replace(cfg, equation="hartree"), kernel_override=delta
+    )
+    assert norm(gp.final - hartree.final, "L2") < 1e-12
+    for name in _TRACE_ARRAYS:
+        assert np.max(np.abs(getattr(gp, name) - getattr(hartree, name))) < 1e-12, name
 
 
 def test_distance_zero_at_t0_and_shrinks_with_n():
@@ -380,80 +378,6 @@ def test_distance_zero_at_t0_and_shrinks_with_n():
         assert np.all(rep.distance[1:] <= rep.bound[1:])
         finals[N] = rep.final_distance
     assert finals[1024] < finals[64]
-
-
-def _gp_trace_case():
-    grid = make_grid(1, 256, 10.0)
-    inter = InteractionSpec(profile="gaussian", beta=0.2)
-    phi0 = gaussian_packet(grid)
-    cfg = PropagatorConfig(dt=1e-3, t_final=0.02, record_every=5)
-    return grid, inter, phi0, cfg
-
-
-def test_compare_reuses_a_gp_trace_bitwise():
-    _, inter, phi0, cfg = _gp_trace_case()
-    trace_gp = propagate(phi0, None, inter, 2.0, replace(cfg, snapshots=True))
-    alone = compare_h_vs_gp(phi0, inter, 2.0, 64, cfg)
-    reused = compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_gp=trace_gp)
-    assert reused.trace_gp is trace_gp
-    assert np.array_equal(reused.distance, alone.distance)
-    assert np.array_equal(reused.bound, alone.bound)
-
-
-@pytest.mark.parametrize(
-    "what, trace_cfg, g_trace, match",
-    [
-        ("hartree trace", dict(equation="hartree"), 2.0, "'gp'"),
-        ("no snapshots", dict(snapshots=False), 2.0, "snapshots"),
-        ("other dt", dict(dt=2e-3), 2.0, "dt"),
-        ("other record times", dict(record_every=4), 2.0, "record times"),
-        ("other coupling", {}, 3.0, "coupling"),
-    ],
-)
-def test_compare_refuses_a_foreign_gp_trace(what, trace_cfg, g_trace, match):
-    _, inter, phi0, cfg = _gp_trace_case()
-    tcfg = replace(cfg, **{"snapshots": True, **trace_cfg})
-    trace = propagate(phi0, None, inter, g_trace, tcfg, N=64)
-    with pytest.raises(ValueError, match=match):
-        compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_gp=trace)
-
-
-def test_compare_refuses_a_gp_trace_of_another_state():
-    grid, inter, phi0, cfg = _gp_trace_case()
-    other = gaussian_packet(grid, a=0.8)
-    trace = propagate(other, None, inter, 2.0, replace(cfg, snapshots=True))
-    with pytest.raises(ValueError, match="phi0"):
-        compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_gp=trace)
-
-
-def test_compare_reuses_a_hartree_trace_bitwise():
-    _, inter, phi0, cfg = _gp_trace_case()
-    h_cfg = replace(cfg, snapshots=True, equation="hartree")
-    trace_h = propagate(phi0, None, inter, 2.0, h_cfg, 64)
-    alone = compare_h_vs_gp(phi0, inter, 2.0, 64, cfg)
-    reused = compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_hartree=trace_h)
-    assert reused.trace_hartree is trace_h
-    assert np.array_equal(reused.distance, alone.distance)
-    assert np.array_equal(reused.bound, alone.bound)
-
-
-@pytest.mark.parametrize(
-    "what, trace_cfg, g_trace, N_trace, match",
-    [
-        ("gp trace", dict(equation="gp"), 2.0, 64, "'hartree'"),
-        ("no snapshots", dict(snapshots=False), 2.0, 64, "snapshots"),
-        ("other dt", dict(dt=2e-3), 2.0, 64, "dt"),
-        ("other record times", dict(record_every=4), 2.0, 64, "record times"),
-        ("other coupling", {}, 3.0, 64, "coupling"),
-        ("other N", {}, 2.0, 128, "coupling"),
-    ],
-)
-def test_compare_refuses_a_foreign_hartree_trace(what, trace_cfg, g_trace, N_trace, match):
-    _, inter, phi0, cfg = _gp_trace_case()
-    tcfg = replace(cfg, **{"snapshots": True, "equation": "hartree", **trace_cfg})
-    trace = propagate(phi0, None, inter, g_trace, tcfg, N=N_trace)
-    with pytest.raises(ValueError, match=match):
-        compare_h_vs_gp(phi0, inter, 2.0, 64, cfg, trace_hartree=trace)
 
 
 def test_bound_evaluator_positive_and_monotone():

@@ -248,19 +248,19 @@ class TestRunStudy:
         assert run_study(spec).passed
         assert len(threads) == 3 and len(set(threads)) == 1
 
-        # an N sweep steps its convolution flows in stacks of at most two:
-        # at workers=2 both stacks must be inside the stepper at once to pass
-        # the barrier, at workers=1 both run on one thread
+        # an N sweep steps its convolution flows in one stack per worker: at
+        # workers=2 both stacks (2 + 1 rows) must be inside the stepper at
+        # once to pass the barrier, at workers=1 one stack holds all three
         stack_calls = []
         barrier = threading.Barrier(2, timeout=60)
         strang = dyn._strang
 
-        def recording_strang(phi0, vext, couplings, config):
+        def recording_strang(phi0, vext, couplings, config, on_record=None):
             if config.equation == "hartree":
                 stack_calls.append((threading.get_ident(), len(couplings)))
                 if workers == 2:
                     barrier.wait()
-            return strang(phi0, vext, couplings, config)
+            return strang(phi0, vext, couplings, config, on_record)
 
         monkeypatch.setattr(dyn, "_strang", recording_strang)
         for workers in (2, 1):
@@ -272,7 +272,7 @@ class TestRunStudy:
             res = run_study(spec)
             assert [r["status"] for r in res.rows] == ["ok", "ok", "ok"]
             assert [r["N"] for r in res.rows] == [64, 128, 256]
-            assert sorted(size for _, size in stack_calls) == [1, 2]
+            assert sorted(size for _, size in stack_calls) == ([3] if workers == 1 else [1, 2])
             assert len({ident for ident, _ in stack_calls}) == workers
 
     def test_hgp_rate_failed_flow_fails_only_its_point(self, monkeypatch):
@@ -298,9 +298,43 @@ class TestRunStudy:
         with pytest.raises(RuntimeError) as alone:
             propagate(phi0, None, inter, spec.g, dataclasses.replace(cfg, equation="hartree"), 128)
         assert [r["status"] for r in res.rows] == ["ok", f"failed: {alone.value}", "ok"]
+        assert res.rows[1]["N"] == 128
+        assert res.csv_text.splitlines()[2].startswith("128,")
         for row in (res.rows[0], res.rows[2]):
             rep = compare_h_vs_gp(phi0, inter, spec.g, row["N"], cfg)
             assert row["final_distance"] == rep.final_distance
+
+    def test_hgp_rate_violated_bound_fails_the_study(self, monkeypatch):
+        # a bound below the measured distance at one N fails that point's
+        # bound_respected and the study, not the point
+        calibrate = dyn.BoundEvaluator.calibrate
+
+        def tight_at_256(self, t1, measured1):
+            calibrate(self, t1, measured1)
+            if self.N == 256:
+                self.prefactor = 0.5 * measured1 / self._shape(t1)
+
+        monkeypatch.setattr(dyn.BoundEvaluator, "calibrate", tight_at_256)
+        spec = StudySpec(
+            kind="hgp_rate_vs_N", values=(64, 128, 256, 512, 1024, 2048), grid_d=1,
+            grid_n=256, half_width=8.0, t_final=0.05, dt=1e-3,
+        )
+        res = run_study(spec)
+        assert [r["status"] for r in res.rows] == ["ok"] * 6
+        assert [r["bound_respected"] for r in res.rows] == [True, True, False, True, True, True]
+        checks = {c.name: c for c in res.checks}
+        assert not checks["bound_respected"].passed
+        assert checks["bound_respected"].value == 1.0
+        assert checks["point_failures"].value == 0.0
+        assert not res.passed
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hgp_rate_csv_keeps_its_bytes(self, workers):
+        spec = StudySpec(
+            kind="hgp_rate_vs_N", values=(64, 128, 256), grid_d=1, grid_n=256,
+            half_width=8.0, t_final=0.05, dt=1e-3, workers=workers,
+        )
+        assert run_study(spec).csv_text == _HGP_RATE_GOLDEN_CSV
 
     def test_artifacts_written(self, tmp_path):
         spec = _small_lemma26(out_dir=str(tmp_path))
@@ -312,6 +346,17 @@ class TestRunStudy:
         assert all("statement" in c for c in summary["checks"])
         csv_text = (tmp_path / "lemma26_vs_N.csv").read_text()
         assert csv_text == res.csv_text
+
+
+# run_study(StudySpec("hgp_rate_vs_N", (64, 128, 256), grid_d=1, grid_n=256,
+# half_width=8.0, t_final=0.05, dt=1e-3)).csv_text, as one cubic flow and one
+# standalone convolution flow per N gave it
+_HGP_RATE_GOLDEN_CSV = """\
+N,grid_n,half_width,beta,g,t_final,dt,final_distance,final_bound,mass_drift_gp,mass_drift_hartree,bound_respected,status
+64,256,8.0,0.2,4.0,0.05,0.001,0.0038961898209453,5.604275483472255,8.881784197001252e-16,2.220446049250313e-15,True,ok
+128,256,8.0,0.2,4.0,0.05,0.001,0.0029867631338207213,5.073710602035031,8.881784197001252e-16,4.440892098500626e-16,True,ok
+256,256,8.0,0.2,4.0,0.05,0.001,0.0022834849621820746,4.607826379336268,8.881784197001252e-16,1.3322676295501878e-15,True,ok
+"""
 
 
 class TestWriteCsv:
@@ -464,6 +509,29 @@ class TestCli:
         payload = json.loads((tmp_path / "dynamics.json").read_text())
         assert payload["passed"] is True
         assert payload["mass_drift_gp"] < 1e-12
+
+    def test_dynamics_violated_bound_exits_1(self, tmp_path, capsys, monkeypatch):
+        calibrate = dyn.BoundEvaluator.calibrate
+
+        def tight(self, t1, measured1):
+            calibrate(self, t1, measured1)
+            self.prefactor = 0.5 * measured1 / self._shape(t1)
+
+        monkeypatch.setattr(dyn.BoundEvaluator, "calibrate", tight)
+        cfg = tmp_path / "dyn.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "grid": {"d": 1, "n": 256, "half_width": 8.0}, "g": 4.0, "N": 128,
+                    "t_final": 0.05, "dt": 1e-3, "record_every": 10, "initial": "gaussian",
+                }
+            )
+        )
+        assert cli.main(["dynamics", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+        payload = json.loads((tmp_path / "dynamics.json").read_text())
+        assert payload["passed"] is False
+        assert payload["distance"][1] > payload["bound"][1]
 
     def test_bad_config_exits_2(self):
         proc = _cli("study", "--config", "/nonexistent/cfg.json")
