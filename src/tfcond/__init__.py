@@ -14,7 +14,7 @@ pushed into the Thomas-Fermi regime:
 
 :mod:`tfcond.grids` supplies the periodic spectral grids everything runs on,
 :mod:`tfcond.model` the physical parameters (trap, interaction profile,
-coupling regime) and their derived scales, and :mod:`tfcond.harness` the
+coupling regime) and the regime window, and :mod:`tfcond.harness` the
 parameter studies behind the ``tfcond`` command line tool.
 """
 

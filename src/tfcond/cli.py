@@ -208,16 +208,33 @@ def _cmd_dynamics(args) -> int:
     return _report(lines, rep.passed)
 
 
+# the config keys (and the flags of the same name) each manybody check reads
+_MANYBODY_READS = {
+    "appendix": {"N", "M", "trials", "seed"},
+    "gapchain": {"N", "M", "modes", "g", "beta", "lambda_weight", "trials", "seed"},
+    "gronwall": {"N", "M", "modes", "g", "beta", "lambda_weight", "t_final", "steps"},
+}
+
+
 def _cmd_manybody(args) -> int:
     keys = {
         "N": 4, "M": 3, "modes": "harmonic", "check": "appendix", "trials": 200, "seed": 0,
         "g": float, "beta": 0.2, "lambda_weight": 0.5, "t_final": 0.5, "steps": 11,
     }
-    cfg = _load_config(args.config, keys)
+    raw = _load_config(args.config)
+    cfg = _take(raw, "config", keys)
+    check = args.check or cfg["check"]
+    if check not in _MANYBODY_READS:
+        raise ValueError(f"unknown check {check!r}")
+    flags = ("N", "M", "modes", "trials", "seed")
+    given = {key for key, value in raw.items() if value is not None}
+    given |= {key for key in flags if getattr(args, key) is not None}
+    ignored = given - _MANYBODY_READS[check] - {"check"}
+    if ignored:
+        raise ValueError(f"the {check} check does not read {sorted(ignored)}")
     N = args.N if args.N is not None else cfg["N"]
     M = args.M if args.M is not None else cfg["M"]
     mode_kind = args.modes or cfg["modes"]
-    check = args.check or cfg["check"]
     trials = args.trials if args.trials is not None else cfg["trials"]
     # the coupling's default depends on the check
     g = cfg["g"] if cfg["g"] is not None else (0.1 if check == "gronwall" else 0.5)
@@ -249,7 +266,7 @@ def _cmd_manybody(args) -> int:
     H = mb.build(modes, trap, inter, reg)
 
     if check == "gapchain":
-        _, h_gp = mb.gp_modes_ground(modes, H.h_mat, H.kernel, H.g)
+        _, h_gp = mb.gp_modes_ground(H)
         rep = mb.verify_gap_chain(H, h_gp, lam=lam, samples=trials, seed=seed)
         lines = [
             f"gap chain: N={N} M={M} g={g} modes={mode_kind}",
@@ -269,35 +286,33 @@ def _cmd_manybody(args) -> int:
         _write_json(args.out, "manybody_gapchain.json", payload)
         return _report(lines, rep.passed)
 
-    if check == "gronwall":
-        phi0 = np.zeros(M, dtype=complex)
-        phi0[0] = 1.0
-        psi0 = mb.product_state(H.sector, phi0)
-        t_grid = np.linspace(0.0, cfg["t_final"], cfg["steps"])
-        rep = mb.evolve_and_track(
-            psi0, H, phi0, mb.hartree_from_hamiltonian(H), t_grid, lam
-        )
-        passed = rep.passed
-        lines = [
-            f"counting-rate identity: N={N} M={M} g={g} modes={mode_kind}",
-            f"max |d(alpha)/dt - rate| = {rep.max_rate_mismatch:.3e}",
-            f"sandwich violations {rep.sandwich_violations}, "
-            f"term-bound violations {rep.bound_violations}",
-        ]
-        payload = {
-            "times": rep.times,
-            "alpha": rep.alpha,
-            "rate": rep.rate,
-            "max_rate_mismatch": rep.max_rate_mismatch,
-            "sandwich_violations": rep.sandwich_violations,
-            "bound_violations": rep.bound_violations,
-            "galerkin_leakage": rep.galerkin_leakage,
-            "passed": passed,
-        }
-        _write_json(args.out, "manybody_gronwall.json", payload)
-        return _report(lines, passed)
-
-    raise ValueError(f"unknown check {check!r}")
+    # gronwall
+    phi0 = np.zeros(M, dtype=complex)
+    phi0[0] = 1.0
+    psi0 = mb.product_state(H.sector, phi0)
+    t_grid = np.linspace(0.0, cfg["t_final"], cfg["steps"])
+    rep = mb.evolve_and_track(
+        psi0, H, phi0, mb.hartree_from_hamiltonian(H), t_grid, lam
+    )
+    passed = rep.passed
+    lines = [
+        f"counting-rate identity: N={N} M={M} g={g} modes={mode_kind}",
+        f"max |d(alpha)/dt - rate| = {rep.max_rate_mismatch:.3e}",
+        f"sandwich violations {rep.sandwich_violations}, "
+        f"term-bound violations {rep.bound_violations}",
+    ]
+    payload = {
+        "times": rep.times,
+        "alpha": rep.alpha,
+        "rate": rep.rate,
+        "max_rate_mismatch": rep.max_rate_mismatch,
+        "sandwich_violations": rep.sandwich_violations,
+        "bound_violations": rep.bound_violations,
+        "galerkin_leakage": rep.galerkin_leakage,
+        "passed": passed,
+    }
+    _write_json(args.out, "manybody_gronwall.json", payload)
+    return _report(lines, passed)
 
 
 def _cmd_scattering(args) -> int:

@@ -238,7 +238,7 @@ def _study_gap_vs_g(spec: StudySpec):
     def worker(g):
         G = g * intv
         res = gs.gp_minimize(grid, trap, G)
-        spec_res = gs.hgp_spectrum(grid, trap, G, res.field)
+        spec_res = gs.hgp_spectrum(grid, trap, G, res.field, seed=spec.seed)
         gap = float(spec_res.eigenvalues[1] - spec_res.eigenvalues[0])
         expo = 2.0 / (trap.s + 3.0)
         return {
@@ -559,7 +559,7 @@ def _study_manybody_suite(spec: StudySpec):
             modes = mb.ModeBasis.harmonic(grid, 3)
             reg = RegimeParams(N=3, beta=spec.beta, g_N=0.5, lambda_weight=spec.lam)
             H = mb.build(modes, TrapSpec(strength=1.0, s=2), inter, reg)
-            _, h_gp = mb.gp_modes_ground(modes, H.h_mat, H.kernel, H.g)
+            _, h_gp = mb.gp_modes_ground(H)
             rep = mb.verify_gap_chain(H, h_gp, lam=spec.lam, samples=100, seed=spec.seed)
             return {
                 "check": check,

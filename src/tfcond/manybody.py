@@ -3,11 +3,18 @@
 Occupation-number sectors of N bosons in M modes (stars and bars, every
 operator from one sparse lowering map): a sparse Hamiltonian from one-body
 matrices and pair tensors, its Lanczos ground state and time evolution,
-reduced densities, the condensate projector/counting calculus (weighted
-number operators, shifted weights, counting rate), and exact verification of
-the projector identities, operator-norm bounds, spectral-gap chain, and
-counting-rate inequalities.
-"""
+reduced densities, the condensate projector/counting calculus, and exact
+verification of the projector identities, operator-norm bounds,
+spectral-gap chain, and counting-rate inequalities.
+
+``alpha`` is the one evaluation of a state against a reference phi: one
+P_k split and one reduced density give the counting functional, N_+, the
+depletion, the distance ||gamma - |phi><phi|||, the sandwich inequalities
+and, given H, the exact counting rate with its three terms and their
+bounds.  ``evolve_and_track`` and ``verify_gap_chain`` share its core.  The
+mean-field matrix W(phi) = sum V_abcd conj(phi_b) phi_d of the pair tensor
+serves the rate, the self-consistent reference ``gp_modes_ground``, the
+positive-type bound and the Galerkin Hartree flow."""
 
 from __future__ import annotations
 
@@ -48,7 +55,6 @@ __all__ = [
     "op_norm",
     "mu_weights",
     "alpha",
-    "counting_rate",
     "interaction_lower_bound",
     "gp_modes_ground",
     "verify_appendix",
@@ -486,10 +492,19 @@ class ProjectorContext:
 
 @dataclass
 class CountingReport:
+    """A state evaluated against a reference phi from one P_k split and one gamma.
+
+    ``distance`` is ||gamma - |phi><phi|||; ``sandwich_ok`` says whether
+    distance^2 <= 2 alpha <= 2 N^{1-lam} distance holds (to 1e-10).  The rate
+    fields are set when a Hamiltonian is given.
+    """
+
     alpha: float
     n_plus: float
     depletion: float
     gamma: np.ndarray
+    distance: float
+    sandwich_ok: bool
     rate: float | None = None
     rate_terms: np.ndarray | None = None
     rate_bounds: np.ndarray | None = None
@@ -502,83 +517,82 @@ def alpha(
     H: ManyBodyHamiltonian | None = None,
 ) -> CountingReport:
     """Weighted counting functional of psi against phi; rate if H is given."""
+    return _evaluate(ProjectorContext(psi.sector, phi), psi, lam, H)
+
+
+def _evaluate(
+    ctx: ProjectorContext,
+    psi: ManyBodyState,
+    lam: float,
+    H: ManyBodyHamiltonian | None = None,
+) -> CountingReport:
+    """The CountingReport of psi against ctx.phi, from one split of psi."""
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0, 1)")
-    sector = psi.sector
-    ctx = ProjectorContext(sector, phi)
-    mu = mu_weights(sector.N, lam)
-    a_val = ctx.expect_weights(mu, psi.vector)
+    N, M = psi.sector.N, psi.sector.M
+    c = ctx.phi
+    mu = mu_weights(N, lam)
+    parts = ctx.split(psi.vector)  # row k is P_k psi
+    a_val = float(mu @ np.linalg.norm(parts, axis=1) ** 2)
     gamma = reduced_density(psi)
-    p = np.outer(ctx.phi, ctx.phi.conj())
-    n_plus = sector.N * float(np.trace((np.eye(sector.M) - p) @ gamma).real)
-    depletion = 1.0 - float((ctx.phi.conj() @ gamma @ ctx.phi).real)
-    rep = CountingReport(alpha=float(a_val), n_plus=n_plus, depletion=depletion, gamma=gamma)
+    p = np.outer(c, c.conj())
+    dist = op_norm(gamma - p)
+    rep = CountingReport(
+        alpha=a_val,
+        n_plus=N * float(np.trace((np.eye(M) - p) @ gamma).real),
+        depletion=1.0 - float((c.conj() @ gamma @ c).real),
+        gamma=gamma,
+        distance=dist,
+        sandwich_ok=dist**2 <= 2 * a_val + 1e-10 and a_val <= N ** (1 - lam) * dist + 1e-10,
+    )
     if H is not None:
-        rate, terms, bounds = counting_rate(H, psi, ctx.phi, lam, ctx=ctx)
-        rep.rate, rep.rate_terms, rep.rate_bounds = rate, terms, bounds
+        rep.rate, rep.rate_terms = _counting_rate(H, c, psi.vector, parts, mu)
+        if H.modes is not None:
+            rep.rate_bounds = _rate_bounds(H, c, a_val, lam)
     return rep
 
 
-def _mean_field_matrix(H: ManyBodyHamiltonian, c: np.ndarray) -> np.ndarray:
-    """Mode matrix of the kernel smeared against |phi|^2 (tensor contraction)."""
-    M = H.sector.M
-    V4 = H.v_tensor.reshape(M, M, M, M)
-    return np.einsum("abcd,b,d->ac", V4, c.conj(), c)
+def _mean_field_matrix(v_tensor: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """W(c)_ac = sum_bd V_abcd conj(c_b) c_d: the mode matrix of v_N * |phi|^2."""
+    M = len(c)
+    return np.einsum("abcd,b,d->ac", v_tensor.reshape(M, M, M, M), c.conj(), c)
 
 
-def counting_rate(
+def _counting_rate(
     H: ManyBodyHamiltonian,
-    psi: ManyBodyState,
-    phi: np.ndarray,
-    lam: float,
-    ctx: ProjectorContext | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact counting rate and its three estimate checks.
+    c: np.ndarray,
+    psi_v: np.ndarray,
+    parts: np.ndarray,
+    mu: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Exact counting rate of psi_v against c and its three term magnitudes.
 
-    The rate is g [ 2 Im<psi, (mu - mu_1) P0 U12 P1 psi>
+    parts holds the P_k psi_v as rows.  The rate is
+                 g [ 2 Im<psi, (mu - mu_1) P0 U12 P1 psi>
                    +  Im<psi, (mu - mu_2) P0 U12 P2 psi>
                    + 2 Im<psi, (mu - mu_1) P1 U12 P2 psi> ]
     with U12 = (N-1) v_N - N (v_N * rho)_1 - N (v_N * rho)_2 and the block
-    projectors P0 = p p, P1 = p q, P2 = q q on the pair slots.  Returns
-    (rate, measured term magnitudes, their a priori bounds).
+    projectors P0 = p p, P1 = p q, P2 = q q on the pair slots.
     """
-    sector = psi.sector
+    sector = H.sector
     N, M = sector.N, sector.M
-    if ctx is None:
-        ctx = ProjectorContext(sector, phi)
-    c = ctx.phi
-    g = H.g
-
     p1 = np.outer(c, c.conj())
     q1 = np.eye(M) - p1
-    W = _mean_field_matrix(H, c)
+    W = _mean_field_matrix(H.v_tensor, c)
     eye = np.eye(M)
-    U12 = (
-        (N - 1) * H.v_tensor
-        - N * np.kron(W, eye)
-        - N * np.kron(eye, W)
-    )
+    U12 = (N - 1) * H.v_tensor - N * np.kron(W, eye) - N * np.kron(eye, W)
     Q0 = np.kron(p1, p1)
     Q1 = np.kron(p1, q1)
     Q2 = np.kron(q1, q1)
 
-    mu = mu_weights(N, lam)
-    psi_v = psi.vector
-    parts = ctx.split(psi_v)  # row k is P_k psi
     chi1 = (mu - _shifted(mu, 1, N)) @ parts
     chi2 = (mu - _shifted(mu, 2, N)) @ parts
-
     combos = ((chi1, Q0 @ U12 @ Q1), (chi2, Q0 @ U12 @ Q2), (chi1, Q1 @ U12 @ Q2))
-    vals = []
-    for chi, X in combos:
-        vals.append(np.vdot(chi, sector._apply_two_body(X, psi_v)) / (N * (N - 1)))
-    terms = np.array([v.imag for v in vals])
-    rate = g * (2 * terms[0] + terms[1] + 2 * terms[2])
-
-    if H.modes is None:
-        return float(rate), np.abs(terms), None
-    a_val = float(mu @ np.linalg.norm(parts, axis=1) ** 2)
-    return float(rate), np.abs(terms), _rate_bounds(H, c, a_val, lam)
+    terms = np.array(
+        [(np.vdot(chi, sector._apply_two_body(X, psi_v)) / (N * (N - 1))).imag for chi, X in combos]
+    )
+    rate = H.g * (2 * terms[0] + terms[1] + 2 * terms[2])
+    return float(rate), np.abs(terms)
 
 
 def _rate_bounds(H: ManyBodyHamiltonian, phi: np.ndarray, a_val: float, lam: float) -> np.ndarray:
@@ -624,24 +638,21 @@ def interaction_lower_bound(H: ManyBodyHamiltonian, phi: np.ndarray) -> float:
     For kernels of positive type,
     (g/N) sum_{j<k} v_N(jk) >= -(g N / 2) <rho, v_N * rho> + g sum_j (v_N * rho)(x_j)
                                - g v_N(0),
-    tested against rho = |phi|^2 as a sector matrix inequality; the returned
-    minimum eigenvalue should be nonnegative up to rounding.
+    tested against rho = |phi|^2 as a sector matrix inequality, with
+    v_N * rho the mean-field matrix W(phi) and <rho, v_N * rho> = phi^H W phi;
+    the returned minimum eigenvalue should be nonnegative up to rounding.
     """
-    if H.modes is None or H.kernel is None:
+    if H.kernel is None:
         raise ValueError("needs a grid-built Hamiltonian")
-    grid = H.modes.grid
     c = np.asarray(phi, dtype=complex)
     c = c / np.linalg.norm(c)
-    rho = np.abs(H.modes.expand(c)) ** 2
-    conv = convolve(H.kernel, Field(grid, rho)).values.real
-    ip = float(np.sum(conv * rho) * grid.dv)
-    U = H.modes.values
-    Wm = (U.conj() * conv[None, :]) @ U.T * grid.dv
-    v0 = float(H.kernel.values.real[grid.n // 2])  # kernel sampled at the origin
+    W = _mean_field_matrix(H.v_tensor, c)
+    ip = float((c.conj() @ W @ c).real)
+    v0 = float(H.kernel.values.real[H.kernel.grid.n // 2])  # kernel sampled at the origin
     g, N = H.g, H.sector.N
 
     lhs = (g / (2 * N)) * H.sector.two_body_matrix(H.v_tensor)
-    rhs = g * H.sector.one_body_matrix(Wm) - (g * N / 2 * ip + g * v0) * np.eye(H.sector.D)
+    rhs = g * H.sector.one_body_matrix(W) - (g * N / 2 * ip + g * v0) * np.eye(H.sector.D)
     return float(np.min(np.linalg.eigvalsh(lhs - rhs)))
 
 
@@ -848,7 +859,7 @@ def verify_appendix(
 
 
 # ---------------------------------------------------------------------------
-# Gap chain and sandwich inequalities.
+# Gap chain against the mean-field reference.
 
 
 @dataclass
@@ -870,51 +881,22 @@ class GapChainReport:
         )
 
 
-def sandwich_check(
-    sector: SymmetricSector,
-    phi: np.ndarray,
-    psi_vec: np.ndarray,
-    lam: float,
-    ctx: ProjectorContext | None = None,
-    tol: float = 1e-10,
-) -> bool:
-    """||gamma - |phi><phi|||^2 <= 2 alpha <= 2 N^{1-lam} ||gamma - |phi><phi|||."""
-    ctx = ctx if ctx is not None else ProjectorContext(sector, phi)
-    state = ManyBodyState(sector, psi_vec)
-    gamma = reduced_density(state)
-    p = np.outer(ctx.phi, ctx.phi.conj())
-    dist = op_norm(gamma - p)
-    a_val = ctx.expect_weights(mu_weights(sector.N, lam), state.vector)
-    ok1 = dist**2 <= 2 * a_val + tol
-    ok2 = a_val <= sector.N ** (1 - lam) * dist + tol
-    return ok1 and ok2
-
-
 def gp_modes_ground(
-    modes: ModeBasis,
-    h_mat: np.ndarray,
-    kernel: Field,
-    g: float,
+    H: ManyBodyHamiltonian,
     tol: float = 1e-12,
     max_iter: int = 500,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Self-consistent mean-field one-body operator on the mode set.
 
-    Iterates h_eff = h + g * <u_a, (v_N * |phi|^2) u_b> to a fixed point of
-    its lowest eigenvector; returns (eigenvalues, h_eff) of the converged
-    operator.
+    Iterates h_eff = h + g W(phi), with W the mean-field matrix of H's pair
+    tensor, to a fixed point of its lowest eigenvector phi; returns
+    (eigenvalues, h_eff) of the converged operator.
     """
-    grid = modes.grid
-    M = modes.M
-    c = np.zeros(M, dtype=complex)
+    c = np.zeros(H.sector.M, dtype=complex)
     c[0] = 1.0
-    U = modes.values
-    h_eff = np.asarray(h_mat, dtype=complex)
     for _ in range(max_iter):
-        rho = np.abs(modes.expand(c)) ** 2
-        conv = convolve(kernel, Field(grid, rho)).values.real
-        Wm = (U.conj() * conv[None, :]) @ U.T * grid.dv
-        h_eff = np.asarray(h_mat) + g * 0.5 * (Wm + Wm.conj().T)
+        W = _mean_field_matrix(H.v_tensor, c)
+        h_eff = H.h_mat + H.g * 0.5 * (W + W.conj().T)
         vals, vecs = np.linalg.eigh(h_eff)
         new_c = vecs[:, 0]
         ov = np.vdot(new_c, c)
@@ -957,11 +939,10 @@ def verify_gap_chain(
     bad = 0
     for _ in range(samples):
         v = rng.standard_normal(sector.D) + 1j * rng.standard_normal(sector.D)
-        if not sandwich_check(sector, phi_gp, v, lam, ctx=ctx):
-            bad += 1
+        bad += not _evaluate(ctx, ManyBodyState(sector, v), lam).sandwich_ok
 
     _, gs = ground_state(H)
-    depl = alpha(gs, phi_gp, lam).depletion
+    depl = _evaluate(ctx, gs, lam).depletion
     return GapChainReport(
         mu0=mu0,
         mu1=mu1,
@@ -988,9 +969,7 @@ class HartreeOnModes:
     def rhs(self, t, y):
         M = self.h_mat.shape[0]
         c = y[:M] + 1j * y[M:]
-        V4 = self.v_tensor.reshape(M, M, M, M)
-        nl = np.einsum("abcd,b,c,d->a", V4, c.conj(), c, c)
-        dc = -1j * (self.h_mat @ c + self.g * nl)
+        dc = -1j * (self.h_mat @ c + self.g * (_mean_field_matrix(self.v_tensor, c) @ c))
         return np.concatenate([dc.real, dc.imag])
 
     def flow(self, c0: np.ndarray, t_end: float, rtol: float = 1e-12):
@@ -1072,11 +1051,13 @@ def evolve_and_track(
     """Exact sector evolution with mean-field counting diagnostics.
 
     psi steps between grid times by expm_multiply on the sparse H; phi
-    follows the Galerkin mean-field flow on the same modes.  At each time:
-    alpha, the exact counting rate, its finite-difference cross-check from
-    psi(t), the reduced-density distance, the three rate-term estimates, and
-    the sandwich inequalities.  gronwall_ok holds when alpha stays below
-    alpha(0) + int |g| (2 b1 + b2 + 2 b3) dt, the integrated term bounds.
+    follows the Galerkin mean-field flow on the same modes.  At each time one
+    evaluation of psi(t) against phi(t), the core of ``alpha``, gives alpha,
+    the exact counting rate, the three rate-term estimates, the
+    reduced-density distance and the sandwich inequalities; alpha at
+    t +- fd_dt gives the rate's finite-difference cross-check.  gronwall_ok
+    holds when alpha stays below alpha(0) + int |g| (2 b1 + b2 + 2 b3) dt,
+    the integrated term bounds.
     """
     if H.modes is None or H.kernel is None or H.beta is None:
         raise ValueError("needs a grid-built Hamiltonian")
@@ -1118,14 +1099,11 @@ def evolve_and_track(
     for i, t in enumerate(t_grid):
         if i > 0:
             pv = _evolve(H, pv, t - t_grid[i - 1])
-        cv = phi_at(t)
-        cv = cv / np.linalg.norm(cv)
-        ctx = ProjectorContext(sector, cv)
-        state = ManyBodyState(sector, pv)
-        a_arr[i] = ctx.expect_weights(mu, state.vector)
-        r_arr[i], terms[i], bounds[i] = counting_rate(H, state, cv, lam, ctx=ctx)
-        if np.any(terms[i] > bounds[i] + 1e-10):
-            bound_bad += 1
+        rep = _evaluate(ProjectorContext(sector, phi_at(t)), ManyBodyState(sector, pv), lam, H)
+        a_arr[i], r_arr[i], d_arr[i] = rep.alpha, rep.rate, rep.distance
+        terms[i], bounds[i] = rep.rate_terms, rep.rate_bounds
+        bound_bad += bool(np.any(terms[i] > bounds[i] + 1e-10))
+        sandwich_bad += not rep.sandwich_ok
         if t >= fd_dt:
             fd_arr[i] = (alpha_after(t, pv, fd_dt) - alpha_after(t, pv, -fd_dt)) / (2 * fd_dt)
         else:
@@ -1133,10 +1111,6 @@ def evolve_and_track(
             fd_arr[i] = (
                 -3 * a_arr[i] + 4 * alpha_after(t, pv, fd_dt) - alpha_after(t, pv, 2 * fd_dt)
             ) / (2 * fd_dt)
-        gamma = reduced_density(state)
-        d_arr[i] = op_norm(gamma - np.outer(cv, cv.conj()))
-        if not sandwich_check(sector, cv, pv, lam, ctx=ctx):
-            sandwich_bad += 1
         psin[i] = float(np.linalg.norm(pv))
         ener[i] = float(np.vdot(pv, H.matrix @ pv).real)
 

@@ -4,8 +4,9 @@ The physical setup is N bosons in an external trap ``V(x) = strength * |x|^s``
 interacting through a repulsive pair kernel ``v_N(x) = N^{d beta} v(N^beta x)``
 with overall coupling ``g_N``; the product ``G = g_N * integral(v)`` is the
 effective cubic coupling of the mean-field functional. This module holds the
-parameter containers, the derived length/energy scales, validity checks for
-the interaction profile, and the low-energy scattering length of ``kappa v``.
+parameter containers, the regime window of the coupling growth, validity
+checks for the interaction profile, and the low-energy scattering length of
+``kappa v``.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ __all__ = [
     "TrapSpec",
     "InteractionSpec",
     "RegimeParams",
-    "DerivedScales",
     "AdmissibilityReport",
     "Assumption1Report",
     "ScatteringResult",
     "sphere_area",
-    "derived_scales",
     "admissibility",
     "check_assumption1",
     "scattering_length",
@@ -135,8 +134,7 @@ class RegimeParams:
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
-        # beta < 1/3 is a *regime* condition reported by admissibility();
-        # derived_scales enforces it because the scales assume it.
+        # beta < 1/3 is a *regime* condition reported by admissibility()
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         if not self.g_N >= 0:
@@ -148,62 +146,17 @@ class RegimeParams:
 
 
 @dataclass(frozen=True)
-class DerivedScales:
-    """Length/coupling scales of the strong-coupling (Thomas-Fermi) regime.
-
-    All exponents use the three-dimensional convention:
-
-    * ``epsilon``              semiclassical parameter (g integral(v))^{-(s+2)/(2(s+3))}
-    * ``tf_radius``            Thomas-Fermi cloud radius scale g^{1/(s+3)}
-    * ``healing_length``       N^{-1/2} g^{-3/(2(s+3))}
-    * ``interaction_range``    N^{-beta}
-    * ``gn_exponents``         admissible growth exponents for g_N:
-                               ((1-3b)(s+3)/(s+5), (s+3)b/(2(s+1)))
-    """
-
-    epsilon: float
-    tf_radius: float
-    healing_length: float
-    interaction_range: float
-    gn_exponents: tuple
-
-
-def derived_scales(
-    trap: TrapSpec, interaction: InteractionSpec, regime: RegimeParams
-) -> DerivedScales:
-    """Compute the derived scales; errors if g_N <= 0 or integral(v) <= 0."""
-    if regime.g_N <= 0:
-        raise ValueError("derived scales need g_N > 0")
-    if not 0.0 < regime.beta < 1.0 / 3.0:
-        raise ValueError(f"derived scales need beta in (0, 1/3), got {regime.beta}")
-    intv = interaction.integral(3)
-    if intv <= 0:
-        raise ValueError(f"derived scales need integral(v) > 0, got {intv}")
-    s = trap.s
-    b = regime.beta
-    g = regime.g_N
-    big_g = g * intv
-    return DerivedScales(
-        epsilon=big_g ** (-(s + 2.0) / (2.0 * (s + 3.0))),
-        tf_radius=g ** (1.0 / (s + 3.0)),
-        healing_length=regime.N ** (-0.5) * g ** (-3.0 / (2.0 * (s + 3.0))),
-        interaction_range=float(regime.N) ** (-b),
-        gn_exponents=(
-            (1.0 - 3.0 * b) * (s + 3.0) / (s + 5.0),
-            (s + 3.0) * b / (2.0 * (s + 1.0)),
-        ),
-    )
-
-
-@dataclass(frozen=True)
 class AdmissibilityReport:
     """Which coupling-growth regimes the parameters fall into.
 
-    ``thm1`` covers the condensation regime (beta < 1/3 and g_N below both
+    ``gn_exponents`` are the admissible growth exponents of g_N,
+    ((1 - 3 beta)(s + 3)/(s + 5), (s + 3) beta / (2 (s + 1))); ``thm1``
+    covers the condensation regime (beta < 1/3 and g_N below both
     N^{exponent} margins); ``thm2`` covers the counting regime
     (beta < 1/6 and counting exponent inside (3 beta, 1 - 3 beta)).
     """
 
+    gn_exponents: tuple
     thm1_ok: bool
     thm1_margins: tuple
     thm2_ok: bool
@@ -225,6 +178,7 @@ def admissibility(trap: TrapSpec, regime: RegimeParams) -> AdmissibilityReport:
     lam = regime.lambda_weight
     thm2_ok = b < 1.0 / 6.0 and lam is not None and lo < lam < hi
     return AdmissibilityReport(
+        gn_exponents=exps,
         thm1_ok=thm1_ok,
         thm1_margins=margins,
         thm2_ok=thm2_ok,

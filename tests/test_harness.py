@@ -18,7 +18,7 @@ import tfcond
 from tfcond import cli
 from tfcond import dynamics as dyn
 from tfcond import groundstate as gs
-from tfcond.harness import StudySpec, fit_loglog, run_study, write_csv
+from tfcond.harness import TOLERANCES, StudySpec, fit_loglog, run_study, write_csv
 from tfcond.dynamics import PropagatorConfig, compare_h_vs_gp, propagate
 from tfcond.grids import Field, make_grid
 from tfcond.model import InteractionSpec, TrapSpec
@@ -433,14 +433,40 @@ class TestCli:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
-    def test_manybody_flags(self):
-        proc = _cli("manybody", "--N", "3", "--M", "2", "--check", "appendix", "--trials", "3")
-        assert proc.returncode == 0, proc.stderr
-        assert "violations" in proc.stdout
+    def test_manybody_flags(self, capsys):
+        argv = ["manybody", "--N", "3", "--M", "2", "--check", "appendix", "--trials", "3"]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert "violations" in capsys.readouterr().out
 
-    def test_manybody_gapchain(self):
-        proc = _cli("manybody", "--N", "3", "--M", "3", "--check", "gapchain", "--trials", "20")
-        assert proc.returncode == 0, proc.stderr
+    def test_manybody_gapchain(self, capsys):
+        argv = ["manybody", "--N", "3", "--M", "3", "--check", "gapchain", "--trials", "20"]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("modes", ["harmonic", "planewave"])
+    def test_manybody_gronwall(self, tmp_path, capsys, modes):
+        argv = ["manybody", "--N", "3", "--M", "3", "--check", "gronwall", "--modes", modes]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+        payload = json.loads((tmp_path / "manybody_gronwall.json").read_text())
+        assert payload["passed"] is True
+        assert payload["max_rate_mismatch"] < TOLERANCES["rate_identity"]
+        assert payload["sandwich_violations"] == payload["bound_violations"] == 0
+        assert len(payload["alpha"]) == len(payload["rate"]) == 11
+
+    def test_gap_seed_reaches_the_spectrum(self, tmp_path, capsys, monkeypatch):
+        seeds = []
+        solve = gs.hgp_spectrum
+
+        def spy(*args, **kw):
+            seeds.append(kw.get("seed", 0))
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(gs, "hgp_spectrum", spy)
+        cfg = tmp_path / "gap.json"
+        cfg.write_text(json.dumps({"g_values": [0.5, 1.0, 2.0], "grid_n": 16, "half_width": 8.0}))
+        argv = ["gap", "--config", str(cfg), "--seed", "7", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0, capsys.readouterr().out
+        assert seeds == [7, 7, 7]
+        assert json.loads((tmp_path / "gap_vs_g_summary.json").read_text())["seed"] == 7
 
     def test_study_subcommand(self, tmp_path):
         cfg = tmp_path / "study.json"
@@ -581,6 +607,12 @@ class TestCli:
             ("gap", {"g_values": [0.5, 1.0, 2.0], "grid_n": 16, "workers": 7}),
             ("study", {"study": {"kind": "linf_vs_g", "values": [1, 2, 4], "workers": 1}}),
             ("study --workers 2", {"kind": "tf_convergence", "values": [1, 2, 4]}),
+            # a manybody check rejects the keys and flags it does not read
+            ("manybody", {"check": "gapchain", "steps": 50, "t_final": 9.0}),
+            ("manybody --check appendix --modes planewave", {}),
+            ("manybody", {"check": "appendix", "g": 0.3}),
+            ("manybody --check gronwall --trials 5", {}),
+            ("manybody --seed 3", {"check": "gronwall"}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):

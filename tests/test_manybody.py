@@ -26,7 +26,6 @@ from tfcond.manybody import (
     alpha,
     assemble,
     build,
-    counting_rate,
     evolve_and_track,
     excitation_state,
     ground_state,
@@ -38,7 +37,6 @@ from tfcond.manybody import (
     pair_tensor,
     product_state,
     reduced_density,
-    sandwich_check,
     verify_appendix,
     verify_gap_chain,
 )
@@ -569,6 +567,8 @@ class TestCounting:
         assert rep.alpha < 1e-12
         assert rep.n_plus < 1e-12
         assert rep.depletion < 1e-12
+        assert rep.distance < 1e-13
+        assert rep.sandwich_ok
 
     def test_alpha_one_excitation(self):
         N = 4
@@ -650,12 +650,15 @@ class TestCounting:
         rng = np.random.default_rng(23)
         sec = SymmetricSector(4, 3)
         phi = np.array([1.0, 0.2, 0.1])
-        ctx = ProjectorContext(sec, phi)
+        c = phi / np.linalg.norm(phi)
         bad = 0
         for _ in range(1000):
             v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
-            if not sandwich_check(sec, phi, v, 0.5, ctx=ctx):
-                bad += 1
+            rep = alpha(ManyBodyState(sec, v), phi, 0.5)
+            # the distance is the one of the reduced density, taken apart
+            gamma = reduced_density(ManyBodyState(sec, v))
+            assert rep.distance == op_norm(gamma - np.outer(c, c.conj()))
+            bad += not rep.sandwich_ok
         assert bad == 0
 
     def test_operator_distance_zero_for_product(self):
@@ -740,7 +743,8 @@ class TestProjectorSplit:
         rng = np.random.default_rng(53)
         phi, p1, q1 = _random_projector_pair(rng, M)
         st = ManyBodyState(sec, rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D))
-        rate, terms, bounds = counting_rate(H, st, phi, 0.5)
+        rep = alpha(st, phi, 0.5, H)
+        rate, terms, bounds = rep.rate, rep.rate_terms, rep.rate_bounds
 
         oracle = _EighProjectorContext(sec, phi)
         mu = mu_weights(N, 0.5)
@@ -759,6 +763,7 @@ class TestProjectorSplit:
         assert abs(rate - ref_rate) <= 1e-12 * np.max(np.abs(ref))
         # the bounds read alpha from the same split of psi
         a_ref = float(mu @ _loop_sector_weights(oracle, psi))
+        assert abs(rep.alpha - a_ref) <= 1e-12 * a_ref
         assert _rel_dev(bounds, _rate_bounds(H, phi, a_ref, 0.5)) <= 1e-12
 
 
@@ -802,7 +807,7 @@ class TestAppendix:
 class TestGapChain:
     def test_chain_and_sandwich(self):
         H = _toy_hamiltonian(N=3, M=3, g=0.5)
-        _, h_gp = gp_modes_ground(H.modes, H.h_mat, H.kernel, H.g)
+        _, h_gp = gp_modes_ground(H)
         rep = verify_gap_chain(H, h_gp, lam=0.5, samples=50, seed=0)
         assert rep.passed
         assert rep.min_eig_chain >= -1e-10
@@ -835,7 +840,7 @@ class TestGapChain:
 
     def test_gp_modes_ground_fixed_point(self):
         H = _toy_hamiltonian(N=3, M=3, g=0.7)
-        vals, h_gp = gp_modes_ground(H.modes, H.h_mat, H.kernel, H.g)
+        vals, h_gp = gp_modes_ground(H)
         # recompute the mean-field matrix from the converged eigenvector
         from tfcond.grids import Field, convolve
 
@@ -964,10 +969,10 @@ class TestEvolution:
         phi = np.array([1.0, 0.0], dtype=complex)
         rng = np.random.default_rng(29)
         st = ManyBodyState(sec, rng.standard_normal(sec.D) + 0j)
-        rate, terms, bounds = counting_rate(H, st, phi, 0.5)
-        assert np.isfinite(rate)
-        assert terms.shape == (3,)
-        assert bounds is None
+        rep = alpha(st, phi, 0.5, H)
+        assert np.isfinite(rep.rate)
+        assert rep.rate_terms.shape == (3,)
+        assert rep.rate_bounds is None
 
     def test_rate_signs_track_alpha_growth(self):
         # from a slightly perturbed product the counting functional grows,
@@ -1057,6 +1062,28 @@ class TestDenseOracle:
         assert rep.passed
         assert _rel_dev(rep.alpha, np.array(seed.COUNTING_ALPHA)) <= 1e-8
         assert _rel_dev(rep.rate, np.array(seed.COUNTING_RATE)) <= 1e-8
+
+    def test_counting_track_splits_each_state_once(self, monkeypatch):
+        # per record time: one split for alpha, rate, distance and sandwich,
+        # and two for the finite-difference alphas
+        seed = _counting_seed(monkeypatch)
+        H = _toy_hamiltonian(N=seed.COUNTING_N, M=seed.COUNTING_M, g=seed.COUNTING_G)
+        calls = []
+        split = ProjectorContext.split
+
+        def spy(self, vec):
+            calls.append(len(vec))
+            return split(self, vec)
+
+        monkeypatch.setattr(ProjectorContext, "split", spy)
+        phi0 = np.zeros(H.sector.M, dtype=complex)
+        phi0[0] = 1.0
+        evolve_and_track(
+            product_state(H.sector, phi0), H, phi0, hartree_from_hamiltonian(H),
+            seed.COUNTING_TIMES, seed.COUNTING_LAM,
+        )
+        assert len(seed.COUNTING_TIMES) == 11
+        assert len(calls) == 3 * 11
 
     def test_no_dense_hamiltonian_at_16_bosons(self):
         # a dense H alone would take D^2 * 16 B = 358 MiB at D = 4845

@@ -1,4 +1,4 @@
-"""Tests for model parameters, derived scales, and scattering."""
+"""Tests for model parameters, the regime window, and scattering."""
 
 import math
 
@@ -13,7 +13,6 @@ from tfcond.model import (
     _take,
     admissibility,
     check_assumption1,
-    derived_scales,
     scattering_length,
     sphere_area,
 )
@@ -71,44 +70,19 @@ def test_interaction_validation():
         InteractionSpec("gaussian", beta=0.4)
 
 
-def test_derived_scales_values():
-    trap = TrapSpec(strength=1.0, s=2.0)
-    inter = InteractionSpec("gaussian", beta=0.2)
-    intv = math.pi ** 1.5
-    # choose g so that g * integral(v) = 1 => epsilon = 1 exactly
-    reg = RegimeParams(N=10_000, beta=0.2, g_N=1.0 / intv)
-    sc = derived_scales(trap, inter, reg)
-    assert sc.epsilon == pytest.approx(1.0, rel=1e-12)
-    np.testing.assert_allclose(sc.gn_exponents, (2.0 / 7.0, 1.0 / 6.0), rtol=1e-12)
-    assert sc.interaction_range == pytest.approx(10_000 ** -0.2, rel=1e-12)
-
-    reg2 = RegimeParams(N=10_000, beta=0.2, g_N=100.0)
-    sc2 = derived_scales(trap, inter, reg2)
-    assert sc2.healing_length == pytest.approx(1e-2 * 100 ** -0.3, rel=1e-12)
-    assert sc2.tf_radius == pytest.approx(100 ** 0.2, rel=1e-12)
-    # epsilon shrinks with coupling: scaled gap floor ~ epsilon^2
-    assert sc2.epsilon < sc.epsilon
-
-
-def test_derived_scales_errors():
-    trap, inter = TrapSpec(), InteractionSpec()
-    with pytest.raises(ValueError):
-        derived_scales(trap, inter, RegimeParams(N=10, beta=0.2, g_N=0.0))
-    with pytest.raises(ValueError):
-        derived_scales(trap, inter, RegimeParams(N=10, beta=0.5, g_N=1.0))
-    with pytest.raises(ValueError):
-        derived_scales(trap, InteractionSpec("zero"), RegimeParams(N=10, beta=0.2, g_N=1.0))
+def test_admissibility_gn_exponents():
+    # at s = 2, beta = 0.2: (1 - 3b)(s + 3)/(s + 5) = 2/7 and (s + 3) b / (2 (s + 1)) = 1/6
+    rep = admissibility(TrapSpec(strength=1.0, s=2.0), RegimeParams(N=10_000, beta=0.2, g_N=1.0))
+    np.testing.assert_allclose(rep.gn_exponents, (2.0 / 7.0, 1.0 / 6.0), rtol=1e-12)
+    # the margins are g_N / N^e for those exponents
+    np.testing.assert_allclose(rep.thm1_margins, [10_000 ** -e for e in rep.gn_exponents])
 
 
 def test_gn_exponents_positive_in_valid_range():
     trap = TrapSpec(s=3.0)
     for beta in np.linspace(0.02, 0.33, 12):
         reg = RegimeParams(N=100, beta=float(beta), g_N=1.0)
-        rep = admissibility(trap, reg)
-        e1, e2 = (
-            (1 - 3 * beta) * (trap.s + 3) / (trap.s + 5),
-            (trap.s + 3) * beta / (2 * (trap.s + 1)),
-        )
+        e1, e2 = admissibility(trap, reg).gn_exponents
         if beta < 1 / 3:
             assert e1 > 0 and e2 > 0
 
