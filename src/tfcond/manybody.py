@@ -516,7 +516,7 @@ def alpha(
     lam: float,
     H: ManyBodyHamiltonian | None = None,
 ) -> CountingReport:
-    """Weighted counting functional of psi against phi; rate if H is given."""
+    """Weighted counting functional of psi against phi; rate (N >= 2) if H is given."""
     return _evaluate(ProjectorContext(psi.sector, phi), psi, lam, H)
 
 
@@ -576,6 +576,8 @@ def _counting_rate(
     """
     sector = H.sector
     N, M = sector.N, sector.M
+    if N < 2:
+        raise ValueError(f"the counting rate needs N >= 2 bosons, got N={N}")
     p1 = np.outer(c, c.conj())
     q1 = np.eye(M) - p1
     W = _mean_field_matrix(H.v_tensor, c)
@@ -661,7 +663,13 @@ def interaction_lower_bound(H: ManyBodyHamiltonian, phi: np.ndarray) -> float:
 
 
 class _TensorEngine:
-    """First-quantized checker on (C^M)^{(x) N} for the projector identities."""
+    """First-quantized checker on (C^M)^{(x) N} for the projector identities.
+
+    Each tensor index fixes one basis label per slot.  In the eigenbasis U
+    of a rank-one projector p (from ``basis``, phi its last column) every
+    label below M - 1 is a factor q, so P_k is diagonal there: it keeps the
+    indices with k such labels.  U^{(x) N} acts as N matmuls, one per slot.
+    """
 
     def __init__(self, N: int, M: int):
         if M**N > 100_000:
@@ -670,46 +678,49 @@ class _TensorEngine:
         self.M = M
         self.shape = (M,) * N
         self.size = M**N
+        self.sector = SymmetricSector(N, M, cap=10**6)
+        labels = np.indices(self.shape).reshape(N, -1).T  # basis label of each slot
+        self._q_count = np.count_nonzero(labels < M - 1, axis=1)
+        flat = (np.arange(self.size)[:, None] * M + labels).ravel()
+        occs = np.bincount(flat, minlength=self.size * M).reshape(-1, M)
+        self._rank = self.sector.rank(occs)
+        self._weight = np.exp(-0.5 * (gammaln(N + 1) - gammaln(occs + 1).sum(axis=1)))
+
+    @staticmethod
+    def basis(p: np.ndarray) -> np.ndarray:
+        """Unitary eigenbasis of the rank-one projector p; its range is the last column."""
+        return np.linalg.eigh(p)[1]
 
     def apply_one(self, mat: np.ndarray, vec: np.ndarray, axis: int) -> np.ndarray:
-        out = np.tensordot(mat, vec, axes=([1], [axis]))
-        return np.moveaxis(out, 0, axis)
+        s = vec.shape
+        return (mat @ vec.reshape(math.prod(s[:axis]), self.M, -1)).reshape(s)
 
-    def slot_split(self, p, q, vec: np.ndarray) -> np.ndarray:
-        """(N + 1, M^N) stack whose row k is P_k vec.
+    def _rotate(self, A: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """A^{(x) N} vec, flat: each matmul acts on the leading slot and moves it last."""
+        v = vec.reshape(self.M, -1)
+        for _ in range(self.N):
+            v = (v.T @ A.T).reshape(self.M, -1)
+        return v.ravel()
 
-        Slot recursion P_k^{(n+1)} = P_k^{(n)} (x) p + P_{k-1}^{(n)} (x) q:
-        P_k is the sum over the slot patterns with k factors q.
-        """
-        parts = np.zeros((self.N + 1,) + self.shape, dtype=complex)
-        parts[0] = vec.reshape(self.shape)
-        for axis in range(1, self.N + 1):  # stack axis 0 is k, axis j is slot j - 1
-            on_q = self.apply_one(q, parts[:-1], axis)
-            parts = self.apply_one(p, parts, axis)
-            parts[1:] += on_q
-        return parts.reshape(self.N + 1, self.size)
-
-    def fhat(self, p, q, fvals, vec, d: int = 0):
-        """f-hat-sub-d applied to vec: a weighted sum of its P_k parts."""
-        return (_shifted(fvals, d, self.N) @ self.slot_split(p, q, vec)).reshape(self.shape)
+    def fhat(self, U: np.ndarray, fvals, vec: np.ndarray, d: int = 0) -> np.ndarray:
+        """f-hat-sub-d applied to vec, with U = basis(p): sum_k fvals[k + d] P_k vec."""
+        w = _shifted(fvals, d, self.N)[self._q_count]
+        return self._rotate(U, w * self._rotate(U.conj().T, vec)).reshape(self.shape)
 
     def apply_pair(self, X: np.ndarray, vec: np.ndarray) -> np.ndarray:
         flat = vec.reshape(self.M * self.M, -1)
         return (X @ flat).reshape(self.shape)
 
     def symmetric_random(self, rng) -> np.ndarray:
-        sector = SymmetricSector(self.N, self.M, cap=10**6)
-        coeff = rng.standard_normal(sector.D) + 1j * rng.standard_normal(sector.D)
+        D = self.sector.D
+        coeff = rng.standard_normal(D) + 1j * rng.standard_normal(D)
         coeff /= np.linalg.norm(coeff)
-        return self.from_occupation(sector, coeff)
+        return self.from_occupation(coeff)
 
-    def from_occupation(self, sector: SymmetricSector, coeff: np.ndarray) -> np.ndarray:
-        labels = np.indices(self.shape).reshape(self.N, -1).T  # mode of each slot
-        flat = (np.arange(self.size)[:, None] * self.M + labels).ravel()
-        occs = np.bincount(flat, minlength=self.size * self.M).reshape(-1, self.M)
-        w = np.exp(-0.5 * (gammaln(self.N + 1) - gammaln(occs + 1).sum(axis=1)))
+    def from_occupation(self, coeff: np.ndarray) -> np.ndarray:
+        """The symmetric tensor of occupation-basis coefficients over ``self.sector``."""
         coeff = np.asarray(coeff, dtype=complex)
-        return (coeff[sector.rank(occs)] * w).reshape(self.shape)
+        return (coeff[self._rank] * self._weight).reshape(self.shape)
 
 
 @dataclass
@@ -741,7 +752,16 @@ def verify_appendix(
     f-hat_{j-k} for random two-slot operators.  On a two-particle grid:
     the Hoelder operator bounds for u(x1 - x2) against one and two
     projectors, for the exponent pairs (1, inf) and (2, 2).
+
+    P_k and f-hat are computed in the eigenbasis U of p = |phi><phi|, where
+    they are diagonal: vec is rotated by U^H on every slot, weighted by
+    f(k + d) at each index with k factors q, and rotated back.  The other
+    side of each identity (the q_j sums, the slot projectors, the pair
+    operator) acts slot by slot in the original basis.  Needs N >= 2: the
+    pair identities carry sqrt(N / (N - 1)).
     """
+    if N < 2:
+        raise ValueError(f"the appendix identities need N >= 2 bosons, got N={N}")
     rng = np.random.default_rng(seed)
     eng = _TensorEngine(N, M)
     grid = grid if grid is not None else make_grid(1, 64, 8.0)
@@ -769,7 +789,7 @@ def verify_appendix(
         phi /= np.linalg.norm(phi)
         p = np.outer(phi, phi.conj())
         q = np.eye(M) - p
-        fhat = functools.partial(eng.fhat, p, q)
+        fhat = functools.partial(eng.fhat, eng.basis(p))
 
         # (i) squared fraction operator vs mean of q_j, on a general vector
         raw = rng.standard_normal(eng.shape) + 1j * rng.standard_normal(eng.shape)

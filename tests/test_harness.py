@@ -613,6 +613,9 @@ class TestCli:
             ("manybody", {"check": "appendix", "g": 0.3}),
             ("manybody --check gronwall --trials 5", {}),
             ("manybody --seed 3", {"check": "gronwall"}),
+            # the pair identities and the counting rate need two bosons
+            ("manybody --N 1 --check appendix", {}),
+            ("manybody --N 1 --check gronwall", {}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):

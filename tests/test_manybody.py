@@ -42,6 +42,9 @@ from tfcond.manybody import (
 )
 from tfcond.model import InteractionSpec, RegimeParams, TrapSpec
 
+# a nan from a 0/0 in the many-body layer fails the test instead of passing silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # frozen two-boson reference: h = diag(1, 2), w = [[1, .3], [.3, .5]],
 # H = h1 + h2 + (g/N) W12 with g = 0.7, N = 2 (tests/oracles/twoboson_oracle.py)
 TWOBOSON_SPECTRUM = (2.35, 3.105, 4.175)
@@ -237,6 +240,27 @@ def _pattern_p_k(eng, p, q, k, vec):
     return out
 
 
+def _slot_split(eng, p, q, vec):
+    """(N + 1, M^N) stack whose row k is P_k vec, by the slot recursion.
+
+    P_k^{(n+1)} = P_k^{(n)} (x) p + P_{k-1}^{(n)} (x) q: P_k is the sum over
+    the slot patterns with k factors q.
+    """
+    parts = np.zeros((eng.N + 1,) + eng.shape, dtype=complex)
+    parts[0] = vec.reshape(eng.shape)
+    for axis in range(1, eng.N + 1):  # stack axis 0 is k, axis j is slot j - 1
+        on_q = eng.apply_one(q, parts[:-1], axis)
+        parts = eng.apply_one(p, parts, axis)
+        parts[1:] += on_q
+    return parts.reshape(eng.N + 1, eng.size)
+
+
+def _engine_split(eng, p, vec):
+    """(N + 1, M^N) stack whose row k is the engine's P_k vec (f-hat of the k-th unit weight)."""
+    U = eng.basis(p)
+    return np.stack([eng.fhat(U, np.eye(eng.N + 1)[k], vec).ravel() for k in range(eng.N + 1)])
+
+
 def _pattern_fhat(eng, p, q, fvals, vec, d=0):
     out = np.zeros_like(vec)
     for k in range(eng.N + 1):
@@ -322,7 +346,7 @@ class TestSector:
         assert _rel_dev(prod, _loop_product(N, M, phi)) <= 1e-12
         exc = excitation_state(sec, phi, chi).vector
         assert _rel_dev(exc, _loop_excitation(N, M, phi, chi)) <= 1e-12
-        tensor = _TensorEngine(N, M).from_occupation(sec, v)
+        tensor = _TensorEngine(N, M).from_occupation(v)
         assert _rel_dev(tensor, _loop_from_occupation(N, M, v)) <= 1e-12
 
     def test_single_boson_has_no_pair_operator(self):
@@ -359,13 +383,13 @@ class TestSector:
         eng = _TensorEngine(N, M)
         coeff = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
         coeff /= np.linalg.norm(coeff)
-        psi_t = eng.from_occupation(sec, coeff)
+        psi_t = eng.from_occupation(coeff)
 
         h = rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
         h = 0.5 * (h + h.conj().T)
         out_occ = sec.one_body_matrix(h) @ coeff
         out_t = sum(eng.apply_one(h, psi_t, j) for j in range(N))
-        assert np.max(np.abs(eng.from_occupation(sec, out_occ) - out_t)) < 1e-12
+        assert np.max(np.abs(eng.from_occupation(out_occ) - out_t)) < 1e-12
 
         X = rng.standard_normal((M * M, M * M)) + 1j * rng.standard_normal((M * M, M * M))
         out_occ2 = sec.two_body_matrix(X) @ coeff
@@ -377,7 +401,7 @@ class TestSector:
                 moved = np.moveaxis(psi_t, (j, k), (0, 1))
                 acted = eng.apply_pair(X, moved)
                 out_t2 = out_t2 + np.moveaxis(acted, (0, 1), (j, k))
-        assert np.max(np.abs(eng.from_occupation(sec, out_occ2) - out_t2)) < 1e-12
+        assert np.max(np.abs(eng.from_occupation(out_occ2) - out_t2)) < 1e-12
 
     def test_projector_blocks_match_tensor_engine(self):
         rng = np.random.default_rng(7)
@@ -386,17 +410,19 @@ class TestSector:
         eng = _TensorEngine(N, M)
         coeff = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
         coeff /= np.linalg.norm(coeff)
-        psi_t = eng.from_occupation(sec, coeff)
+        psi_t = eng.from_occupation(coeff)
         phi, p, q = _random_projector_pair(rng, M)
         ctx = ProjectorContext(sec, phi)
         oracle = _EighProjectorContext(sec, phi)
-        split_t = eng.slot_split(p, q, psi_t)
+        split_t = _slot_split(eng, p, q, psi_t)
+        split_e = _engine_split(eng, p, psi_t)
         for k in range(N + 1):
             block = ctx.split(coeff)[k]
             ref_t = _pattern_p_k(eng, p, q, k, psi_t)
-            # the sector split, the slot recursion and the pattern sum agree
-            assert np.max(np.abs(eng.from_occupation(sec, block) - ref_t)) < 1e-12
+            # the sector split, the engine, the slot recursion and the pattern sum agree
+            assert np.max(np.abs(eng.from_occupation(block) - ref_t)) < 1e-12
             assert np.max(np.abs(split_t[k] - ref_t.ravel())) < 1e-12
+            assert np.max(np.abs(split_e[k] - ref_t.ravel())) < 1e-12
             assert abs(np.linalg.norm(block) - np.linalg.norm(oracle.p_k(coeff, k))) < 1e-12
 
 
@@ -768,26 +794,55 @@ class TestProjectorSplit:
 
 
 class TestAppendix:
-    @pytest.mark.parametrize("N, M", [(4, 3), (6, 2)])
+    SHAPES = [(4, 3), (6, 2), (3, 4), (2, 5)]
+
+    @pytest.mark.parametrize("N, M", SHAPES)
     def test_slot_recursion_matches_pattern_sum(self, N, M):
         rng = np.random.default_rng(10 * N + M)
         eng = _TensorEngine(N, M)
         _, p, q = _random_projector_pair(rng, M)
-        P = np.stack([eng.slot_split(p, q, col) for col in np.eye(eng.size)], axis=-1)
-        columns = np.eye(eng.size).reshape(eng.shape + (eng.size,))
+        eye = np.eye(eng.size)
+        P = np.stack([_slot_split(eng, p, q, col) for col in eye], axis=-1)
+        P_e = np.stack([_engine_split(eng, p, col) for col in eye], axis=-1)
+        columns = eye.reshape(eng.shape + (eng.size,))
         for k in range(N + 1):
             ref = _pattern_p_k(eng, p, q, k, columns).reshape(eng.size, eng.size)
             assert np.max(np.abs(P[k] - ref)) <= 1e-12
+            assert np.max(np.abs(P_e[k] - ref)) <= 1e-12
 
     def test_fhat_matches_pattern_sum(self):
         rng = np.random.default_rng(59)
+        for N, M in self.SHAPES:
+            eng = _TensorEngine(N, M)
+            _, p, q = _random_projector_pair(rng, M)
+            U = eng.basis(p)
+            vec = rng.standard_normal(eng.shape) + 1j * rng.standard_normal(eng.shape)
+            f = rng.uniform(-1.0, 1.0, N + 1)
+            split = _slot_split(eng, p, q, vec)
+            for d in range(-N, N + 1):
+                ref = _pattern_fhat(eng, p, q, f, vec, d)
+                out = eng.fhat(U, f, vec, d)
+                assert np.max(np.abs(out - ref)) <= 1e-12
+                assert np.max(np.abs(out.ravel() - _shifted(f, d, N) @ split)) <= 1e-12
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_apply_one_matches_tensordot(self, stacked):
+        rng = np.random.default_rng(61)
         eng = _TensorEngine(4, 3)
-        _, p, q = _random_projector_pair(rng, 3)
-        vec = rng.standard_normal(eng.shape) + 1j * rng.standard_normal(eng.shape)
-        f = rng.uniform(-1.0, 1.0, eng.N + 1)
-        for d in (-2, -1, 0, 1, 2):
-            ref = _pattern_fhat(eng, p, q, f, vec, d)
-            assert np.max(np.abs(eng.fhat(p, q, f, vec, d) - ref)) <= 1e-12
+        shape = ((5,) if stacked else ()) + eng.shape
+        vec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for axis in range(int(stacked), vec.ndim):
+            ref = np.moveaxis(np.tensordot(mat, vec, axes=([1], [axis])), 0, axis)
+            assert np.max(np.abs(eng.apply_one(mat, vec, axis) - ref)) <= 1e-14
+
+    def test_largest_engine_passes(self):
+        rep = verify_appendix(10, 3, 1)  # 3^10 = 59049 amplitudes
+        assert rep.passed
+
+    def test_single_boson_rejected(self):
+        with pytest.raises(ValueError, match="N=1"):
+            verify_appendix(1, 3, 1)
 
     def test_small_run_has_no_violations(self):
         rep = verify_appendix(3, 2, 8, seed=1)
@@ -973,6 +1028,20 @@ class TestEvolution:
         assert np.isfinite(rep.rate)
         assert rep.rate_terms.shape == (3,)
         assert rep.rate_bounds is None
+
+    def test_rate_needs_two_bosons(self):
+        # the rate's pair terms carry 1 / (N (N - 1)); alpha alone stays defined
+        H = _toy_hamiltonian(N=1, M=3, g=0.5)
+        phi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        psi0 = product_state(H.sector, phi0)
+        rep = alpha(psi0, phi0, 0.5)
+        assert rep.alpha == 0.0 and rep.rate is None
+        with pytest.raises(ValueError, match="N=1"):
+            alpha(psi0, phi0, 0.5, H)
+        with pytest.raises(ValueError, match="N=1"):
+            evolve_and_track(
+                psi0, H, phi0, hartree_from_hamiltonian(H), np.linspace(0, 0.1, 3), 0.5
+            )
 
     def test_rate_signs_track_alpha_growth(self):
         # from a slightly perturbed product the counting functional grows,
