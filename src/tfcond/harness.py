@@ -52,6 +52,12 @@ _ONE_THREAD_KINDS = ("gap_vs_g", "linf_vs_g", "tf_convergence")
 
 _MANYBODY_CHECKS = ("appendix", "gapchain", "gronwall")
 
+# the sweeps over N; their values are particle numbers
+_N_SWEEP_KINDS = ("lemma26_vs_N", "hgp_rate_vs_N")
+
+# the one grid dimension each fixed-dimension kind runs on
+_GRID_D = {**dict.fromkeys(_ONE_THREAD_KINDS, 3), "hgp_rate_vs_N": 1}
+
 # every numeric pass/fail threshold used by the study checks, in one place
 TOLERANCES = {
     "gap_flat_factor": 3.0,  # rescaled gap max/min across the sweep
@@ -104,6 +110,11 @@ class StudySpec:
             raise ValueError(f"sweep values must be numbers, got {list(vals)}")
         elif any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly increasing")
+        elif self.kind in _N_SWEEP_KINDS and not all(float(v).is_integer() for v in vals):
+            raise ValueError(f"particle numbers must be integers, got {list(vals)}")
+        grid_d = _GRID_D.get(self.kind)
+        if grid_d is not None and self.grid_d != grid_d:
+            raise ValueError(f"{self.kind} runs on a {grid_d}D grid, got grid_d={self.grid_d}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -429,12 +440,12 @@ def _strang_order(grid, G, phi0) -> float:
     """Mean Richardson slope of the trap-released splitting vs a fine reference."""
     t_short = 0.1
     cfg_ref = dyn.PropagatorConfig(dt=t_short / 256, t_final=t_short, record_every=10**9)
-    ref = dyn.propagate(phi0, None, None, G, cfg_ref).final
+    ref = dyn.propagate(phi0, G, cfg_ref).final
     errs = []
     dts = [t_short / 8, t_short / 16, t_short / 32]
     for dt in dts:
         cfg = dyn.PropagatorConfig(dt=dt, t_final=t_short, record_every=10**9)
-        out = dyn.propagate(phi0, None, None, G, cfg).final
+        out = dyn.propagate(phi0, G, cfg).final
         errs.append(norm(Field(grid, out.values - ref.values), "L2"))
     slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     return float(np.mean(slopes))

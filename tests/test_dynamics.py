@@ -1,13 +1,10 @@
 """Tests for the split-step propagators, distance bounds, and dispersive checks."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from tfcond import dynamics as dyn
 from tfcond.dynamics import (
-    BoundEvaluator,
     PropagatorConfig,
     compare_h_vs_gp,
     default_dt,
@@ -19,6 +16,8 @@ from tfcond.dynamics import (
 from tfcond.grids import Field, make_grid, norm, normalize
 from tfcond.groundstate import gp_minimize
 from tfcond.model import InteractionSpec, TrapSpec
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def gaussian_packet(grid, a=1.0):
@@ -45,8 +44,6 @@ def test_config_validation():
         PropagatorConfig(t_final=-1.0)
     with pytest.raises(ValueError, match="record_every"):
         PropagatorConfig(record_every=0)
-    with pytest.raises(ValueError, match="equation"):
-        PropagatorConfig(equation="vlasov")
 
 
 def test_default_dt_reference_box():
@@ -60,7 +57,7 @@ def test_default_dt_reference_box():
 def test_free_gaussian_dispersion_1d():
     grid = make_grid(1, 512, 20.0)
     phi0 = gaussian_packet(grid)
-    trace = propagate(phi0, None, None, 0.0, PropagatorConfig(dt=1e-3, t_final=1.0))
+    trace = propagate(phi0, 0.0, PropagatorConfig(dt=1e-3, t_final=1.0))
     exact = free_gaussian_at(grid, 1.0, 1.0)
     assert norm(trace.final - exact, "L2") < 1e-6
 
@@ -68,7 +65,7 @@ def test_free_gaussian_dispersion_1d():
 def test_free_gaussian_dispersion_3d():
     grid = make_grid(3, 32, 8.0)
     phi0 = gaussian_packet(grid)
-    trace = propagate(phi0, None, None, 0.0, PropagatorConfig(dt=1e-3, t_final=0.4))
+    trace = propagate(phi0, 0.0, PropagatorConfig(dt=1e-3, t_final=0.4))
     exact = free_gaussian_at(grid, 1.0, 0.4)
     assert norm(trace.final - exact, "L2") < 1e-6
 
@@ -80,7 +77,7 @@ def test_plane_wave_constant_state_phase_rotation():
     vals = np.full(grid.shape, np.sqrt(rho), dtype=complex)
     phi0 = Field(grid, vals)
     G = 3.0
-    trace = propagate(phi0, None, None, G, PropagatorConfig(dt=1e-3, t_final=0.5))
+    trace = propagate(phi0, G, PropagatorConfig(dt=1e-3, t_final=0.5))
     exact = vals * np.exp(-1j * G * rho * 0.5)
     assert np.max(np.abs(trace.final.values - exact)) < 1e-12
 
@@ -89,9 +86,7 @@ def test_mass_and_energy_conservation():
     grid = make_grid(1, 1024, 12.0)
     x = grid.coords()[0]
     phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.3 * np.cos(x))))
-    trace = propagate(
-        phi0, None, None, 5.0, PropagatorConfig(dt=2.5e-4, t_final=0.5, record_every=50)
-    )
+    trace = propagate(phi0, 5.0, PropagatorConfig(dt=2.5e-4, t_final=0.5, record_every=50))
     assert trace.mass_drift < 1e-12
     assert trace.energy_drift < 1e-6
     assert trace.times[-1] == pytest.approx(0.5, abs=1e-14)
@@ -101,14 +96,10 @@ def test_strang_order_two():
     grid = make_grid(1, 512, 12.0)
     x = grid.coords()[0]
     phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.3 * np.cos(x))))
-    ref = propagate(
-        phi0, None, None, 1.0, PropagatorConfig(dt=0.1 / 2**7, t_final=0.1)
-    ).final
+    ref = propagate(phi0, 1.0, PropagatorConfig(dt=0.1 / 2**7, t_final=0.1)).final
     errs = []
     for k in (1, 2, 3):
-        out = propagate(
-            phi0, None, None, 1.0, PropagatorConfig(dt=0.1 / 2**k, t_final=0.1)
-        ).final
+        out = propagate(phi0, 1.0, PropagatorConfig(dt=0.1 / 2**k, t_final=0.1)).final
         errs.append(norm(out - ref, "L2"))
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for s in slopes:
@@ -121,10 +112,8 @@ def test_time_reversal():
     x = grid.coords()[0]
     phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.2j * np.sin(x))))
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2)
-    fwd = propagate(phi0, None, None, 1.5, cfg).final
-    back = propagate(
-        Field(grid, np.conj(fwd.values)), None, None, 1.5, cfg
-    ).final
+    fwd = propagate(phi0, 1.5, cfg).final
+    back = propagate(Field(grid, np.conj(fwd.values)), 1.5, cfg).final
     err = norm(Field(grid, np.conj(back.values) - phi0.values), "L2")
     assert err < 1e-10
 
@@ -133,24 +122,13 @@ def test_gauge_invariance():
     grid = make_grid(1, 512, 12.0)
     phi0 = gaussian_packet(grid)
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2, record_every=20)
-    tr_a = propagate(phi0, None, None, 2.0, cfg)
+    tr_a = propagate(phi0, 2.0, cfg)
     shifted = Field(grid, phi0.values * np.exp(0.7j))
-    tr_b = propagate(shifted, None, None, 2.0, cfg)
+    tr_b = propagate(shifted, 2.0, cfg)
     for name in ("mass", "e_free", "h1", "h2", "linf"):
         assert np.max(np.abs(getattr(tr_a, name) - getattr(tr_b, name))) < 1e-12
     rotated = Field(grid, tr_a.final.values * np.exp(0.7j))
     assert norm(tr_b.final - rotated, "L2") < 1e-12
-
-
-def test_trap_run_conserves_total_energy():
-    grid = make_grid(1, 512, 12.0)
-    phi0 = gaussian_packet(grid, a=0.7)
-    trap = TrapSpec(strength=1.0, s=2)
-    trace = propagate(
-        phi0, trap, None, 1.0, PropagatorConfig(dt=5e-4, t_final=0.3, record_every=50)
-    )
-    assert trace.energy_drift < 1e-6
-    assert trace.mass_drift < 1e-12
 
 
 # --- the fast step against the plain reference step -------------------------
@@ -209,22 +187,19 @@ def test_step_matches_reference_loop(d, n, half_width, t_final, flow):
     )
     inter = InteractionSpec(profile="gaussian", beta=0.2)
     g, N = 4.0, 64
-    cfg = PropagatorConfig(dt=1e-3, t_final=t_final, record_every=50, equation="gp")
-    override = None
+    cfg = PropagatorConfig(dt=1e-3, t_final=t_final, record_every=50)
     if flow == "gp":
         big_g = g * inter.integral(d)
         w_of = lambda rho: big_g * rho  # noqa: E731
+        trace = propagate(phi0, big_g, cfg)
     else:
-        cfg = PropagatorConfig(
-            dt=1e-3, t_final=t_final, record_every=50, equation="hartree"
-        )
         if flow == "hartree":
             kernel = inter.kernel_on_grid(grid, N)
         else:
             # a real kernel that is not even: its symbol is complex
-            override = kernel = Field(grid, np.exp(-((x - 0.5) ** 2) - grid.r2))
+            kernel = Field(grid, np.exp(-((x - 0.5) ** 2) - grid.r2))
         w_of = _reference_hartree_w(kernel, g)
-    trace = propagate(phi0, None, inter, g, cfg, N, override)
+        trace = propagate(phi0, g, cfg, kernel)
     vals, mass, e_free = _reference_flow(phi0, cfg, w_of)
     assert np.max(np.abs(trace.final.values - vals)) < 1e-12
     assert np.max(np.abs(trace.mass - mass)) < 1e-12
@@ -236,9 +211,9 @@ def test_complex_kernel_rejected():
     grid = make_grid(1, 256, 10.0)
     phi0 = gaussian_packet(grid)
     kernel = Field(grid, np.exp(-grid.r2) * (1 + 1e-3j))
-    cfg = PropagatorConfig(dt=1e-3, t_final=0.01, equation="hartree")
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.01)
     with pytest.raises(ValueError, match="real"):
-        propagate(phi0, None, None, 1.0, cfg, kernel_override=kernel)
+        propagate(phi0, 1.0, cfg, kernel)
 
 
 # --- a sweep's stacked convolution flows against one flow per N -------------
@@ -249,7 +224,7 @@ _TRACE_ARRAYS = ("times", "mass", "e_free", "h1", "h2", "linf")
 def _assert_same_trace(a, b):
     for name in _TRACE_ARRAYS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert (a.dt, a.equation) == (b.dt, b.equation)
+    assert a.dt == b.dt
     assert np.array_equal(a.final.values, b.final.values)
 
 
@@ -264,10 +239,10 @@ def test_hartree_stack_equals_one_propagate_per_n(d, n, half_width, t_final):
     cfg = PropagatorConfig(dt=1e-3, t_final=t_final, record_every=7)
     Ns = [64, 128, 256]
     sweep = dyn._compare_sweep(phi0, inter, 4.0, Ns, cfg, workers=1)  # one stack of 3
-    gp = propagate(phi0, None, inter, 4.0, cfg)
+    gp = propagate(phi0, 4.0 * inter.integral(d), cfg)
     assert len(sweep) == 3
     for N, rep in zip(Ns, sweep):
-        alone = propagate(phi0, None, inter, 4.0, replace(cfg, equation="hartree"), N)
+        alone = propagate(phi0, 4.0, cfg, inter.kernel_on_grid(grid, N))
         assert len(alone.times) >= 4  # a last record off the record_every grid too
         _assert_same_trace(rep.trace_hartree, alone)
         _assert_same_trace(rep.trace_gp, gp)
@@ -296,15 +271,15 @@ def test_a_failed_row_leaves_the_stack_with_its_own_error(monkeypatch):
     monkeypatch.setattr(InteractionSpec, "kernel_on_grid", kernel)
     Ns = [64, 128, 256, 512, 1024]
     sweep = dyn._compare_sweep(phi0, inter, 4.0, Ns, cfg, workers=1)  # one stack of 5
-    h_cfg = replace(cfg, equation="hartree")
     for N, out in zip(Ns, sweep):
         if N in (128, 512):
             match = "non-finite" if N == 128 else "phase"
             with pytest.raises(type(out), match=match) as alone:
-                propagate(phi0, None, inter, 4.0, h_cfg, N)
+                propagate(phi0, 4.0, cfg, inter.kernel_on_grid(grid, N))
             assert str(out) == str(alone.value)
         else:
-            _assert_same_trace(out.trace_hartree, propagate(phi0, None, inter, 4.0, h_cfg, N))
+            alone = propagate(phi0, 4.0, cfg, inter.kernel_on_grid(grid, N))
+            _assert_same_trace(out.trace_hartree, alone)
 
 
 # --- guards ------------------------------------------------------------------
@@ -314,15 +289,7 @@ def test_phase_guard_refuses_large_steps():
     grid = make_grid(1, 256, 10.0)
     phi0 = gaussian_packet(grid, a=0.2)
     with pytest.raises(ValueError, match="phase"):
-        propagate(phi0, None, None, 100.0, PropagatorConfig(dt=1.0, t_final=2.0))
-
-
-def test_hartree_needs_interaction_and_n():
-    grid = make_grid(1, 256, 10.0)
-    phi0 = gaussian_packet(grid)
-    cfg = PropagatorConfig(dt=1e-3, t_final=0.01, equation="hartree")
-    with pytest.raises(ValueError, match="hartree"):
-        propagate(phi0, None, None, 1.0, cfg)
+        propagate(phi0, 100.0, PropagatorConfig(dt=1.0, t_final=2.0))
 
 
 def test_non_finite_input_rejected():
@@ -330,13 +297,7 @@ def test_non_finite_input_rejected():
     vals = np.ones(grid.shape, dtype=complex)
     vals[3] = np.nan
     with pytest.raises(RuntimeError, match="non-finite"):
-        propagate(
-            Field(grid, vals),
-            None,
-            None,
-            0.0,
-            PropagatorConfig(dt=1e-3, t_final=0.01),
-        )
+        propagate(Field(grid, vals), 0.0, PropagatorConfig(dt=1e-3, t_final=0.01))
 
 
 # --- Hartree vs GP distance --------------------------------------------------
@@ -355,10 +316,8 @@ def test_delta_kernel_hartree_equals_gp():
     dk[grid.n // 2] = inter.integral(1) / grid.dv
     delta = Field(grid, dk)
     cfg = PropagatorConfig(dt=5e-4, t_final=0.2, record_every=50)
-    gp = propagate(phi0, None, inter, g, cfg)
-    hartree = propagate(
-        phi0, None, inter, g, replace(cfg, equation="hartree"), kernel_override=delta
-    )
+    gp = propagate(phi0, g * inter.integral(1), cfg)
+    hartree = propagate(phi0, g, cfg, delta)
     assert norm(gp.final - hartree.final, "L2") < 1e-12
     for name in _TRACE_ARRAYS:
         assert np.max(np.abs(getattr(gp, name) - getattr(hartree, name))) < 1e-12, name
@@ -383,15 +342,36 @@ def test_distance_zero_at_t0_and_shrinks_with_n():
 def test_bound_evaluator_positive_and_monotone():
     grid = make_grid(1, 512, 12.0)
     phi0 = gaussian_packet(grid)
-    # realistic fitted envelope constant; c_envelope = 1 overflows by design
-    ev = BoundEvaluator.from_field(phi0, N=256, beta=0.2, g=4.0, c_envelope=0.01)
-    ts = np.linspace(0.0, 1.0, 21)
-    vals = np.array([ev.hartree_gp_bound(t) for t in ts])
-    assert np.all(vals > 0)
-    assert np.all(np.diff(vals) >= 0)
-    ev.calibrate(ts[1], 10.0)
-    assert ev.prefactor >= 1.0
-    assert ev.hartree_gp_bound(ts[1]) >= 10.0
+    inter = InteractionSpec(profile="gaussian", beta=0.2)
+    cfg = PropagatorConfig(dt=1e-3, t_final=1.0, record_every=50)
+    trace_gp = propagate(phi0, 4.0 * inter.integral(1), cfg)
+    assert len(trace_gp.times) == 21
+    # with no distance to calibrate on, the prefactor is 1: the bare shape
+    shape = dyn._hartree_gp_bound(trace_gp, 256, 0.2, 4.0, 0.0)
+    assert np.all(shape > 0)
+    assert np.all(np.diff(shape) >= 0)
+    bound = dyn._hartree_gp_bound(trace_gp, 256, 0.2, 4.0, 10.0)
+    prefactor = bound[1] / shape[1]
+    assert prefactor >= 1.0
+    assert np.allclose(bound, prefactor * shape, rtol=1e-15, atol=0)
+    assert bound[1] >= 10.0
+
+
+def test_bound_keeps_its_bits():
+    # the bound at every record time, pinned as the cubic trace gives it
+    grid = make_grid(1, 256, 8.0)
+    phi0 = normalize(Field(grid, np.exp(-grid.r2 / 2.0).astype(complex)))
+    inter = InteractionSpec(profile="gaussian", beta=0.2)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, record_every=10)
+    rep = compare_h_vs_gp(phi0, inter, 4.0, 128, cfg)
+    assert rep.bound.tolist() == [
+        4.6406327364725595,
+        5.080268672763988,
+        5.5673004878181995,
+        6.1073805561694465,
+        6.7068949939873,
+        7.37306619923339,
+    ]
 
 
 # --- Sobolev envelopes -------------------------------------------------------
@@ -400,9 +380,7 @@ def test_bound_evaluator_positive_and_monotone():
 def test_sobolev_free_flow_constant():
     grid = make_grid(1, 512, 12.0)
     phi0 = gaussian_packet(grid)
-    trace = propagate(
-        phi0, None, None, 0.0, PropagatorConfig(dt=1e-3, t_final=0.3, record_every=30)
-    )
+    trace = propagate(phi0, 0.0, PropagatorConfig(dt=1e-3, t_final=0.3, record_every=30))
     assert np.max(np.abs(trace.h1 - trace.h1[0])) < 1e-10
     assert np.max(np.abs(trace.h2 - trace.h2[0])) < 1e-10
     rep = sobolev_monitor(trace, g=0.0)
@@ -420,9 +398,7 @@ def test_sobolev_envelope_random_states():
         hat = np.fft.fft(raw)
         hat[kfrac > 0.05] = 0.0
         f = normalize(Field(grid, np.fft.ifft(hat) * np.exp(-x**2 / 6)))
-        trace = propagate(
-            f, None, None, 2.0, PropagatorConfig(dt=5e-4, t_final=0.2, record_every=40)
-        )
+        trace = propagate(f, 2.0, PropagatorConfig(dt=5e-4, t_final=0.2, record_every=40))
         rep = sobolev_monitor(trace, g=2.0)
         assert rep.passed
         assert rep.h1_sup <= rep.h1_bound

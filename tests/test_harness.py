@@ -79,6 +79,20 @@ class TestStudySpec:
         with pytest.raises(ValueError, match="check"):
             StudySpec(kind="manybody_suite", values=("appendix", "frobnicate"))
 
+    def test_grid_d_a_kind_does_not_run_rejected(self):
+        for kind in ("gap_vs_g", "linf_vs_g", "tf_convergence"):
+            with pytest.raises(ValueError, match="3D grid"):
+                StudySpec(kind=kind, values=(10,), grid_d=1)
+        with pytest.raises(ValueError, match="1D grid"):
+            StudySpec(kind="hgp_rate_vs_N", values=(64, 128))
+        assert StudySpec(kind="lemma26_vs_N", values=(64,), grid_d=3).grid_d == 3
+
+    def test_non_integral_particle_numbers_rejected(self):
+        for kind, grid_d in (("lemma26_vs_N", 1), ("hgp_rate_vs_N", 1)):
+            with pytest.raises(ValueError, match="integers"):
+                StudySpec(kind=kind, values=(64.5, 128, 256), grid_d=grid_d)
+            assert StudySpec(kind=kind, values=(64.0, 128), grid_d=grid_d).values == (64.0, 128)
+
 
 def _small_lemma26(**kw):
     base = dict(
@@ -255,12 +269,12 @@ class TestRunStudy:
         barrier = threading.Barrier(2, timeout=60)
         strang = dyn._strang
 
-        def recording_strang(phi0, vext, couplings, config, on_record=None):
-            if config.equation == "hartree":
+        def recording_strang(phi0, couplings, config, convolve, on_record=None):
+            if convolve:
                 stack_calls.append((threading.get_ident(), len(couplings)))
                 if workers == 2:
                     barrier.wait()
-            return strang(phi0, vext, couplings, config, on_record)
+            return strang(phi0, couplings, config, convolve, on_record)
 
         monkeypatch.setattr(dyn, "_strang", recording_strang)
         for workers in (2, 1):
@@ -296,7 +310,7 @@ class TestRunStudy:
         phi0 = gs.gp_minimize(grid, trap, spec.g * inter.integral(1)).field
         cfg = PropagatorConfig(dt=spec.dt, t_final=spec.t_final, record_every=200)
         with pytest.raises(RuntimeError) as alone:
-            propagate(phi0, None, inter, spec.g, dataclasses.replace(cfg, equation="hartree"), 128)
+            propagate(phi0, spec.g, cfg, inter.kernel_on_grid(grid, 128))
         assert [r["status"] for r in res.rows] == ["ok", f"failed: {alone.value}", "ok"]
         assert res.rows[1]["N"] == 128
         assert res.csv_text.splitlines()[2].startswith("128,")
@@ -307,14 +321,13 @@ class TestRunStudy:
     def test_hgp_rate_violated_bound_fails_the_study(self, monkeypatch):
         # a bound below the measured distance at one N fails that point's
         # bound_respected and the study, not the point
-        calibrate = dyn.BoundEvaluator.calibrate
+        bound_of = dyn._hartree_gp_bound
 
-        def tight_at_256(self, t1, measured1):
-            calibrate(self, t1, measured1)
-            if self.N == 256:
-                self.prefactor = 0.5 * measured1 / self._shape(t1)
+        def tight_at_256(trace_gp, N, beta, g, dist1):
+            bound = bound_of(trace_gp, N, beta, g, dist1)
+            return 0.5 * dist1 * bound / bound[1] if N == 256 else bound
 
-        monkeypatch.setattr(dyn.BoundEvaluator, "calibrate", tight_at_256)
+        monkeypatch.setattr(dyn, "_hartree_gp_bound", tight_at_256)
         spec = StudySpec(
             kind="hgp_rate_vs_N", values=(64, 128, 256, 512, 1024, 2048), grid_d=1,
             grid_n=256, half_width=8.0, t_final=0.05, dt=1e-3,
@@ -537,13 +550,13 @@ class TestCli:
         assert payload["mass_drift_gp"] < 1e-12
 
     def test_dynamics_violated_bound_exits_1(self, tmp_path, capsys, monkeypatch):
-        calibrate = dyn.BoundEvaluator.calibrate
+        bound_of = dyn._hartree_gp_bound
 
-        def tight(self, t1, measured1):
-            calibrate(self, t1, measured1)
-            self.prefactor = 0.5 * measured1 / self._shape(t1)
+        def tight(trace_gp, N, beta, g, dist1):
+            bound = bound_of(trace_gp, N, beta, g, dist1)
+            return 0.5 * dist1 * bound / bound[1]
 
-        monkeypatch.setattr(dyn.BoundEvaluator, "calibrate", tight)
+        monkeypatch.setattr(dyn, "_hartree_gp_bound", tight)
         cfg = tmp_path / "dyn.json"
         cfg.write_text(
             json.dumps(
@@ -616,6 +629,11 @@ class TestCli:
             # the pair identities and the counting rate need two bosons
             ("manybody --N 1 --check appendix", {}),
             ("manybody --N 1 --check gronwall", {}),
+            # the coupling sweeps run on a 3D grid, hgp_rate_vs_N on a 1D one
+            ("study", {"kind": "gap_vs_g", "values": [10], "grid_d": 1}),
+            ("study", {"kind": "hgp_rate_vs_N", "values": [64, 128, 256]}),
+            # an N sweep's values are particle numbers
+            ("study", {"kind": "lemma26_vs_N", "values": [64.5, 128, 256], "grid_d": 1}),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
