@@ -172,7 +172,8 @@ def _cmd_dynamics(args) -> int:
         "interaction": _INTERACTION_KEYS, "g": 4.0, "N": 1024, "dt": 2.5e-4,
         "t_final": 0.5, "record_every": 200, "initial": "gp_ground",
     }
-    cfg = _load_config(args.config, keys)
+    raw = _load_config(args.config)
+    cfg = _take(raw, "config", keys)
     grid = make_grid(**cfg["grid"])
     inter = InteractionSpec(**cfg["interaction"])
     g, N, initial = cfg["g"], cfg["N"], cfg["initial"]
@@ -183,6 +184,8 @@ def _cmd_dynamics(args) -> int:
         trap = TrapSpec(**cfg["trap"])
         phi0 = gs.gp_minimize(grid, trap, g * inter.integral(grid.d)).field
     elif initial == "gaussian":
+        if raw.get("trap") is not None:
+            raise ValueError("the gaussian initial state does not read the trap")
         vals = np.exp(-grid.r2 / 2.0).astype(np.complex128)
         phi0 = normalize(Field(grid, vals))
     else:
@@ -266,8 +269,7 @@ def _cmd_manybody(args) -> int:
     H = mb.build(modes, trap, inter, reg)
 
     if check == "gapchain":
-        _, h_gp = mb.gp_modes_ground(H)
-        rep = mb.verify_gap_chain(H, h_gp, lam=lam, samples=trials, seed=seed)
+        rep = mb.verify_gap_chain(H, lam=lam, samples=trials, seed=seed)
         lines = [
             f"gap chain: N={N} M={M} g={g} modes={mode_kind}",
             f"min eig chain {rep.min_eig_chain:.3e}, min eig counting "

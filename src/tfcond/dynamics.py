@@ -25,7 +25,6 @@ __all__ = [
     "ComparisonReport",
     "SobolevReport",
     "StrichartzReport",
-    "default_dt",
     "propagate",
     "compare_h_vs_gp",
     "sobolev_monitor",
@@ -33,8 +32,6 @@ __all__ = [
     "lp_norm",
 ]
 
-# Reference cell size: 64 points on [-8, 8) gives spacing 0.25 and dt 1e-3.
-_REFERENCE_SPACING = 0.25
 # Largest potential phase per step, in radians, that propagate accepts.
 _PHASE_THRESHOLD = 0.75
 # The Hartree-vs-GP bound is calibrated to twice the distance at the first
@@ -47,27 +44,21 @@ _H1_SLACK = 1.05
 _H2_LOG_SLACK = 0.05
 
 
-def default_dt(grid: Grid) -> float:
-    """Default time step, proportional to the cell size."""
-    return 1e-3 * (grid.h / _REFERENCE_SPACING)
-
-
 @dataclass(frozen=True)
 class PropagatorConfig:
     """Parameters of a single propagation run.
 
-    dt = None picks default_dt(grid).  The phase guard refuses steps whose
-    potential phase increment exceeds _PHASE_THRESHOLD radians (the splitting
-    is formally exact in the substep but such steps are far outside the
-    accuracy regime).
+    The phase guard refuses steps whose potential phase increment exceeds
+    _PHASE_THRESHOLD radians (the splitting is formally exact in the substep
+    but such steps are far outside the accuracy regime).
     """
 
-    dt: float | None = None
+    dt: float
     t_final: float = 1.0
     record_every: int = 10
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
@@ -92,21 +83,16 @@ class PropagationTrace:
     def mass_drift(self) -> float:
         return float(np.max(np.abs(self.mass - self.mass[0])))
 
-    @property
-    def energy_drift(self) -> float:
-        return float(np.max(np.abs(self.e_free - self.e_free[0])))
-
 
 def _energy(vals, grid: Grid, w_half) -> float:
     """Conserved functional: kinetic + (1/2) <W rho>."""
     return grid.kinetic(vals) + float(np.sum(w_half * np.abs(vals) ** 2) * grid.dv)
 
 
-def _step_plan(grid: Grid, config: PropagatorConfig) -> tuple[float, int]:
+def _step_plan(config: PropagatorConfig) -> tuple[float, int]:
     """Effective time step and number of steps of a run."""
-    dt = config.dt if config.dt is not None else default_dt(grid)
-    nsteps = max(1, int(round(config.t_final / dt))) if config.t_final > 0 else 0
-    return (config.t_final / nsteps if nsteps else dt), nsteps
+    nsteps = max(1, int(round(config.t_final / config.dt))) if config.t_final > 0 else 0
+    return (config.t_final / nsteps if nsteps else config.dt), nsteps
 
 
 def propagate(
@@ -158,7 +144,7 @@ def _strang(
     record points, after that record's guards.
     """
     grid = phi0.grid
-    dt_eff, nsteps = _step_plan(grid, config)
+    dt_eff, nsteps = _step_plan(config)
     axes = tuple(range(1, grid.d + 1))
 
     if convolve:
@@ -262,13 +248,9 @@ def _strang(
 # A priori bounds for the Hartree-vs-GP distance.
 
 
-def _growth_rate(g: float, e0: float, l0: float, N=None, beta=None) -> float:
-    """Theory rate unit of H^2 growth, g^2 (E0^2 + g^2 N^{-2 beta} L0^4).
-
-    Without N and beta the N-dependent term is left out.
-    """
-    tail = 0.0 if N is None or beta is None else g ** 2 * N ** (-2 * beta) * l0 ** 4
-    return g ** 2 * (e0 ** 2 + tail)
+def _growth_rate(g: float, e0: float, l0: float, N: int, beta: float) -> float:
+    """Theory rate unit of H^2 growth, g^2 (E0^2 + g^2 N^{-2 beta} L0^4)."""
+    return g ** 2 * (e0 ** 2 + g ** 2 * N ** (-2 * beta) * l0 ** 4)
 
 
 def _hartree_gp_bound(
@@ -410,20 +392,15 @@ class SobolevReport:
         return self.h1_ok and self.h2_ok
 
 
-def sobolev_monitor(
-    trace: PropagationTrace,
-    g: float,
-    N: int | None = None,
-    beta: float | None = None,
-) -> SobolevReport:
+def sobolev_monitor(trace: PropagationTrace, g: float, N: int, beta: float) -> SobolevReport:
     """Check the Sobolev-norm growth envelopes along a trap-free trajectory.
 
     H1 is compared against the conserved-energy bound sqrt(mass + E_free(0))
     (exact for a defocusing nonlinearity, up to _H1_SLACK).  For H2 an
     exponential envelope H2(0) * exp(c * r * t) with theory rate unit
-    r = _growth_rate (g^2 E0^2 without N and beta) is fitted on the first
-    half of the records and checked on the second half; c_fitted is the
-    envelope constant of the Hartree-vs-GP bound.
+    r = _growth_rate at particle number N and exponent beta is fitted on the
+    first half of the records and checked on the second half; c_fitted is
+    the envelope constant of the Hartree-vs-GP bound.
     _H2_LOG_SLACK absorbs the few-percent breathing of H2 along bounded
     trajectories; genuine exponential growth beyond the fitted envelope
     still fails the check.

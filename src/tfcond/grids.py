@@ -18,9 +18,7 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
-    "field_from_function",
     "apply_symbol",
-    "inner",
     "norm",
     "gradient",
     "convolve",
@@ -53,10 +51,6 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return (self.n,) * self.d
-
-    @property
-    def npoints(self) -> int:
-        return self.n ** self.d
 
     @property
     def dv(self) -> float:
@@ -156,31 +150,6 @@ class Field:
             )
         self.values = vals
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-    def _check_compatible(self, other: "Field"):
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_compatible(other)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, c) -> "Field":
-        return Field(self.grid, self.values * complex(c))
-
-    __rmul__ = __mul__
-
-
-def field_from_function(grid: Grid, fn) -> Field:
-    """Sample ``fn(*coords)`` on the grid."""
-    vals = np.broadcast_to(fn(*grid.coords()), grid.shape)
-    return Field(grid, np.array(vals, dtype=np.complex128))
 
 
 def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -203,12 +172,6 @@ def apply_symbol(symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
     hat = sfft.rfftn(u, axes=axes)
     hat *= symbol.reshape(symbol.shape + (1,) * (u.ndim - d))
     return sfft.irfftn(hat, s=u.shape[:d], axes=axes, overwrite_x=True)
-
-
-def inner(f: Field, g: Field) -> complex:
-    """L2 inner product h^d * sum(conj(f) g); requires a matching grid."""
-    f._check_compatible(g)
-    return complex(np.vdot(f.values, g.values) * f.grid.dv)
 
 
 def norm(f: Field, kind: str = "L2") -> float:
@@ -251,7 +214,8 @@ def convolve(kernel: Field, f: Field) -> Field:
     and acts as a function of the displacement x - y (:meth:`Grid.kernel_symbol`);
     a complex kernel acts as its real part plus i times its imaginary part.
     """
-    kernel._check_compatible(f)
+    if kernel.grid != f.grid:
+        raise ValueError("fields live on different grids")
     grid, k = f.grid, kernel.values
     out = apply_symbol(grid.kernel_symbol(k.real), f.values)
     if np.any(k.imag != 0):

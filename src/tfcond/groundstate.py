@@ -274,20 +274,22 @@ class GroundStateResult:
     residual: float
     iterations: int
     newton_steps: int
-    dt_final: float
     energy_history: np.ndarray
     boundary_mass: float
-    G: float
 
 
-def suggested_half_width(trap: TrapSpec, G: float, minimum: float = 8.0) -> float:
+# smallest box half-width suggested_half_width returns
+_MIN_HALF_WIDTH = 8.0
+
+
+def suggested_half_width(trap: TrapSpec, G: float) -> float:
     """Box half-width with room for the cloud and its decay tail."""
     if G <= 0:
-        return minimum
-    return max(1.6 * tf_minimize(trap, G).radius, minimum)
+        return _MIN_HALF_WIDTH
+    return max(1.6 * tf_minimize(trap, G).radius, _MIN_HALF_WIDTH)
 
 
-def _default_initial(grid, trap, G):
+def _initial(grid, trap, G):
     width = trap.strength ** (-1.0 / (trap.s + 2.0))
     bump = np.exp(-grid.r2 / (2.0 * max(width, 1.0) ** 2))
     if G == 0:
@@ -392,7 +394,6 @@ def gp_minimize(
     trap: TrapSpec,
     G: float,
     tol: float = 1e-6,
-    initial: Field | None = None,
 ) -> GroundStateResult:
     """Minimize the cubic functional by a normalized gradient flow.
 
@@ -401,9 +402,9 @@ def gp_minimize(
     Yngvason, Phys. Rev. A 61, 043602 (2000)), so every reflection fixes it
     and it lies in the all-even sector of :class:`_ParitySector`. Flow and
     polish run there, in real arithmetic on the octant (DCT-I Laplacian),
-    and the field is unfolded once at the end. ``initial`` enters as the
-    even part of its modulus. V must be symmetric under each reflection and
-    each axis swap (to 1e-10 max|V|, else ``ValueError``).
+    and the field is unfolded once at the end. V must be symmetric under
+    each reflection and each axis swap (to 1e-10 max|V|, else
+    ``ValueError``).
 
     Each flow step treats the Laplacian with a backward-Euler spectral solve
     and the potential + nonlinearity explicitly (as the positivity-preserving
@@ -437,14 +438,7 @@ def gp_minimize(
     sec = _ParitySector(grid, (0,) * grid.d)
     w, c2, dv = sec.octant(V).ravel(), sec.c2, grid.dv
 
-    if initial is not None:
-        if initial.grid != grid:
-            raise ValueError("initial guess lives on a different grid")
-        x = sec.restrict(np.abs(initial.values))
-    else:
-        x = sec.restrict(_default_initial(grid, trap, G))
-    if not np.any(x):
-        raise ValueError("the initial guess is zero, and so is its even part")
+    x = sec.restrict(_initial(grid, trap, G))
     x /= math.sqrt(float(x @ x) * dv)
 
     def parts(x):
@@ -532,10 +526,8 @@ def gp_minimize(
         residual=residual,
         iterations=it,
         newton_steps=newton_steps,
-        dt_final=dt,
         energy_history=np.asarray(history),
         boundary_mass=boundary_mass,
-        G=G,
     )
 
 
@@ -568,6 +560,9 @@ class SpectrumResult:
     warnings: tuple = ()
 
 
+# LOBPCG's residual tolerance; converged allows 100 times it on the full grid
+_SPECTRUM_TOL = 1e-8
+
 # ``warnings.catch_warnings`` swaps process-wide state, so the spectrum solves
 # that record LOBPCG's warnings run one at a time
 _warnings_lock = threading.Lock()
@@ -594,7 +589,6 @@ def hgp_spectrum(
     G: float,
     phi: Field,
     k: int = 4,
-    tol: float = 1e-8,
     maxiter: int = 800,
     seed: int = 0,
 ) -> SpectrumResult:
@@ -687,7 +681,9 @@ def hgp_spectrum(
             for i in pending:
                 A, M = ops[i]
                 Y = vectors[i] if vectors[i].shape[1] else None
-                w, v = lobpcg(A, guesses[i], M=M, Y=Y, tol=tol, maxiter=maxiter, largest=False)
+                w, v = lobpcg(
+                    A, guesses[i], M=M, Y=Y, tol=_SPECTRUM_TOL, maxiter=maxiter, largest=False
+                )
                 values[i] = np.append(values[i], w)
                 vectors[i] = np.column_stack([vectors[i], v])
             found = np.sort(np.concatenate([np.repeat(v, len(c)) for v, c in zip(values, copies)]))
@@ -729,7 +725,7 @@ def hgp_spectrum(
         raise RuntimeError(
             f"degenerate lowest level (gap {gap:.3e}); minimizer is suspect"
         )
-    converged = bool(np.all(residuals < 100 * tol * max(1.0, abs(eigenvalues[-1]))))
+    converged = bool(np.all(residuals < 100 * _SPECTRUM_TOL * max(1.0, abs(eigenvalues[-1]))))
     return SpectrumResult(
         eigenvalues=eigenvalues,
         residuals=residuals,

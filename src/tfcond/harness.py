@@ -117,6 +117,8 @@ class StudySpec:
             raise ValueError(f"{self.kind} runs on a {grid_d}D grid, got grid_d={self.grid_d}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.mb_trials < 1:
+            raise ValueError(f"mb_trials must be >= 1, got {self.mb_trials}")
 
 
 @dataclass
@@ -179,8 +181,12 @@ class StudyResult:
 
 
 def _grid_defaults(spec: StudySpec) -> tuple[int, float]:
-    """Budgeted grid: 64^3 boxes for 3D sweeps, 2^12 points in 1D."""
-    if spec.kind == "lemma26_vs_N" and spec.grid_d == 3:
+    """Budgeted grid: 64^3 boxes for 3D sweeps, 2^12 points in 1D.
+
+    lemma26_vs_N in 2D and 3D takes 128 points on [-3, 3) per axis: spacing
+    0.047 resolves the kernel range N^-beta / 4 up to N = 4096 at beta = 0.2.
+    """
+    if spec.kind == "lemma26_vs_N" and spec.grid_d >= 2:
         return spec.grid_n or 128, spec.half_width or 3.0
     if spec.grid_d == 3:
         return spec.grid_n or 64, spec.half_width or 8.0
@@ -570,8 +576,7 @@ def _study_manybody_suite(spec: StudySpec):
             modes = mb.ModeBasis.harmonic(grid, 3)
             reg = RegimeParams(N=3, beta=spec.beta, g_N=0.5, lambda_weight=spec.lam)
             H = mb.build(modes, TrapSpec(strength=1.0, s=2), inter, reg)
-            _, h_gp = mb.gp_modes_ground(H)
-            rep = mb.verify_gap_chain(H, h_gp, lam=spec.lam, samples=100, seed=spec.seed)
+            rep = mb.verify_gap_chain(H, lam=spec.lam, samples=100, seed=spec.seed)
             return {
                 "check": check,
                 "trials": 100,

@@ -13,8 +13,8 @@ depletion, the distance ||gamma - |phi><phi|||, the sandwich inequalities
 and, given H, the exact counting rate with its three terms and their
 bounds.  ``evolve_and_track`` and ``verify_gap_chain`` share its core.  The
 mean-field matrix W(phi) = sum V_abcd conj(phi_b) phi_d of the pair tensor
-serves the rate, the self-consistent reference ``gp_modes_ground``, the
-positive-type bound and the Galerkin Hartree flow."""
+serves the rate, the self-consistent reference ``gp_modes_ground`` and the
+Galerkin Hartree flow."""
 
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ __all__ = [
     "TrackReport",
     "HartreeOnModes",
     "product_state",
-    "excitation_state",
     "assemble",
     "build",
     "pair_tensor",
@@ -55,7 +54,6 @@ __all__ = [
     "op_norm",
     "mu_weights",
     "alpha",
-    "interaction_lower_bound",
     "gp_modes_ground",
     "verify_appendix",
     "verify_gap_chain",
@@ -64,6 +62,11 @@ __all__ = [
 ]
 
 SECTOR_CAP = 20_000
+
+# largest deviation of a mode basis's Gram matrix from the identity
+_ORTHONORMAL_TOL = 1e-10
+# the trap whose lowest eigenmodes ModeBasis.harmonic returns
+_HARMONIC_TRAP = TrapSpec(strength=1.0, s=2)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +87,9 @@ class ModeBasis:
     def gram(self) -> np.ndarray:
         return self.values.conj() @ self.values.T * self.grid.dv
 
-    def check_orthonormal(self, tol: float = 1e-10) -> None:
+    def check_orthonormal(self) -> None:
         dev = np.max(np.abs(self.gram() - np.eye(self.M)))
-        if dev > tol:
+        if dev > _ORTHONORMAL_TOL:
             raise ValueError(f"modes are not orthonormal (deviation {dev:.2e})")
 
     def expand(self, coeffs: np.ndarray) -> np.ndarray:
@@ -98,12 +101,11 @@ class ModeBasis:
         return self.values.conj() @ grid_values * self.grid.dv
 
     @classmethod
-    def harmonic(cls, grid: Grid, M: int, trap: TrapSpec | None = None) -> "ModeBasis":
-        """Lowest M eigenmodes of -d^2/dx^2 + V on the grid."""
+    def harmonic(cls, grid: Grid, M: int) -> "ModeBasis":
+        """Lowest M eigenmodes of -d^2/dx^2 + x^2 on the grid."""
         if grid.d != 1:
             raise ValueError("mode bases live on 1D grids")
-        trap = trap if trap is not None else TrapSpec(strength=1.0, s=2)
-        h = apply_symbol(grid.k2_half, np.eye(grid.n)) + np.diag(trap.on_grid(grid))
+        h = apply_symbol(grid.k2_half, np.eye(grid.n)) + np.diag(_HARMONIC_TRAP.on_grid(grid))
         h = 0.5 * (h + h.T)
         _, vecs = np.linalg.eigh(h)
         modes = vecs[:, :M].T / np.sqrt(grid.dv)
@@ -241,10 +243,6 @@ class ManyBodyState:
             raise ValueError("cannot normalize the zero state")
         self.vector = v / nrm
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
 
 def product_state(sector: SymmetricSector, c: np.ndarray) -> ManyBodyState:
     """phi^{(x) N} in occupation coordinates."""
@@ -253,15 +251,6 @@ def product_state(sector: SymmetricSector, c: np.ndarray) -> ManyBodyState:
     occs = sector.occs
     w = np.exp(0.5 * (gammaln(sector.N + 1) - gammaln(occs + 1).sum(axis=1)))
     return ManyBodyState(sector, w * np.prod(c**occs, axis=1))
-
-
-def excitation_state(
-    sector: SymmetricSector, phi: np.ndarray, chi: np.ndarray
-) -> ManyBodyState:
-    """Symmetrized chi (x) phi^{(x) (N-1)}, i.e. adag(chi) applied to the product."""
-    N, M = sector.N, sector.M
-    prod = product_state(SymmetricSector(N - 1, M), phi).vector if N > 1 else np.ones(1)
-    return ManyBodyState(sector, sector.lowering.T @ np.kron(chi, prod))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +491,6 @@ class CountingReport:
     alpha: float
     n_plus: float
     depletion: float
-    gamma: np.ndarray
     distance: float
     sandwich_ok: bool
     rate: float | None = None
@@ -541,7 +529,6 @@ def _evaluate(
         alpha=a_val,
         n_plus=N * float(np.trace((np.eye(M) - p) @ gamma).real),
         depletion=1.0 - float((c.conj() @ gamma @ c).real),
-        gamma=gamma,
         distance=dist,
         sandwich_ok=dist**2 <= 2 * a_val + 1e-10 and a_val <= N ** (1 - lam) * dist + 1e-10,
     )
@@ -631,34 +618,6 @@ def _rate_bounds(H: ManyBodyHamiltonian, phi: np.ndarray, a_val: float, lam: flo
 
 
 # ---------------------------------------------------------------------------
-# Interaction positivity against a mean-field reference.
-
-
-def interaction_lower_bound(H: ManyBodyHamiltonian, phi: np.ndarray) -> float:
-    """Smallest eigenvalue of the positive-type interaction estimate.
-
-    For kernels of positive type,
-    (g/N) sum_{j<k} v_N(jk) >= -(g N / 2) <rho, v_N * rho> + g sum_j (v_N * rho)(x_j)
-                               - g v_N(0),
-    tested against rho = |phi|^2 as a sector matrix inequality, with
-    v_N * rho the mean-field matrix W(phi) and <rho, v_N * rho> = phi^H W phi;
-    the returned minimum eigenvalue should be nonnegative up to rounding.
-    """
-    if H.kernel is None:
-        raise ValueError("needs a grid-built Hamiltonian")
-    c = np.asarray(phi, dtype=complex)
-    c = c / np.linalg.norm(c)
-    W = _mean_field_matrix(H.v_tensor, c)
-    ip = float((c.conj() @ W @ c).real)
-    v0 = float(H.kernel.values.real[H.kernel.grid.n // 2])  # kernel sampled at the origin
-    g, N = H.g, H.sector.N
-
-    lhs = (g / (2 * N)) * H.sector.two_body_matrix(H.v_tensor)
-    rhs = g * H.sector.one_body_matrix(W) - (g * N / 2 * ip + g * v0) * np.eye(H.sector.D)
-    return float(np.min(np.linalg.eigvalsh(lhs - rhs)))
-
-
-# ---------------------------------------------------------------------------
 # Appendix identity verification.
 
 
@@ -736,14 +695,11 @@ class AppendixReport:
         return all(v == 0 for v in self.violations.values())
 
 
-def verify_appendix(
-    N: int,
-    M: int,
-    trials: int,
-    seed: int = 0,
-    tol: float = 1e-10,
-    grid: Grid | None = None,
-) -> AppendixReport:
+# largest deviation an appendix identity or bound may show on one trial
+_IDENTITY_TOL = 1e-10
+
+
+def verify_appendix(N: int, M: int, trials: int, seed: int = 0) -> AppendixReport:
     """Exact checks of the projector calculus on random data.
 
     On (C^M)^{(x) N}: the number identity (nu-hat)^2 = (1/N) sum q_j, the
@@ -757,14 +713,17 @@ def verify_appendix(
     they are diagonal: vec is rotated by U^H on every slot, weighted by
     f(k + d) at each index with k factors q, and rotated back.  The other
     side of each identity (the q_j sums, the slot projectors, the pair
-    operator) acts slot by slot in the original basis.  Needs N >= 2: the
-    pair identities carry sqrt(N / (N - 1)).
+    operator) acts slot by slot in the original basis.  The two-particle
+    grid has 64 points on [-8, 8).  Needs N >= 2, since the pair identities
+    carry sqrt(N / (N - 1)), and at least one trial.
     """
     if N < 2:
         raise ValueError(f"the appendix identities need N >= 2 bosons, got N={N}")
+    if trials < 1:
+        raise ValueError(f"the appendix identities need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     eng = _TensorEngine(N, M)
-    grid = grid if grid is not None else make_grid(1, 64, 8.0)
+    grid = make_grid(1, 64, 8.0)
     keys = (
         "number_identity",
         "counting_equality",
@@ -798,7 +757,7 @@ def verify_appendix(
         rhs = np.zeros_like(raw)
         for j in range(N):
             rhs = rhs + eng.apply_one(q, raw, j) / N
-        bump("number_identity", float(np.max(np.abs(lhs - rhs))), tol)
+        bump("number_identity", float(np.max(np.abs(lhs - rhs))), _IDENTITY_TOL)
 
         # (ii) combinatorics on a symmetric state
         psi = eng.symmetric_random(rng)
@@ -808,12 +767,12 @@ def verify_appendix(
         bump(
             "counting_equality",
             abs(np.linalg.norm(fq1) - np.linalg.norm(fnu)),
-            tol,
+            _IDENTITY_TOL,
         )
         q1q2 = eng.apply_one(q, eng.apply_one(q, psi, 0), 1)
         lhs2 = np.linalg.norm(fhat(f, q1q2))
         rhs2 = math.sqrt(N / (N - 1)) * np.linalg.norm(fhat(f * nu2, psi))
-        bump("counting_inequality", lhs2 - rhs2, tol)
+        bump("counting_inequality", lhs2 - rhs2, _IDENTITY_TOL)
 
         # (iii) shift commutation with a random pair operator
         Wr = rng.standard_normal((M * M, M * M)) + 1j * rng.standard_normal(
@@ -830,7 +789,7 @@ def verify_appendix(
                     continue
                 a = fhat(f, Qs[j](eng.apply_pair(Wr, Qs[k](psi))))
                 b = Qs[j](eng.apply_pair(Wr, Qs[k](fhat(f, psi, d=j - k))))
-                bump("shift_commutation", float(np.max(np.abs(a - b))), tol)
+                bump("shift_commutation", float(np.max(np.abs(a - b))), _IDENTITY_TOL)
 
     # Hoelder operator bounds on a two-particle grid
     n = grid.n
@@ -859,21 +818,21 @@ def verify_appendix(
 
         p1psi = np.outer(phi_g, (phi_g.conj() @ psi2) * h)
         lhs = l2(Umat * p1psi)
-        bump("one_projector_bound", lhs - u_inf, tol)  # (a, a') = (1, inf)
-        bump("one_projector_bound", lhs - phi_l4 * u_l4, tol)  # (2, 2)
+        bump("one_projector_bound", lhs - u_inf, _IDENTITY_TOL)  # (a, a') = (1, inf)
+        bump("one_projector_bound", lhs - phi_l4 * u_l4, _IDENTITY_TOL)  # (2, 2)
 
         # p1 u p1 maps psi -> phi (x) [(u * |phi|^2) projected...]
         up = Umat * p1psi
         p1up = np.outer(phi_g, (phi_g.conj() @ up) * h)
         lhs2 = l2(p1up)
-        bump("two_projector_bound", lhs2 - u_inf, tol)
-        bump("two_projector_bound", lhs2 - phi_l4**2 * u_l2, tol)
+        bump("two_projector_bound", lhs2 - u_inf, _IDENTITY_TOL)
+        bump("two_projector_bound", lhs2 - phi_l4**2 * u_l2, _IDENTITY_TOL)
 
         overlap = (phi_g.conj() @ psi2 @ phi_g.conj()) * h * h
         pp_psi = overlap * np.outer(phi_g, phi_g)
         lhs3 = l2(Umat * pp_psi)
-        bump("pair_projector_bound", lhs3 - u_inf, tol)
-        bump("pair_projector_bound", lhs3 - phi_l4**2 * u_l2, tol)
+        bump("pair_projector_bound", lhs3 - u_inf, _IDENTITY_TOL)
+        bump("pair_projector_bound", lhs3 - phi_l4**2 * u_l2, _IDENTITY_TOL)
 
     return AppendixReport(N=N, M=M, trials=trials, violations=viol, max_dev=max_dev)
 
@@ -901,11 +860,13 @@ class GapChainReport:
         )
 
 
-def gp_modes_ground(
-    H: ManyBodyHamiltonian,
-    tol: float = 1e-12,
-    max_iter: int = 500,
-) -> tuple[np.ndarray, np.ndarray]:
+# the mean-field iteration stops once its eigenvector moves less than
+# _SCF_TOL (up to a phase) and gives up after _SCF_MAX_ITER sweeps
+_SCF_TOL = 1e-12
+_SCF_MAX_ITER = 500
+
+
+def gp_modes_ground(H: ManyBodyHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Self-consistent mean-field one-body operator on the mode set.
 
     Iterates h_eff = h + g W(phi), with W the mean-field matrix of H's pair
@@ -914,14 +875,14 @@ def gp_modes_ground(
     """
     c = np.zeros(H.sector.M, dtype=complex)
     c[0] = 1.0
-    for _ in range(max_iter):
+    for _ in range(_SCF_MAX_ITER):
         W = _mean_field_matrix(H.v_tensor, c)
         h_eff = H.h_mat + H.g * 0.5 * (W + W.conj().T)
         vals, vecs = np.linalg.eigh(h_eff)
         new_c = vecs[:, 0]
         ov = np.vdot(new_c, c)
         phase = ov / abs(ov) if abs(ov) > 0 else 1.0
-        if np.linalg.norm(new_c - phase * c) < tol:
+        if np.linalg.norm(new_c - phase * c) < _SCF_TOL:
             return vals, h_eff
         c = new_c
     raise RuntimeError("mean-field iteration did not converge")
@@ -929,18 +890,21 @@ def gp_modes_ground(
 
 def verify_gap_chain(
     H: ManyBodyHamiltonian,
-    h_gp: np.ndarray,
     lam: float = 0.5,
     samples: int = 100,
     seed: int = 0,
 ) -> GapChainReport:
     """Matrix inequalities sum_j (h^GP_j - mu0) >= (mu1 - mu0) N_+ >= 0,
     plus the counting sandwich on random states and the ground-state
-    depletion of H against the mean-field reference."""
+    depletion of H against the mean-field reference.
+
+    h^GP is the converged operator of ``gp_modes_ground(H)``, mu0 < mu1 its
+    lowest eigenvalues and its lowest mode the reference phi of N_+.
+    """
+    if samples < 1:
+        raise ValueError(f"the gap chain needs at least one sample, got {samples}")
     sector = H.sector
-    h_gp = np.asarray(h_gp)
-    if h_gp.shape != (sector.M, sector.M):
-        raise ValueError("one-body operator does not match the mode set")
+    _, h_gp = gp_modes_ground(H)
     vals, vecs = np.linalg.eigh(h_gp)
     mu0, mu1 = float(vals[0]), float(vals[1])
     phi_gp = vecs[:, 0]
@@ -978,6 +942,10 @@ def verify_gap_chain(
 # Tracked evolution.
 
 
+# relative and absolute tolerance of the Galerkin mean-field flow
+_FLOW_RTOL = 1e-12
+
+
 @dataclass
 class HartreeOnModes:
     """Galerkin mean-field flow i c' = h c + g (V : c-bar c c) on the modes."""
@@ -992,7 +960,7 @@ class HartreeOnModes:
         dc = -1j * (self.h_mat @ c + self.g * (_mean_field_matrix(self.v_tensor, c) @ c))
         return np.concatenate([dc.real, dc.imag])
 
-    def flow(self, c0: np.ndarray, t_end: float, rtol: float = 1e-12):
+    def flow(self, c0: np.ndarray, t_end: float):
         from scipy.integrate import solve_ivp  # imported here: slow to import, rarely run
 
         y0 = np.concatenate([np.asarray(c0, complex).real, np.asarray(c0, complex).imag])
@@ -1001,8 +969,8 @@ class HartreeOnModes:
             (0.0, t_end),
             y0,
             method="DOP853",
-            rtol=rtol,
-            atol=rtol,
+            rtol=_FLOW_RTOL,
+            atol=_FLOW_RTOL,
             dense_output=True,
         )
         if not sol.success:
@@ -1059,6 +1027,10 @@ def _evolve(H: ManyBodyHamiltonian, vec: np.ndarray, dt: float) -> np.ndarray:
     return expm_multiply(-1j * dt * H.matrix, vec)
 
 
+# time step of the finite-difference cross-check of the counting rate
+_FD_DT = 1e-4
+
+
 def evolve_and_track(
     psi0: ManyBodyState,
     H: ManyBodyHamiltonian,
@@ -1066,7 +1038,6 @@ def evolve_and_track(
     hartree: HartreeOnModes,
     t_grid: np.ndarray,
     lam: float,
-    fd_dt: float = 1e-4,
 ) -> TrackReport:
     """Exact sector evolution with mean-field counting diagnostics.
 
@@ -1075,15 +1046,18 @@ def evolve_and_track(
     evaluation of psi(t) against phi(t), the core of ``alpha``, gives alpha,
     the exact counting rate, the three rate-term estimates, the
     reduced-density distance and the sandwich inequalities; alpha at
-    t +- fd_dt gives the rate's finite-difference cross-check.  gronwall_ok
+    t +- _FD_DT gives the rate's finite-difference cross-check.  gronwall_ok
     holds when alpha stays below alpha(0) + int |g| (2 b1 + b2 + 2 b3) dt,
-    the integrated term bounds.
+    the integrated term bounds.  t_grid holds at least two strictly
+    increasing times, starting at 0.
     """
     if H.modes is None or H.kernel is None or H.beta is None:
         raise ValueError("needs a grid-built Hamiltonian")
     sector = psi0.sector
     t_grid = np.asarray(t_grid, dtype=float)
-    phi_at = hartree.flow(phi0, float(t_grid[-1]) + 2 * fd_dt)
+    if t_grid.ndim != 1 or len(t_grid) < 2 or t_grid[0] != 0 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("the tracked times must be at least two, strictly increasing from 0")
+    phi_at = hartree.flow(phi0, float(t_grid[-1]) + 2 * _FD_DT)
 
     # energy leakage of the mean-field generator out of the mode span
     grid = H.modes.grid
@@ -1124,13 +1098,13 @@ def evolve_and_track(
         terms[i], bounds[i] = rep.rate_terms, rep.rate_bounds
         bound_bad += bool(np.any(terms[i] > bounds[i] + 1e-10))
         sandwich_bad += not rep.sandwich_ok
-        if t >= fd_dt:
-            fd_arr[i] = (alpha_after(t, pv, fd_dt) - alpha_after(t, pv, -fd_dt)) / (2 * fd_dt)
+        if t >= _FD_DT:
+            fd_arr[i] = (alpha_after(t, pv, _FD_DT) - alpha_after(t, pv, -_FD_DT)) / (2 * _FD_DT)
         else:
             # second-order one-sided stencil at the left edge
             fd_arr[i] = (
-                -3 * a_arr[i] + 4 * alpha_after(t, pv, fd_dt) - alpha_after(t, pv, 2 * fd_dt)
-            ) / (2 * fd_dt)
+                -3 * a_arr[i] + 4 * alpha_after(t, pv, _FD_DT) - alpha_after(t, pv, 2 * _FD_DT)
+            ) / (2 * _FD_DT)
         psin[i] = float(np.linalg.norm(pv))
         ener[i] = float(np.vdot(pv, H.matrix @ pv).real)
 

@@ -19,7 +19,6 @@ from tfcond.manybody import (
     ModeBasis,
     build,
     evolve_and_track,
-    gp_modes_ground,
     hartree_from_hamiltonian,
     product_state,
     verify_appendix,
@@ -191,8 +190,7 @@ def test_criterion_10_gap_chain():
     inter = InteractionSpec(profile="gaussian", beta=0.2)
     reg = RegimeParams(N=3, beta=0.2, g_N=0.5, lambda_weight=0.5)
     H = build(modes, TrapSpec(strength=1.0, s=2.0), inter, reg)
-    _, h_gp = gp_modes_ground(H)
-    rep = verify_gap_chain(H, h_gp, lam=0.5, samples=100, seed=0)
+    rep = verify_gap_chain(H, lam=0.5, samples=100, seed=0)
     ok = rep.min_eig_chain >= -1e-10 and rep.passed
     assert _line(10, ok, f"min eigenvalue of the gap chain = {rep.min_eig_chain:.1e}")
 

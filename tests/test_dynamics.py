@@ -7,7 +7,6 @@ from tfcond import dynamics as dyn
 from tfcond.dynamics import (
     PropagatorConfig,
     compare_h_vs_gp,
-    default_dt,
     lp_norm,
     propagate,
     sobolev_monitor,
@@ -26,6 +25,11 @@ def gaussian_packet(grid, a=1.0):
     return Field(grid, vals.astype(complex))
 
 
+def distance(f, h):
+    """||f - h||_2 of two fields on one grid."""
+    return norm(Field(f.grid, f.values - h.values), "L2")
+
+
 def free_gaussian_at(grid, a, t):
     b = a + 2j * t
     vals = (np.pi * a) ** (-grid.d / 4) * (a / b) ** (grid.d / 2) * np.exp(
@@ -41,14 +45,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="dt"):
         PropagatorConfig(dt=0.0)
     with pytest.raises(ValueError, match="t_final"):
-        PropagatorConfig(t_final=-1.0)
+        PropagatorConfig(dt=1e-3, t_final=-1.0)
     with pytest.raises(ValueError, match="record_every"):
-        PropagatorConfig(record_every=0)
-
-
-def test_default_dt_reference_box():
-    grid = make_grid(3, 64, 8.0)
-    assert default_dt(grid) == pytest.approx(1e-3, rel=1e-12)
+        PropagatorConfig(dt=1e-3, record_every=0)
 
 
 # --- propagator accuracy -----------------------------------------------------
@@ -59,7 +58,7 @@ def test_free_gaussian_dispersion_1d():
     phi0 = gaussian_packet(grid)
     trace = propagate(phi0, 0.0, PropagatorConfig(dt=1e-3, t_final=1.0))
     exact = free_gaussian_at(grid, 1.0, 1.0)
-    assert norm(trace.final - exact, "L2") < 1e-6
+    assert distance(trace.final, exact) < 1e-6
 
 
 def test_free_gaussian_dispersion_3d():
@@ -67,7 +66,7 @@ def test_free_gaussian_dispersion_3d():
     phi0 = gaussian_packet(grid)
     trace = propagate(phi0, 0.0, PropagatorConfig(dt=1e-3, t_final=0.4))
     exact = free_gaussian_at(grid, 1.0, 0.4)
-    assert norm(trace.final - exact, "L2") < 1e-6
+    assert distance(trace.final, exact) < 1e-6
 
 
 def test_plane_wave_constant_state_phase_rotation():
@@ -88,7 +87,7 @@ def test_mass_and_energy_conservation():
     phi0 = normalize(Field(grid, np.exp(-x**2 / 2) * (1 + 0.3 * np.cos(x))))
     trace = propagate(phi0, 5.0, PropagatorConfig(dt=2.5e-4, t_final=0.5, record_every=50))
     assert trace.mass_drift < 1e-12
-    assert trace.energy_drift < 1e-6
+    assert np.max(np.abs(trace.e_free - trace.e_free[0])) < 1e-6
     assert trace.times[-1] == pytest.approx(0.5, abs=1e-14)
 
 
@@ -100,7 +99,7 @@ def test_strang_order_two():
     errs = []
     for k in (1, 2, 3):
         out = propagate(phi0, 1.0, PropagatorConfig(dt=0.1 / 2**k, t_final=0.1)).final
-        errs.append(norm(out - ref, "L2"))
+        errs.append(distance(out, ref))
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for s in slopes:
         assert abs(s - 2.0) < 0.1
@@ -128,7 +127,7 @@ def test_gauge_invariance():
     for name in ("mass", "e_free", "h1", "h2", "linf"):
         assert np.max(np.abs(getattr(tr_a, name) - getattr(tr_b, name))) < 1e-12
     rotated = Field(grid, tr_a.final.values * np.exp(0.7j))
-    assert norm(tr_b.final - rotated, "L2") < 1e-12
+    assert distance(tr_b.final, rotated) < 1e-12
 
 
 # --- the fast step against the plain reference step -------------------------
@@ -246,7 +245,7 @@ def test_hartree_stack_equals_one_propagate_per_n(d, n, half_width, t_final):
         assert len(alone.times) >= 4  # a last record off the record_every grid too
         _assert_same_trace(rep.trace_hartree, alone)
         _assert_same_trace(rep.trace_gp, gp)
-        assert rep.final_distance == norm(gp.final - alone.final, "L2")
+        assert rep.final_distance == distance(gp.final, alone.final)
         one = compare_h_vs_gp(phi0, inter, 4.0, N, cfg)
         assert np.array_equal(rep.distance, one.distance)
         assert np.array_equal(rep.bound, one.bound)
@@ -318,7 +317,7 @@ def test_delta_kernel_hartree_equals_gp():
     cfg = PropagatorConfig(dt=5e-4, t_final=0.2, record_every=50)
     gp = propagate(phi0, g * inter.integral(1), cfg)
     hartree = propagate(phi0, g, cfg, delta)
-    assert norm(gp.final - hartree.final, "L2") < 1e-12
+    assert distance(gp.final, hartree.final) < 1e-12
     for name in _TRACE_ARRAYS:
         assert np.max(np.abs(getattr(gp, name) - getattr(hartree, name))) < 1e-12, name
 
@@ -383,7 +382,7 @@ def test_sobolev_free_flow_constant():
     trace = propagate(phi0, 0.0, PropagatorConfig(dt=1e-3, t_final=0.3, record_every=30))
     assert np.max(np.abs(trace.h1 - trace.h1[0])) < 1e-10
     assert np.max(np.abs(trace.h2 - trace.h2[0])) < 1e-10
-    rep = sobolev_monitor(trace, g=0.0)
+    rep = sobolev_monitor(trace, g=0.0, N=256, beta=0.2)
     assert rep.passed
     assert rep.c_fitted == 0.0
 
@@ -399,7 +398,7 @@ def test_sobolev_envelope_random_states():
         hat[kfrac > 0.05] = 0.0
         f = normalize(Field(grid, np.fft.ifft(hat) * np.exp(-x**2 / 6)))
         trace = propagate(f, 2.0, PropagatorConfig(dt=5e-4, t_final=0.2, record_every=40))
-        rep = sobolev_monitor(trace, g=2.0)
+        rep = sobolev_monitor(trace, g=2.0, N=256, beta=0.2)
         assert rep.passed
         assert rep.h1_sup <= rep.h1_bound
 
