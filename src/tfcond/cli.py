@@ -130,9 +130,10 @@ def _cmd_study(args) -> int:
     cfg = _load_config(args.config)
     if args.kind is not None and "values" not in cfg and "g_values" in cfg:
         cfg["values"] = cfg.pop("g_values")
-    # the study block is the config itself or its one "study" entry
+    # the study block is the config itself or its one "study" entry; StudySpec
+    # type-checks the fields its kind reads and rejects the others
     keys = {f.name: f.default for f in dataclasses.fields(harness.StudySpec)}
-    keys.update(kind=str, values=list, grid_n=int, half_width=float, out_dir=str)
+    keys.update(kind=str, values=list, out_dir=str)
     if "study" in cfg:
         block = _take(cfg, "config", {"study": keys})["study"]
     else:
@@ -143,12 +144,6 @@ def _cmd_study(args) -> int:
         raise ValueError(
             f"{args.command} runs the {args.kind} study, but the config asks for {block['kind']}"
         )
-    kind = args.kind or block["kind"]
-    raw = cfg["study"] if "study" in cfg else cfg
-    if kind in harness._ONE_THREAD_KINDS and (
-        args.workers is not None or raw.get("workers") is not None
-    ):
-        raise ValueError(f"{kind} solves its points on one thread and takes no workers")
     block["values"] = tuple(block["values"])
     flags = {"kind": args.kind, "out_dir": args.out, "seed": args.seed, "workers": args.workers}
     block.update((key, flag) for key, flag in flags.items() if flag is not None)
@@ -384,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="spectral-gap sweep over the coupling")
     common(p, "--seed")
-    p.set_defaults(func=_cmd_study, kind="gap_vs_g", workers=None)  # gap_vs_g runs on one thread
+    p.set_defaults(func=_cmd_study, kind="gap_vs_g", workers=None)
 
     p = sub.add_parser("dynamics", help="convolution-vs-cubic flow comparison")
     common(p)

@@ -23,7 +23,7 @@ from . import dynamics as dyn
 from . import groundstate as gs
 from . import manybody as mb
 from .grids import Field, make_grid, norm, normalize
-from .model import InteractionSpec, RegimeParams, TrapSpec
+from .model import InteractionSpec, RegimeParams, TrapSpec, _take
 
 __all__ = [
     "STUDY_KINDS",
@@ -37,26 +37,7 @@ __all__ = [
     "write_csv",
 ]
 
-STUDY_KINDS = (
-    "gap_vs_g",
-    "linf_vs_g",
-    "tf_convergence",
-    "lemma26_vs_N",
-    "hgp_rate_vs_N",
-    "manybody_suite",
-)
-
-# the coupling sweeps solve one point at a time: their 3D GP points ran
-# 10-30% slower on 2 threads, so they take no workers
-_ONE_THREAD_KINDS = ("gap_vs_g", "linf_vs_g", "tf_convergence")
-
 _MANYBODY_CHECKS = ("appendix", "gapchain", "gronwall")
-
-# the sweeps over N; their values are particle numbers
-_N_SWEEP_KINDS = ("lemma26_vs_N", "hgp_rate_vs_N")
-
-# the one grid dimension each fixed-dimension kind runs on
-_GRID_D = {**dict.fromkeys(_ONE_THREAD_KINDS, 3), "hgp_rate_vs_N": 1}
 
 # every numeric pass/fail threshold used by the study checks, in one place
 TOLERANCES = {
@@ -73,36 +54,38 @@ TOLERANCES = {
 
 @dataclass(frozen=True)
 class StudySpec:
-    """One sweep: what to vary, on which grid, and where to write."""
+    """One sweep: what to vary, on which grid, and where to write.
+
+    Its kind's row of _KINDS names the fields it reads and fills in their
+    defaults; any other field must stay None."""
 
     kind: str
     values: tuple
-    grid_d: int = 3
-    grid_n: int | None = None  # default: 64 for 3D studies, 4096 for 1D
+    grid_d: int | None = None
+    grid_n: int | None = None
     half_width: float | None = None
-    trap_strength: float = 1.0
-    trap_s: float = 2.0
-    profile: str = "gaussian"
-    beta: float = 0.2
-    g: float = 4.0  # coupling held fixed in N sweeps
-    t_final: float = 0.5
-    dt: float = 2.5e-4
-    lam: float = 0.5
-    mb_trials: int = 200
+    trap_strength: float | None = None
+    trap_s: float | None = None
+    profile: str | None = None
+    beta: float | None = None
+    g: float | None = None  # coupling held fixed in N sweeps
+    t_final: float | None = None
+    dt: float | None = None
+    lam: float | None = None
+    mb_trials: int | None = None
     seed: int = 0
-    # threads: lemma26_vs_N and manybody_suite share their points among them,
-    # hgp_rate_vs_N steps one stack of its Hartree flows on each; g sweeps run on 1
-    workers: int = 2
+    workers: int | None = None
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.kind not in STUDY_KINDS:
+        row = _KINDS.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown study kind {self.kind!r}")
         vals = tuple(self.values)
         if not vals:
             raise ValueError("parameter list must be nonempty")
         object.__setattr__(self, "values", vals)
-        if self.kind == "manybody_suite":
+        if row.sweeps == "check":
             bad = [v for v in vals if v not in _MANYBODY_CHECKS]
             if bad:
                 raise ValueError(f"unknown manybody check(s) {bad}")
@@ -110,15 +93,30 @@ class StudySpec:
             raise ValueError(f"sweep values must be numbers, got {list(vals)}")
         elif any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        elif self.kind in _N_SWEEP_KINDS and not all(float(v).is_integer() for v in vals):
+        elif row.sweeps == "N" and not all(float(v).is_integer() for v in vals):
             raise ValueError(f"particle numbers must be integers, got {list(vals)}")
-        grid_d = _GRID_D.get(self.kind)
-        if grid_d is not None and self.grid_d != grid_d:
-            raise ValueError(f"{self.kind} runs on a {grid_d}D grid, got grid_d={self.grid_d}")
-        if self.workers < 1:
+        # every kind reads its kind, values, seed and out_dir
+        reads = {"kind": str, "values": tuple, "seed": 0, "out_dir": str, **row.reads}
+        if row.grids:
+            d = _take({"grid_d": self.grid_d}, self.kind, {"grid_d": 3})["grid_d"]
+            if d not in row.grids:
+                dims = " or ".join(f"{k}D" for k in row.grids)
+                raise ValueError(f"{self.kind} runs on a {dims} grid, got grid_d={d}")
+            reads["grid_d"] = d
+            reads["grid_n"], reads["half_width"] = row.grids[d]
+        unread = [name for name, v in vars(self).items() if v is not None and name not in reads]
+        if unread:
+            raise ValueError(f"{self.kind} does not read {unread}")
+        for name, value in _take({k: getattr(self, k) for k in reads}, self.kind, reads).items():
+            object.__setattr__(self, name, value)
+        if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.mb_trials < 1:
+        if self.mb_trials is not None and self.mb_trials < 1:
             raise ValueError(f"mb_trials must be >= 1, got {self.mb_trials}")
+        if self.lam is not None and not 0 < self.lam < 1:
+            raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
+        if self.t_final is not None and self.t_final <= 0:
+            raise ValueError(f"t_final must be positive, got {self.t_final}")
 
 
 @dataclass
@@ -180,21 +178,6 @@ class StudyResult:
 # shared pieces
 
 
-def _grid_defaults(spec: StudySpec) -> tuple[int, float]:
-    """Budgeted grid: 64^3 boxes for 3D sweeps, 2^12 points in 1D.
-
-    lemma26_vs_N in 2D and 3D takes 128 points on [-3, 3) per axis: spacing
-    0.047 resolves the kernel range N^-beta / 4 up to N = 4096 at beta = 0.2.
-    """
-    if spec.kind == "lemma26_vs_N" and spec.grid_d >= 2:
-        return spec.grid_n or 128, spec.half_width or 3.0
-    if spec.grid_d == 3:
-        return spec.grid_n or 64, spec.half_width or 8.0
-    if spec.kind == "hgp_rate_vs_N":
-        return spec.grid_n or 4096, spec.half_width or 16.0
-    return spec.grid_n or 4096, spec.half_width or 8.0
-
-
 def _trap(spec: StudySpec) -> TrapSpec:
     return TrapSpec(strength=spec.trap_strength, s=spec.trap_s)
 
@@ -206,12 +189,12 @@ def _coupling_sweep_setup(spec: StudySpec):
     the largest coupling.
     """
     trap = _trap(spec)
-    inter = InteractionSpec(profile=spec.profile, beta=spec.beta)
+    inter = InteractionSpec(profile=spec.profile)
     intv = inter.integral(3)
-    n, half = _grid_defaults(spec)
-    if spec.half_width is None:
-        half = max(half, gs.suggested_half_width(trap, max(spec.values) * intv))
-    return trap, inter, intv, make_grid(3, n, half)
+    half = spec.half_width
+    if half is None:
+        half = gs.suggested_half_width(trap, max(spec.values) * intv)
+    return trap, inter, intv, make_grid(3, spec.grid_n, half)
 
 
 def _gaussian_state(grid) -> Field:
@@ -270,7 +253,7 @@ def _study_gap_vs_g(spec: StudySpec):
             "spectrum_converged": spec_res.converged,
         }
 
-    rows = _run_points("g", spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
+    rows = _run_points("g", spec.values, worker, 1)  # reads no workers
     ok = _ok(rows)
     checks = []
     if ok:
@@ -324,7 +307,7 @@ def _study_linf_vs_g(spec: StudySpec):
             "tf_reference": rep.tf_reference,
         }
 
-    rows = _run_points("g", spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
+    rows = _run_points("g", spec.values, worker, 1)  # reads no workers
     ok = _ok(rows)
     checks = []
     if ok:
@@ -372,7 +355,7 @@ def _study_tf_convergence(spec: StudySpec):
             "energy": res.energy,
         }
 
-    rows = _run_points("g", spec.values, worker, 1)  # one of _ONE_THREAD_KINDS
+    rows = _run_points("g", spec.values, worker, 1)  # reads no workers
     ok = _ok(rows)
     checks = []
     if len(ok) >= 2:
@@ -395,8 +378,7 @@ def _study_tf_convergence(spec: StudySpec):
 
 def _study_lemma26_vs_N(spec: StudySpec):
     inter = InteractionSpec(profile=spec.profile, beta=spec.beta)
-    n, half = _grid_defaults(spec)
-    grid = make_grid(spec.grid_d, n, half)
+    grid = make_grid(spec.grid_d, spec.grid_n, spec.half_width)
     phi = _gaussian_state(grid)
 
     def worker(N):
@@ -404,8 +386,8 @@ def _study_lemma26_vs_N(spec: StudySpec):
         return {
             "N": int(N),
             "grid_d": spec.grid_d,
-            "grid_n": n,
-            "half_width": half,
+            "grid_n": grid.n,
+            "half_width": grid.half_width,
             "beta": spec.beta,
             "measured": rep.measured,
             "bound": rep.bound,
@@ -460,8 +442,7 @@ def _strang_order(grid, G, phi0) -> float:
 def _study_hgp_rate_vs_N(spec: StudySpec):
     trap = _trap(spec)
     inter = InteractionSpec(profile=spec.profile, beta=spec.beta)
-    n, half = _grid_defaults(spec)
-    grid = make_grid(1, n, half)
+    grid = make_grid(1, spec.grid_n, spec.half_width)
     G = spec.g * inter.integral(1)
     phi0 = gs.gp_minimize(grid, trap, G).field
     cfg = dyn.PropagatorConfig(dt=spec.dt, t_final=spec.t_final, record_every=200)
@@ -478,8 +459,8 @@ def _study_hgp_rate_vs_N(spec: StudySpec):
             raise rep
         return {
             "N": N,
-            "grid_n": n,
-            "half_width": half,
+            "grid_n": grid.n,
+            "half_width": grid.half_width,
             "beta": spec.beta,
             "g": spec.g,
             "t_final": spec.t_final,
@@ -622,14 +603,44 @@ def _study_manybody_suite(spec: StudySpec):
     return rows, checks, {}
 
 
-_DISPATCH = {
-    "gap_vs_g": _study_gap_vs_g,
-    "linf_vs_g": _study_linf_vs_g,
-    "tf_convergence": _study_tf_convergence,
-    "lemma26_vs_N": _study_lemma26_vs_N,
-    "hgp_rate_vs_N": _study_hgp_rate_vs_N,
-    "manybody_suite": _study_manybody_suite,
+@dataclass(frozen=True)
+class _Kind:
+    """One study kind: its function and the StudySpec fields it reads."""
+
+    study: object  # the function that runs the sweep
+    sweeps: str  # what its values are: couplings "g", particle numbers "N" or checks
+    grids: dict  # each grid_d it runs on -> default (grid_n, half_width)
+    reads: dict  # every other field it reads -> default
+
+
+# the coupling sweeps solve their 3D points on one thread (2 threads ran
+# 10-30% slower) and use v through its integral only: they read no workers
+# and no beta.  half_width None widens the box to hold the largest-g cloud
+_COUPLING_GRIDS = {3: (64, float)}
+_COUPLING_READS = {"trap_strength": 1.0, "trap_s": 2.0, "profile": "gaussian"}
+
+# the one table of what each study kind reads, with the defaults it fills in
+_KINDS = {
+    "gap_vs_g": _Kind(_study_gap_vs_g, "g", _COUPLING_GRIDS, _COUPLING_READS),
+    "linf_vs_g": _Kind(_study_linf_vs_g, "g", _COUPLING_GRIDS, _COUPLING_READS),
+    "tf_convergence": _Kind(_study_tf_convergence, "g", _COUPLING_GRIDS, _COUPLING_READS),
+    # in 2D and 3D, spacing 0.047 resolves the kernel range N^-beta / 4 up to
+    # N = 4096 at beta = 0.2
+    "lemma26_vs_N": _Kind(
+        _study_lemma26_vs_N, "N", {1: (4096, 8.0), 2: (128, 3.0), 3: (128, 3.0)},
+        {"profile": "gaussian", "beta": 0.2, "workers": 2},
+    ),
+    "hgp_rate_vs_N": _Kind(
+        _study_hgp_rate_vs_N, "N", {1: (4096, 16.0)},
+        {**_COUPLING_READS, "beta": 0.2, "g": 4.0, "t_final": 0.5, "dt": 2.5e-4, "workers": 2},
+    ),
+    "manybody_suite": _Kind(
+        _study_manybody_suite, "check", {},
+        {"profile": "gaussian", "beta": 0.2, "lam": 0.5, "mb_trials": 200, "workers": 2},
+    ),
 }
+
+STUDY_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +679,7 @@ def _cell(value):
 
 def run_study(spec: StudySpec) -> StudyResult:
     """Execute the sweep, evaluate its acceptance rules, write artifacts."""
-    rows, checks, fits = _DISPATCH[spec.kind](spec)
+    rows, checks, fits = _KINDS[spec.kind].study(spec)
     n_failed = sum(1 for r in rows if r["status"] != "ok")
     frac = n_failed / len(rows)
     checks.append(

@@ -7,14 +7,14 @@ reduced densities, the condensate projector/counting calculus, and exact
 verification of the projector identities, operator-norm bounds,
 spectral-gap chain, and counting-rate inequalities.
 
-``alpha`` is the one evaluation of a state against a reference phi: one
-P_k split and one reduced density give the counting functional, N_+, the
-depletion, the distance ||gamma - |phi><phi|||, the sandwich inequalities
-and, given H, the exact counting rate with its three terms and their
-bounds.  ``evolve_and_track`` and ``verify_gap_chain`` share its core.  The
-mean-field matrix W(phi) = sum V_abcd conj(phi_b) phi_d of the pair tensor
-serves the rate, the self-consistent reference ``gp_modes_ground`` and the
-Galerkin Hartree flow."""
+``_evaluate`` is the one evaluation of a state against a reference phi: one
+P_k split and one reduced density give the counting functional alpha, N_+,
+the depletion, the distance ||gamma - |phi><phi|||, the sandwich
+inequalities and, given H, the exact counting rate with its three terms and
+their bounds.  ``evolve_and_track`` and ``verify_gap_chain`` both call it.
+The mean-field matrix W(phi) = sum V_abcd conj(phi_b) phi_d of the pair
+tensor serves the rate, the self-consistent reference ``gp_modes_ground``
+and the Galerkin Hartree flow."""
 
 from __future__ import annotations
 
@@ -53,7 +53,6 @@ __all__ = [
     "reduced_density",
     "op_norm",
     "mu_weights",
-    "alpha",
     "gp_modes_ground",
     "verify_appendix",
     "verify_gap_chain",
@@ -498,23 +497,13 @@ class CountingReport:
     rate_bounds: np.ndarray | None = None
 
 
-def alpha(
-    psi: ManyBodyState,
-    phi: np.ndarray,
-    lam: float,
-    H: ManyBodyHamiltonian | None = None,
-) -> CountingReport:
-    """Weighted counting functional of psi against phi; rate (N >= 2) if H is given."""
-    return _evaluate(ProjectorContext(psi.sector, phi), psi, lam, H)
-
-
 def _evaluate(
     ctx: ProjectorContext,
     psi: ManyBodyState,
     lam: float,
     H: ManyBodyHamiltonian | None = None,
 ) -> CountingReport:
-    """The CountingReport of psi against ctx.phi, from one split of psi."""
+    """Counting report of psi against ctx.phi from one split; the rate too, given H."""
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0, 1)")
     N, M = psi.sector.N, psi.sector.M

@@ -43,31 +43,52 @@ def test_every_all_name_resolves(module):
 _UNREACHED_EXEMPT = ("model.admissibility", "model.check_assumption1")
 
 
-def _used_names(path):
-    """Names a file uses as a Name, an Attribute or an import alias.
+_MODULES = {info.name for info in pkgutil.iter_modules(tfcond.__path__)}
 
+
+def _used_names(path):
+    """The (module, name) pairs of tfcond functions a file uses.
+
+    A use is ``mod.name`` with ``mod`` bound to a tfcond module, an import of
+    ``name`` from that module, or a bare ``name`` read inside the module itself.
     A use inside a function of the same name, such as a recursive call,
     does not count.
     """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = path.stem if path.parent.name == "tfcond" else None
+    bound = {}  # local name -> the tfcond module it is bound to
     found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                mod = alias.name.removeprefix("tfcond.")
+                if alias.asname and mod in _MODULES:
+                    bound[alias.asname] = mod
+        elif isinstance(node, ast.ImportFrom):
+            # "from tfcond import m" and "from . import m" bind m;
+            # "from tfcond.m import f" and "from .m import f" use f
+            source = (node.module or "").removeprefix("tfcond").lstrip(".")
+            for alias in node.names:
+                if not source and alias.name in _MODULES:
+                    bound[alias.asname or alias.name] = alias.name
+                elif source in _MODULES:
+                    found.add((source, alias.name))
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             enclosing = enclosing | {node.name}
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.alias):
-            name = node.name
-        else:
-            name = None
-        if name is not None and name not in enclosing:
-            found.add(name)
+        use = None
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in bound:
+                use = (bound[node.value.id], node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
+            use = (own, node.id)
+        if use is not None and use[1] not in enclosing:
+            found.add(use)
         for child in ast.iter_child_nodes(node):
             visit(child, enclosing)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    visit(tree, frozenset())
     return found
 
 
@@ -82,14 +103,29 @@ def test_every_public_function_is_reached():
     ]
     used = set().union(*map(_used_names, files))
     unreached = []
-    for info in pkgutil.iter_modules(tfcond.__path__):
-        mod = importlib.import_module(f"tfcond.{info.name}")
+    for module in sorted(_MODULES):
+        mod = importlib.import_module(f"tfcond.{module}")
         unreached += [
-            f"{info.name}.{name}"
+            f"{module}.{name}"
             for name in mod.__all__
-            if inspect.isfunction(getattr(mod, name)) and name not in used
+            if inspect.isfunction(getattr(mod, name)) and (module, name) not in used
         ]
     assert sorted(unreached) == sorted(_UNREACHED_EXEMPT)
+
+
+def test_reach_guard_resolves_the_module_of_a_name(tmp_path):
+    # a name counts only where it refers to that module's function
+    script = tmp_path / "uses.py"
+    script.write_text(
+        "import tfcond.model as md\n"
+        "from tfcond import manybody as mb\n"
+        "from tfcond.groundstate import gp_minimize\n"
+        "alpha = 1\n"
+        "md.scattering_length, mb.build, x.ground_state\n"
+    )
+    assert _used_names(script) == {
+        ("groundstate", "gp_minimize"), ("model", "scattering_length"), ("manybody", "build"),
+    }
 
 
 class TestFitLoglog:
@@ -181,7 +217,7 @@ class TestRunStudy:
         # 2D and 3D take 128 points on [-3, 3) per axis, not 4096^d points
         for grid_d, grid in ((1, (4096, 8.0)), (2, (128, 3.0)), (3, (128, 3.0))):
             spec = StudySpec(kind="lemma26_vs_N", values=(64,), grid_d=grid_d)
-            assert harness._grid_defaults(spec) == grid
+            assert (spec.grid_n, spec.half_width) == grid
 
     def test_lemma26_2d_passes_on_its_default_grid(self):
         res = run_study(
@@ -294,9 +330,7 @@ class TestRunStudy:
         assert all(r["violations"] == 0 for r in res.rows)
 
     def test_gap_vs_g_gates_spectrum_convergence(self, monkeypatch):
-        spec = StudySpec(
-            kind="gap_vs_g", values=(0.5, 1.0, 2.0), grid_n=16, half_width=8.0, workers=1
-        )
+        spec = StudySpec(kind="gap_vs_g", values=(0.5, 1.0, 2.0), grid_n=16, half_width=8.0)
         res = run_study(spec)
         check = {c.name: c for c in res.checks}["spectrum_converged"]
         assert check.passed and check.value == 0.0
@@ -318,7 +352,9 @@ class TestRunStudy:
         assert not res.passed
 
     def test_threads_only_where_a_sweep_gains(self, monkeypatch):
-        # the coupling sweep solves its points on one thread at any workers
+        # the coupling sweep solves its points on one thread and reads no workers
+        with pytest.raises(ValueError, match="does not read.*workers"):
+            StudySpec(kind="gap_vs_g", values=(0.5, 1.0, 2.0), workers=2)
         threads = []
         minimize = gs.gp_minimize
 
@@ -327,9 +363,7 @@ class TestRunStudy:
             return minimize(*args, **kw)
 
         monkeypatch.setattr(gs, "gp_minimize", recording_minimize)
-        spec = StudySpec(
-            kind="gap_vs_g", values=(0.5, 1.0, 2.0), grid_n=16, half_width=8.0, workers=2
-        )
+        spec = StudySpec(kind="gap_vs_g", values=(0.5, 1.0, 2.0), grid_n=16, half_width=8.0)
         assert run_study(spec).passed
         assert len(threads) == 3 and len(set(threads)) == 1
 
@@ -459,15 +493,51 @@ class TestWriteCsv:
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _readme_sections():
+    """The text of each subcommand section of the README, by subcommand."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    sections = re.split(r"^(?=`\w+` —)", text, flags=re.M)[1:]
+    return {section[1 : section.index("`", 1)]: section for section in sections}
+
+
 def _readme_configs():
     """The JSON config of each subcommand section of the README."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
     configs = {}
-    for section in re.split(r"^(?=`\w+` —)", text, flags=re.M)[1:]:
+    for command, section in _readme_sections().items():
         block = re.search(r"```json\n(.*?)```", section, flags=re.S)
         if block:
-            configs[section[1 : section.index("`", 1)]] = json.loads(block.group(1))
+            configs[command] = json.loads(block.group(1))
     return configs
+
+
+# study configs that set a field their kind does not read, or one out of its
+# range, with the field the error must name
+_STUDY_FIELD_CASES = [
+    (
+        "trap_s",
+        {"study": {"kind": "lemma26_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 512,
+                   "dt": 5.0, "mb_trials": 7, "g": -3.0, "trap_s": 9.0}},
+    ),
+    ("beta", {"kind": "gap_vs_g", "values": [0.5, 1.0, 2.0], "grid_n": 16, "beta": 0.3}),
+    ("dt", {"kind": "linf_vs_g", "values": [0.5, 1.0, 2.0], "grid_n": 16, "dt": 1e-3}),
+    (
+        "mb_trials",
+        {"kind": "tf_convergence", "values": [0.5, 1.0, 2.0], "grid_n": 16, "mb_trials": 5},
+    ),
+    (
+        "lam",
+        {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
+         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3, "lam": 0.9},
+    ),
+    ("grid_d", {"kind": "manybody_suite", "values": ["appendix"], "mb_trials": 5, "grid_d": 2}),
+    ("lam", {"kind": "manybody_suite", "values": ["gapchain", "gronwall"], "lam": 0.0}),
+    ("lam", {"kind": "manybody_suite", "values": ["gapchain", "gronwall"], "lam": 1.5}),
+    (
+        "t_final",
+        {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
+         "half_width": 8.0, "t_final": 0, "dt": 1e-3},
+    ),
+]
 
 
 # the CLI child process imports the same tfcond as this one, installed or not
@@ -485,37 +555,33 @@ def _python(*argv, timeout=300):
     )
 
 
-def _cli(*argv, timeout=300):
-    return _python("-m", "tfcond.cli", *argv, timeout=timeout)
-
-
 class TestCli:
     def test_cli_import_leaves_scipy_integrate_out(self):
         proc = _python("-c", "import sys, tfcond.cli; print('scipy.integrate' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_scattering_pass(self, tmp_path):
+    def test_scattering_pass(self, tmp_path, capsys):
         cfg = tmp_path / "scat.json"
         cfg.write_text(
             json.dumps(
                 {"profile": "gaussian", "kappa": [1e-3], "born_window": [0.99, 1.01]}
             )
         )
-        proc = _cli("scattering", "--config", str(cfg), "--out", str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        assert "PASS" in proc.stdout
+        code = cli.main(["scattering", "--config", str(cfg), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert "PASS" in out
         payload = json.loads((tmp_path / "scattering.json").read_text())
         assert payload["passed"] is True
 
-    def test_scattering_fail_window(self, tmp_path):
+    def test_scattering_fail_window(self, tmp_path, capsys):
         cfg = tmp_path / "scat.json"
         cfg.write_text(
             json.dumps({"profile": "gaussian", "kappa": [1.0], "born_window": [0.999, 1.001]})
         )
-        proc = _cli("scattering", "--config", str(cfg))
-        assert proc.returncode == 1
-        assert "FAIL" in proc.stdout
+        assert cli.main(["scattering", "--config", str(cfg)]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_manybody_flags(self, capsys):
         argv = ["manybody", "--N", "3", "--M", "2", "--check", "appendix", "--trials", "3"]
@@ -552,7 +618,7 @@ class TestCli:
         assert seeds == [7, 7, 7]
         assert json.loads((tmp_path / "gap_vs_g_summary.json").read_text())["seed"] == 7
 
-    def test_study_subcommand(self, tmp_path):
+    def test_study_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "study.json"
         cfg.write_text(
             json.dumps(
@@ -567,12 +633,12 @@ class TestCli:
                 }
             )
         )
-        proc = _cli("study", "--config", str(cfg), "--out", str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
+        code = cli.main(["study", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
         assert (tmp_path / "lemma26_vs_N.csv").exists()
         assert (tmp_path / "lemma26_vs_N_summary.json").exists()
 
-    def test_groundstate_subcommand(self, tmp_path):
+    def test_groundstate_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "gs.json"
         cfg.write_text(
             json.dumps(
@@ -584,12 +650,13 @@ class TestCli:
                 }
             )
         )
-        proc = _cli("groundstate", "--config", str(cfg), "--out", str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        assert "spectrum warnings: 0" in proc.stdout
-        newton = re.search(r"newton_steps=(\d+)", proc.stdout)
-        sweeps = re.search(r"spectrum iterations: (\d+)", proc.stdout)
-        assert newton and sweeps, proc.stdout
+        code = cli.main(["groundstate", "--config", str(cfg), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert "spectrum warnings: 0" in out
+        newton = re.search(r"newton_steps=(\d+)", out)
+        sweeps = re.search(r"spectrum iterations: (\d+)", out)
+        assert newton and sweeps, out
         payload = json.loads((tmp_path / "groundstate.json").read_text())
         # the flow hands this config to the Newton polish
         assert payload["newton_steps"] == int(newton.group(1)) > 0
@@ -598,7 +665,7 @@ class TestCli:
         assert abs(payload["energy"] - 1.0) < 1e-6
         assert abs(payload["eigenvalues"][1] - 3.0) < 1e-6
 
-    def test_dynamics_subcommand(self, tmp_path):
+    def test_dynamics_subcommand(self, tmp_path, capsys):
         cfg = tmp_path / "dyn.json"
         cfg.write_text(
             json.dumps(
@@ -614,8 +681,8 @@ class TestCli:
                 }
             )
         )
-        proc = _cli("dynamics", "--config", str(cfg), "--out", str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
+        code = cli.main(["dynamics", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0, capsys.readouterr().err
         payload = json.loads((tmp_path / "dynamics.json").read_text())
         assert payload["passed"] is True
         assert payload["mass_drift_gp"] < 1e-12
@@ -644,7 +711,8 @@ class TestCli:
         assert payload["distance"][1] > payload["bound"][1]
 
     def test_bad_config_exits_2(self):
-        proc = _cli("study", "--config", "/nonexistent/cfg.json")
+        # the module entry point turns main's return value into the exit code
+        proc = _python("-m", "tfcond.cli", "study", "--config", "/nonexistent/cfg.json")
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
@@ -686,8 +754,8 @@ class TestCli:
             ("gap", {"study": {"kind": "lemma26_vs_N", "values": [64, 128, 256], "grid_d": 1}}),
             # an empty coupling list computes nothing
             ("scattering", {"kappa": []}),
-            # the coupling sweeps run on one thread: a workers value, from the
-            # config or the flag, would be ignored
+            # the coupling sweeps run on one thread and read no workers, from
+            # the config or the flag
             ("gap", {"g_values": [0.5, 1.0, 2.0], "grid_n": 16, "workers": 7}),
             ("study", {"study": {"kind": "linf_vs_g", "values": [1, 2, 4], "workers": 1}}),
             ("study --workers 2", {"kind": "tf_convergence", "values": [1, 2, 4]}),
@@ -721,6 +789,8 @@ class TestCli:
                  "grid": {"d": 1, "n": 512, "half_width": 8.0}, "N": 128,
                  "t_final": 0.05, "dt": 1e-3, "record_every": 10},
             ),
+            # a study field its kind does not read, or out of its range
+            *(("study", config) for _, config in _STUDY_FIELD_CASES),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
@@ -756,7 +826,7 @@ class TestCli:
         args = parser.parse_args(["study", "--config", "c.json", "--seed", "3", "--workers", "2"])
         assert (args.seed, args.workers) == (3, 2)
 
-    def test_readme_and_benchmark_configs_exit_0(self, tmp_path, monkeypatch):
+    def test_readme_and_benchmark_configs_exit_0(self, tmp_path, monkeypatch, capsys):
         configs = _readme_configs()
         assert set(configs) == {"groundstate", "gap", "dynamics", "study", "scattering"}
         spec = importlib.util.spec_from_file_location(
@@ -773,11 +843,30 @@ class TestCli:
         for command, config in configs.items():
             path = tmp_path / f"{command}.json"
             path.write_text(json.dumps(config))
-            proc = _cli(command, "--config", str(path))
-            assert proc.returncode == 0, (command, proc.stdout, proc.stderr)
+            code = cli.main([command, "--config", str(path)])
+            assert code == 0, (command, *capsys.readouterr())
 
-    def test_unknown_study_key_exits_2(self, tmp_path):
+    def test_unknown_study_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps({"study": {"kind": "gap_vs_g", "values": [1, 2], "zzz": 1}}))
-        proc = _cli("study", "--config", str(cfg))
-        assert proc.returncode == 2
+        assert cli.main(["study", "--config", str(cfg)]) == 2
+        assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, config", _STUDY_FIELD_CASES)
+    def test_study_error_names_the_field(self, tmp_path, capsys, field, config):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["study", "--config", str(cfg)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_readme_lists_the_fields_each_study_kind_reads(self):
+        section = _readme_sections()["study"]
+        listed = {}
+        for kinds, reads in re.findall(r"^- (`\w+`(?:, `\w+`)*): `([^`]*)`", section, flags=re.M):
+            for kind in re.findall(r"`(\w+)`", kinds):
+                listed[kind] = {name.strip() for name in reads.split(",")}
+        grid_fields = {"grid_d", "grid_n", "half_width"}
+        assert listed == {
+            kind: set(row.reads) | (grid_fields if row.grids else set())
+            for kind, row in harness._KINDS.items()
+        }

@@ -23,7 +23,7 @@ from tfcond.manybody import (
     _rate_bounds,
     _shifted,
     _TensorEngine,
-    alpha,
+    _evaluate,
     assemble,
     build,
     evolve_and_track,
@@ -42,6 +42,12 @@ from tfcond.model import InteractionSpec, RegimeParams, TrapSpec
 
 # a nan from a 0/0 in the many-body layer fails the test instead of passing silently
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def alpha(psi, phi, lam, H=None):
+    """The counting report of psi against phi, as evolve_and_track evaluates it."""
+    return _evaluate(ProjectorContext(psi.sector, phi), psi, lam, H)
+
 
 # frozen two-boson reference: h = diag(1, 2), w = [[1, .3], [.3, .5]],
 # H = h1 + h2 + (g/N) W12 with g = 0.7, N = 2 (tests/oracles/twoboson_oracle.py)
