@@ -95,6 +95,8 @@ class StudySpec:
             raise ValueError("sweep values must be strictly increasing")
         elif row.sweeps == "N" and not all(float(v).is_integer() for v in vals):
             raise ValueError(f"particle numbers must be integers, got {list(vals)}")
+        elif row.sweeps == "g" and min(vals) <= 0:
+            raise ValueError(f"couplings in values must be positive, got {list(vals)}")
         # every kind reads its kind, values, seed and out_dir
         reads = {"kind": str, "values": tuple, "seed": 0, "out_dir": str, **row.reads}
         if row.grids:
@@ -117,6 +119,8 @@ class StudySpec:
             raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
         if self.t_final is not None and self.t_final <= 0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if self.g is not None and self.g < 0:
+            raise ValueError(f"g must be >= 0, got {self.g}")
 
 
 @dataclass

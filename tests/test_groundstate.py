@@ -8,14 +8,13 @@ the spectral solver under test.
 import functools
 import itertools
 import math
-import sys
-import threading
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tfcond import groundstate as gs
 from tfcond.grids import Field, apply_symbol, make_grid, norm
 from tfcond.groundstate import (
     _ParitySector,
@@ -630,49 +629,66 @@ def test_spectrum_requires_swap_symmetric_potential():
     assert np.allclose(spec.eigenvalues, [2.0, 4.0], atol=1e-8)
 
 
-def test_spectrum_warnings_are_captured_as_data():
+def test_spectrum_warnings_are_captured_as_data(monkeypatch):
     grid = make_grid(1, 128, 8.0)
     res = gp_minimize(grid, TRAP, 20.0, tol=1e-9)
+    monkeypatch.setattr(gs, "_SPECTRUM_MAXITER", 2)
     with warnings.catch_warnings(record=True) as leaked:
         warnings.simplefilter("always")
-        spec = hgp_spectrum(grid, TRAP, 20.0, res.field, k=3, maxiter=2)
+        spec = hgp_spectrum(grid, TRAP, 20.0, res.field, k=3)
     assert leaked == []
     assert not spec.converged
     assert any("requested tolerance" in w for w in spec.warnings)
+    monkeypatch.undo()
     assert hgp_spectrum(grid, TRAP, 20.0, res.field, k=3).warnings == ()
 
 
-def test_spectrum_warning_capture_is_per_thread():
-    # more threads than cores, each solve capped so that LOBPCG warns; every
-    # thread must see only its own warnings and none may reach the caller
-    grid = make_grid(1, 128, 8.0)
-    res = gp_minimize(grid, TRAP, 20.0, tol=1e-9)
-    before = warnings.showwarning
-    caps = (1, 2, 3, 1, 2, 3)
-    results = [None] * len(caps)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prolong_reproduces_band_limited_sector_vectors(d):
+    # a field of one parity with wavenumbers pi m / L up to the coarse grid's
+    # Nyquist (m <= n/4 in cosines, m < n/4 in sines), sampled on the grid
+    # and on the grid of its even points: the prolonged coarse sector vector
+    # is the fine one, up to its norm
+    n = 32 if d < 3 else 16
+    fine, coarse = make_grid(d, n, 3.0), make_grid(d, n // 2, 3.0)
+    rng = np.random.default_rng(23)
+    for parity in itertools.product((0, 1), repeat=d):
+        f = np.ones(fine.shape)
+        for x, odd in zip(fine.coords(), parity):
+            m = np.arange(1, n // 4) if odd else np.arange(n // 4 + 1)
+            wave = np.sin if odd else np.cos
+            c = rng.standard_normal(m.size)
+            f = f * sum(cm * wave(np.pi * mm * x / 3.0) for cm, mm in zip(c, m))
+        want = _ParitySector(fine, parity).restrict(f)
+        sampled = _ParitySector(coarse, parity).restrict(f[(slice(None, None, 2),) * d])
+        got = _ParitySector(coarse, parity).prolong(sampled[:, None])[:, 0]
+        assert got.shape == want.shape
+        err = np.max(np.abs(got - want / np.linalg.norm(want)))
+        assert err <= 1e-12, (parity, err)
 
-    def solve(i):
-        results[i] = hgp_spectrum(grid, TRAP, 20.0, res.field, k=3, maxiter=caps[i])
 
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with warnings.catch_warnings(record=True) as leaked:
-            warnings.simplefilter("always")
-            threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(caps))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert leaked == []
-    assert warnings.showwarning is before
-    for cap, spec in zip(caps, results):
-        exits = [w for w in spec.warnings if "Exited at iteration" in w]
-        assert exits
-        assert all(f"Exited at iteration {cap} " in w for w in exits)
+@functools.lru_cache(maxsize=None)
+def _gs3d_case():
+    """(grid, W, phi) of the README groundstate config: 64^3, G = 100."""
+    grid = make_grid(3, 64, 8.0)
+    res = gp_minimize(grid, TRAP, 100.0, tol=1e-6)
+    return grid, TRAP.on_grid(grid) + 100.0 * np.abs(res.field.values) ** 2, res.field
+
+
+@pytest.mark.parametrize("k,seed", [(4, 0), (4, 3), (8, 0), (8, 3)])
+def test_coarse_start_keeps_the_cold_start_eigenvalues(k, seed):
+    # the cold start, every solve from the physical guesses, is the oracle of
+    # the coarse-grid start that hgp_spectrum takes on 3D grids with n >= 64
+    grid, W, phi = _gs3d_case()
+    _, copies, values, _, cold_iterations = gs._sector_solves(
+        grid, W, phi.values.real, k, np.random.default_rng(seed), starts=None
+    )
+    cold = sorted(lam for vals, c in zip(values, copies) for lam in vals for _ in c)[:k]
+    spec = hgp_spectrum(grid, TRAP, 100.0, phi, k=k, seed=seed)
+    assert np.max(np.abs(spec.eigenvalues - cold)) <= 1e-9, (spec.eigenvalues, cold)
+    assert spec.converged
+    assert spec.warnings == ()
+    assert 2 * spec.iterations <= cold_iterations, (spec.iterations, cold_iterations)
 
 
 def test_spectrum_requires_two_levels():

@@ -537,6 +537,15 @@ _STUDY_FIELD_CASES = [
         {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
          "half_width": 8.0, "t_final": 0, "dt": 1e-3},
     ),
+    # a coupling sweep runs at positive couplings only, an N sweep at g >= 0
+    ("values", {"kind": "tf_convergence", "values": [-2, -1, 0.5], "grid_n": 16}),
+    ("values", {"kind": "gap_vs_g", "values": [0, 1.0], "grid_n": 16}),
+    ("values", {"kind": "linf_vs_g", "values": [-1.0, 2.0], "grid_n": 16}),
+    (
+        "g",
+        {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
+         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3, "g": -3.0},
+    ),
 ]
 
 
