@@ -100,7 +100,8 @@ class StudySpec:
         # every kind reads its kind, values, seed and out_dir
         reads = {"kind": str, "values": tuple, "seed": 0, "out_dir": str, **row.reads}
         if row.grids:
-            d = _take({"grid_d": self.grid_d}, self.kind, {"grid_d": 3})["grid_d"]
+            default_d = next(iter(row.grids)) if len(row.grids) == 1 else 3
+            d = _take({"grid_d": self.grid_d}, self.kind, {"grid_d": default_d})["grid_d"]
             if d not in row.grids:
                 dims = " or ".join(f"{k}D" for k in row.grids)
                 raise ValueError(f"{self.kind} runs on a {dims} grid, got grid_d={d}")
@@ -613,7 +614,9 @@ class _Kind:
 
     study: object  # the function that runs the sweep
     sweeps: str  # what its values are: couplings "g", particle numbers "N" or checks
-    grids: dict  # each grid_d it runs on -> default (grid_n, half_width)
+    # each grid_d it runs on -> default (grid_n, half_width); a lone key is
+    # also the default grid_d
+    grids: dict
     reads: dict  # every other field it reads -> default
 
 

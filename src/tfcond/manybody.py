@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh, expm_multiply
+from scipy.sparse.linalg import eigsh
 from scipy.special import comb, gammaln
 
 from .grids import Field, Grid, apply_symbol, convolve, make_grid, norm
@@ -273,6 +273,14 @@ class ManyBodyHamiltonian:
     def N(self) -> int:
         return self.sector.N
 
+    @functools.cached_property
+    def _centered(self) -> tuple[float, sparse.csr_array, float]:
+        """(mu, A, ||A||_1) with mu = tr H / D and A = H - mu I: what ``_evolve`` steps with."""
+        D = self.sector.D
+        mu = float(self.matrix.trace().real) / D
+        A = (self.matrix - mu * sparse.eye_array(D, format="csr")).tocsr()
+        return mu, A, float(abs(A).sum(axis=0).max())
+
 
 def assemble(
     sector: SymmetricSector,
@@ -377,12 +385,31 @@ def mu_weights(N: int, lam: float) -> np.ndarray:
 
 
 def _shifted(weights_by_k, d: int, N: int) -> np.ndarray:
-    """w[k] = weights_by_k[k + d] on k = 0..N, zero where k + d leaves 0..N."""
+    """w[..., k] = weights_by_k[..., k + d] on k = 0..N, zero where k + d leaves 0..N."""
+    weights_by_k = np.asarray(weights_by_k)
     m = np.arange(N + 1) + d
     inside = (m >= 0) & (m <= N)
-    w = np.zeros(N + 1)
-    w[inside] = np.asarray(weights_by_k)[m[inside]]
+    w = np.zeros(weights_by_k.shape[:-1] + (N + 1,))
+    w[..., inside] = weights_by_k[..., m[inside]]
     return w
+
+
+@functools.cache
+def _string_modes(N: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(lam, S V) of T_n = V diag(lam) V^T for n = 0..N; see ``_string_turns``.
+
+    They do not depend on the angles, so each N decomposes its n + 1 tridiagonals
+    once per process.  The arrays are read-only, since every caller shares them.
+    """
+    out = []
+    for n in range(N + 1):
+        off = np.sqrt(np.arange(1, n + 1) * np.arange(n, 0, -1))  # sqrt(t (n + 1 - t))
+        lam, V = eigh_tridiagonal(np.zeros(n + 1), off)
+        SV = (1j ** np.arange(n + 1))[:, None] * V
+        lam.setflags(write=False)
+        SV.setflags(write=False)
+        out.append((lam, SV))
+    return tuple(out)
 
 
 def _string_turns(angles: np.ndarray, N: int) -> list[np.ndarray]:
@@ -396,10 +423,7 @@ def _string_turns(angles: np.ndarray, N: int) -> list[np.ndarray]:
     orthogonal up to rounding.  Entry n is (len(angles), n + 1, n + 1).
     """
     turns = []
-    for n in range(N + 1):
-        off = np.sqrt(np.arange(1, n + 1) * np.arange(n, 0, -1))  # sqrt(t (n + 1 - t))
-        lam, V = eigh_tridiagonal(np.zeros(n + 1), off)
-        SV = (1j ** np.arange(n + 1))[:, None] * V
+    for lam, SV in _string_modes(N):
         waves = np.exp(1j * angles[:, None] * lam)
         turns.append(np.einsum("sj,aj,tj->ast", SV, waves, SV.conj()).real)
     return turns
@@ -445,7 +469,7 @@ class ProjectorContext:
         for i, strings in pairs:
             for n, idx in enumerate(strings[1:], start=1):
                 R = self._turns[n][i]
-                X[idx] = np.einsum("st,gtm->gsm", R.T if inverse else R, X[idx])
+                X[idx] = (R.T if inverse else R) @ X[idx]
         if inverse:
             X *= self._phase.conj()[:, None]
         return X
@@ -610,6 +634,10 @@ def _rate_bounds(H: ManyBodyHamiltonian, phi: np.ndarray, a_val: float, lam: flo
 # Appendix identity verification.
 
 
+# most amplitudes the tensor engine holds in one array
+_TENSOR_CAP = 100_000
+
+
 class _TensorEngine:
     """First-quantized checker on (C^M)^{(x) N} for the projector identities.
 
@@ -617,10 +645,14 @@ class _TensorEngine:
     of a rank-one projector p (from ``basis``, phi its last column) every
     label below M - 1 is a factor q, so P_k is diagonal there: it keeps the
     indices with k such labels.  U^{(x) N} acts as N matmuls, one per slot.
+
+    Every method also runs on a stack of trials: vectors with a leading
+    trial axis T and a stack of T matrices (T, M, M) or pair operators, one
+    per trial.  Weight tables may be shared, (N + 1,), or stacked, (T, N + 1).
     """
 
     def __init__(self, N: int, M: int):
-        if M**N > 100_000:
+        if M**N > _TENSOR_CAP:
             raise ValueError("tensor engine too large")
         self.N = N
         self.M = M
@@ -640,24 +672,31 @@ class _TensorEngine:
         return np.linalg.eigh(p)[1]
 
     def apply_one(self, mat: np.ndarray, vec: np.ndarray, axis: int) -> np.ndarray:
+        """mat on the given axis of vec; a stack (T, M, M) acts trial by trial."""
         s = vec.shape
-        return (mat @ vec.reshape(math.prod(s[:axis]), self.M, -1)).reshape(s)
+        b = mat.ndim - 2  # trial axes the matrices carry
+        v = vec.reshape(s[:b] + (math.prod(s[b:axis]), self.M, -1))
+        return (np.expand_dims(mat, -3) @ v).reshape(s)
 
     def _rotate(self, A: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """A^{(x) N} vec, flat: each matmul acts on the leading slot and moves it last."""
-        v = vec.reshape(self.M, -1)
+        """A^{(x) N} vec, flat per trial: each matmul acts on the leading slot and moves it last."""
+        lead = A.shape[:-2]
+        At = np.swapaxes(A, -1, -2)
+        v = vec.reshape(lead + (self.M, -1))
         for _ in range(self.N):
-            v = (v.T @ A.T).reshape(self.M, -1)
-        return v.ravel()
+            v = (np.swapaxes(v, -1, -2) @ At).reshape(lead + (self.M, -1))
+        return v.reshape(lead + (-1,))
 
     def fhat(self, U: np.ndarray, fvals, vec: np.ndarray, d: int = 0) -> np.ndarray:
         """f-hat-sub-d applied to vec, with U = basis(p): sum_k fvals[k + d] P_k vec."""
-        w = _shifted(fvals, d, self.N)[self._q_count]
-        return self._rotate(U, w * self._rotate(U.conj().T, vec)).reshape(self.shape)
+        w = _shifted(fvals, d, self.N)[..., self._q_count]
+        Uh = np.swapaxes(U.conj(), -1, -2)
+        return self._rotate(U, w * self._rotate(Uh, vec)).reshape(vec.shape)
 
     def apply_pair(self, X: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        flat = vec.reshape(self.M * self.M, -1)
-        return (X @ flat).reshape(self.shape)
+        """The pair operator X (M^2, M^2) on slots 0, 1; a stack (T, M^2, M^2) acts trial by trial."""
+        b = X.ndim - 2
+        return (X @ vec.reshape(vec.shape[:b] + (self.M * self.M, -1))).reshape(vec.shape)
 
     def symmetric_random(self, rng) -> np.ndarray:
         D = self.sector.D
@@ -702,8 +741,12 @@ def verify_appendix(N: int, M: int, trials: int, seed: int = 0) -> AppendixRepor
     they are diagonal: vec is rotated by U^H on every slot, weighted by
     f(k + d) at each index with k factors q, and rotated back.  The other
     side of each identity (the q_j sums, the slot projectors, the pair
-    operator) acts slot by slot in the original basis.  The two-particle
-    grid has 64 points on [-8, 8).  Needs N >= 2, since the pair identities
+    operator) acts slot by slot in the original basis.  The tensor trials
+    draw their data one trial after another, then run as stacks along a
+    leading trial axis, cut so that no stacked array holds more than the
+    engine's 100 000 amplitudes; each violation is still counted per
+    trial.  The Hoelder trials then run one by one.  The two-particle grid
+    has 64 points on [-8, 8).  Needs N >= 2, since the pair identities
     carry sqrt(N / (N - 1)), and at least one trial.
     """
     if N < 2:
@@ -726,51 +769,61 @@ def verify_appendix(N: int, M: int, trials: int, seed: int = 0) -> AppendixRepor
     max_dev = 0.0
 
     def bump(key, dev, limit):
+        """Count each trial whose deviation dev (one per trial) exceeds limit."""
         nonlocal max_dev
-        max_dev = max(max_dev, dev - limit if dev > limit else 0.0)
-        if dev > limit:
-            viol[key] += 1
+        over = np.asarray(dev) - limit
+        viol[key] += int(np.count_nonzero(over > 0))
+        max_dev = float(np.max(over, initial=max_dev, where=over > 0))
+
+    def draw():
+        """One trial's phi, general vector, symmetric state, weights and pair operator."""
+        phi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        raw = rng.standard_normal(eng.shape) + 1j * rng.standard_normal(eng.shape)
+        psi = eng.symmetric_random(rng)
+        f = rng.uniform(-1.0, 1.0, N + 1)
+        Wr = rng.standard_normal((M * M, M * M)) + 1j * rng.standard_normal((M * M, M * M))
+        Wr = 0.5 * (Wr + Wr.conj().T)
+        return phi / np.linalg.norm(phi), raw / np.linalg.norm(raw), psi, f, Wr
+
+    def largest(x):
+        """Largest |entry| of each trial's tensor."""
+        return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+    def norms(x):
+        """Norm of each trial's tensor."""
+        return np.linalg.norm(x.reshape(len(x), -1), axis=1)
 
     nu2 = np.arange(N + 1) / N
-    for _ in range(trials):
-        phi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        phi /= np.linalg.norm(phi)
-        p = np.outer(phi, phi.conj())
+    # trials per stack: a stack holds T tensors and T pair operators (M^4 each)
+    chunk = max(1, _TENSOR_CAP // max(eng.size, M**4))
+    for start in range(0, trials, chunk):
+        T = min(chunk, trials - start)
+        phi, raw, psi, f, Wr = map(np.stack, zip(*(draw() for _ in range(T))))
+        p = phi[:, :, None] * phi.conj()[:, None, :]
         q = np.eye(M) - p
         fhat = functools.partial(eng.fhat, eng.basis(p))
 
+        # slot j of a stacked tensor is axis j + 1
         # (i) squared fraction operator vs mean of q_j, on a general vector
-        raw = rng.standard_normal(eng.shape) + 1j * rng.standard_normal(eng.shape)
-        raw /= np.linalg.norm(raw)
         lhs = fhat(nu2, raw)
         rhs = np.zeros_like(raw)
         for j in range(N):
-            rhs = rhs + eng.apply_one(q, raw, j) / N
-        bump("number_identity", float(np.max(np.abs(lhs - rhs))), _IDENTITY_TOL)
+            rhs = rhs + eng.apply_one(q, raw, j + 1) / N
+        bump("number_identity", largest(lhs - rhs), _IDENTITY_TOL)
 
         # (ii) combinatorics on a symmetric state
-        psi = eng.symmetric_random(rng)
-        f = rng.uniform(-1.0, 1.0, N + 1)
-        fq1 = fhat(f, eng.apply_one(q, psi, 0))
+        fq1 = fhat(f, eng.apply_one(q, psi, 1))
         fnu = fhat(f * np.sqrt(nu2), psi)
-        bump(
-            "counting_equality",
-            abs(np.linalg.norm(fq1) - np.linalg.norm(fnu)),
-            _IDENTITY_TOL,
-        )
-        q1q2 = eng.apply_one(q, eng.apply_one(q, psi, 0), 1)
-        lhs2 = np.linalg.norm(fhat(f, q1q2))
-        rhs2 = math.sqrt(N / (N - 1)) * np.linalg.norm(fhat(f * nu2, psi))
+        bump("counting_equality", np.abs(norms(fq1) - norms(fnu)), _IDENTITY_TOL)
+        q1q2 = eng.apply_one(q, eng.apply_one(q, psi, 1), 2)
+        lhs2 = norms(fhat(f, q1q2))
+        rhs2 = math.sqrt(N / (N - 1)) * norms(fhat(f * nu2, psi))
         bump("counting_inequality", lhs2 - rhs2, _IDENTITY_TOL)
 
         # (iii) shift commutation with a random pair operator
-        Wr = rng.standard_normal((M * M, M * M)) + 1j * rng.standard_normal(
-            (M * M, M * M)
-        )
-        Wr = 0.5 * (Wr + Wr.conj().T)
-        pp = lambda v: eng.apply_one(p, eng.apply_one(p, v, 0), 1)
-        pq = lambda v: eng.apply_one(p, eng.apply_one(q, v, 1), 0)
-        qq = lambda v: eng.apply_one(q, eng.apply_one(q, v, 0), 1)
+        pp = lambda v: eng.apply_one(p, eng.apply_one(p, v, 1), 2)
+        pq = lambda v: eng.apply_one(p, eng.apply_one(q, v, 2), 1)
+        qq = lambda v: eng.apply_one(q, eng.apply_one(q, v, 1), 2)
         Qs = {0: pp, 1: pq, 2: qq}
         for j in range(3):
             for k in range(3):
@@ -778,50 +831,46 @@ def verify_appendix(N: int, M: int, trials: int, seed: int = 0) -> AppendixRepor
                     continue
                 a = fhat(f, Qs[j](eng.apply_pair(Wr, Qs[k](psi))))
                 b = Qs[j](eng.apply_pair(Wr, Qs[k](fhat(f, psi, d=j - k))))
-                bump("shift_commutation", float(np.max(np.abs(a - b))), _IDENTITY_TOL)
+                bump("shift_commutation", largest(a - b), _IDENTITY_TOL)
 
-    # Hoelder operator bounds on a two-particle grid
-    n = grid.n
-    h = grid.h
+    # Hoelder operator bounds on a two-particle grid, one trial at a time:
+    # a stack of every trial's 64 x 64 pair state would outweigh the loop
+    n, h = grid.n, grid.h
     xs = grid.coords()[0]
-    didx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    shift = (np.arange(n)[:, None] - np.arange(n)[None, :] + n // 2) % n  # u(x_i - x_j), periodic
+    envelope = np.exp(-(xs[:, None] ** 2) / np.array([8.0, 10.0]))  # of phi and of u
     # low pass: keep the modes |k| <= 0.2 * 2 pi / h
     low = (grid.k2_half <= (0.4 * np.pi / h) ** 2).astype(float)
-    for _ in range(trials):
+    sizes = np.zeros((trials, 7))
+    for t in range(trials):
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        phi_g = apply_symbol(low, raw) * np.exp(-(xs**2) / 8)
-        phi_g = phi_g / math.sqrt(float(np.sum(np.abs(phi_g) ** 2) * h))
         u_raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u = apply_symbol(low, u_raw) * np.exp(-(xs**2) / 10)
-        Umat = u[(didx + n // 2) % n]  # u(x_i - x_j), periodic
         psi2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        phi_g, u = (apply_symbol(low, np.stack([raw, u_raw], axis=-1)) * envelope).T
+        phi_g = phi_g / math.sqrt(float(np.sum(np.abs(phi_g) ** 2) * h))
         psi2 /= math.sqrt(float(np.sum(np.abs(psi2) ** 2) * h * h))
-
-        u_inf = float(np.max(np.abs(u)))
-        u_l2 = float(np.sqrt(np.sum(np.abs(u) ** 2) * h))
-        u_l4 = float(np.sum(np.abs(u) ** 4) * h) ** 0.25
-        phi_l4 = float(np.sum(np.abs(phi_g) ** 4) * h) ** 0.25
-
-        def l2(mat):
-            return float(np.sqrt(np.sum(np.abs(mat) ** 2) * h * h))
-
-        p1psi = np.outer(phi_g, (phi_g.conj() @ psi2) * h)
-        lhs = l2(Umat * p1psi)
-        bump("one_projector_bound", lhs - u_inf, _IDENTITY_TOL)  # (a, a') = (1, inf)
-        bump("one_projector_bound", lhs - phi_l4 * u_l4, _IDENTITY_TOL)  # (2, 2)
-
-        # p1 u p1 maps psi -> phi (x) [(u * |phi|^2) projected...]
-        up = Umat * p1psi
-        p1up = np.outer(phi_g, (phi_g.conj() @ up) * h)
-        lhs2 = l2(p1up)
-        bump("two_projector_bound", lhs2 - u_inf, _IDENTITY_TOL)
-        bump("two_projector_bound", lhs2 - phi_l4**2 * u_l2, _IDENTITY_TOL)
-
-        overlap = (phi_g.conj() @ psi2 @ phi_g.conj()) * h * h
-        pp_psi = overlap * np.outer(phi_g, phi_g)
-        lhs3 = l2(Umat * pp_psi)
-        bump("pair_projector_bound", lhs3 - u_inf, _IDENTITY_TOL)
-        bump("pair_projector_bound", lhs3 - phi_l4**2 * u_l2, _IDENTITY_TOL)
+        rho, U = np.abs(phi_g) ** 2, u[shift]
+        U2, au = np.abs(U) ** 2, np.abs(u)
+        w = (phi_g.conj() @ psi2) * h  # p1 psi = phi (x) w
+        overlap = (w @ phi_g.conj()) * h  # pp psi = overlap phi (x) phi
+        # L2 norms of u12 p1 psi, of p1 u12 p1 psi = phi (x) h (rho @ U) w and
+        # of u12 pp psi, each a rank-one product with u12 = u(x1 - x2)
+        sizes[t] = (
+            h * math.sqrt(rho @ U2 @ np.abs(w) ** 2),
+            h * h * math.sqrt(rho.sum() * np.sum(np.abs((rho @ U) * w) ** 2)),
+            h * abs(overlap) * math.sqrt(rho @ U2 @ rho),
+            au.max(),
+            math.sqrt(np.sum(au**2) * h),
+            float(np.sum(au**4) * h) ** 0.25,
+            float(np.sum(rho**2) * h) ** 0.25,
+        )
+    lhs, lhs2, lhs3, u_inf, u_l2, u_l4, phi_l4 = sizes.T
+    bump("one_projector_bound", lhs - u_inf, _IDENTITY_TOL)  # (a, a') = (1, inf)
+    bump("one_projector_bound", lhs - phi_l4 * u_l4, _IDENTITY_TOL)  # (2, 2)
+    bump("two_projector_bound", lhs2 - u_inf, _IDENTITY_TOL)
+    bump("two_projector_bound", lhs2 - phi_l4**2 * u_l2, _IDENTITY_TOL)
+    bump("pair_projector_bound", lhs3 - u_inf, _IDENTITY_TOL)
+    bump("pair_projector_bound", lhs3 - phi_l4**2 * u_l2, _IDENTITY_TOL)
 
     return AppendixReport(N=N, M=M, trials=trials, violations=viol, max_dev=max_dev)
 
@@ -1011,9 +1060,55 @@ class TrackReport:
         )
 
 
+# theta_m of Al-Mohy & Higham (2011), Table 3.1, at unit roundoff 2^-53: the
+# degree-m Taylor polynomial of exp(X) has backward error below 2^-53 while
+# ||X||_1 <= theta_m
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.4e-4, 5: 2.4e-3, 6: 9.07e-3, 7: 2.38e-2,
+    8: 5.0e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.0e-1, 13: 4.0e-1, 14: 5.14e-1,
+    15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62,
+    22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31,
+    30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_TAYLOR_TOL = 2.0**-53
+
+
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """Degree m and substeps s of least cost m s with norm / s <= theta_m."""
+    if norm == 0:
+        return 0, 1
+    steps = {m: math.ceil(norm / th) for m, th in _TAYLOR_THETA.items()}
+    m = min(steps, key=lambda m: m * steps[m])
+    return m, steps[m]
+
+
 def _evolve(H: ManyBodyHamiltonian, vec: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) vec by the truncated Taylor series of Al-Mohy & Higham (2011)."""
-    return expm_multiply(-1j * dt * H.matrix, vec)
+    """exp(-i H dt) vec by the truncated Taylor series of Al-Mohy & Higham (2011).
+
+    With mu = tr H / D and A = H - mu I, exp(-i H dt) = exp(-i mu dt)
+    exp(-i A dt).  The degree m and the substep count s come from the exact
+    |dt| ||A||_1 alone, and ||A||_1 is computed once per Hamiltonian, so no
+    norm is estimated and no random state is read.  Each of the s substeps
+    sums the series until two successive terms fall below 2^-53 of the
+    partial sum, the paper's early termination.
+    """
+    mu, A, norm1 = H._centered
+    m, s = _taylor_plan(abs(dt) * norm1)
+    h = -1j * dt / s
+    eta = np.exp(h * mu)
+    F = np.asarray(vec, dtype=complex)
+    for _ in range(s):
+        B = F
+        c1 = np.abs(B).max()
+        for j in range(1, m + 1):
+            B = (h / j) * (A @ B)
+            c2 = np.abs(B).max()
+            F = F + B
+            if c1 + c2 <= _TAYLOR_TOL * np.abs(F).max():
+                break
+            c1 = c2
+        F = eta * F
+    return F
 
 
 # time step of the finite-difference cross-check of the counting rate
@@ -1030,8 +1125,10 @@ def evolve_and_track(
 ) -> TrackReport:
     """Exact sector evolution with mean-field counting diagnostics.
 
-    psi steps between grid times by expm_multiply on the sparse H; phi
-    follows the Galerkin mean-field flow on the same modes.  At each time one
+    psi steps between grid times by ``_evolve``, a truncated Taylor series
+    on the sparse H whose degree and substeps follow from ||H - mu I||_1,
+    computed once for H; phi follows the Galerkin mean-field flow on the
+    same modes.  At each time one
     evaluation of psi(t) against phi(t), the core of ``alpha``, gives alpha,
     the exact counting rate, the three rate-term estimates, the
     reduced-density distance and the sandwich inequalities; alpha at

@@ -178,8 +178,11 @@ class TestStudySpec:
             with pytest.raises(ValueError, match="3D grid"):
                 StudySpec(kind=kind, values=(10,), grid_d=1)
         with pytest.raises(ValueError, match="1D grid"):
-            StudySpec(kind="hgp_rate_vs_N", values=(64, 128))
-        assert StudySpec(kind="lemma26_vs_N", values=(64,), grid_d=3).grid_d == 3
+            StudySpec(kind="hgp_rate_vs_N", values=(64, 128), grid_d=3)
+        # a kind that runs on one dimension defaults to it
+        assert StudySpec(kind="hgp_rate_vs_N", values=(64, 128)).grid_d == 1
+        assert StudySpec(kind="gap_vs_g", values=(10,)).grid_d == 3
+        assert StudySpec(kind="lemma26_vs_N", values=(64,)).grid_d == 3
 
     def test_non_integral_particle_numbers_rejected(self):
         for kind, grid_d in (("lemma26_vs_N", 1), ("hgp_rate_vs_N", 1)):
@@ -227,8 +230,9 @@ class TestRunStudy:
         assert {(r["grid_n"], r["half_width"]) for r in res.rows} == {(128, 3.0)}
 
     def test_rerun_is_byte_identical(self):
-        # the many-body suite evolves by expm_multiply, which for large
-        # t ||H||_1 estimates norms from numpy's global random state
+        # the many-body suite runs its checks on 2 threads and draws every
+        # random number from its own seeded generator, none from numpy's
+        # global random state
         small_suite = StudySpec(
             kind="manybody_suite", values=("gapchain", "gronwall"), mb_trials=5, workers=2
         )
@@ -779,7 +783,7 @@ class TestCli:
             ("manybody --N 1 --check gronwall", {}),
             # the coupling sweeps run on a 3D grid, hgp_rate_vs_N on a 1D one
             ("study", {"kind": "gap_vs_g", "values": [10], "grid_d": 1}),
-            ("study", {"kind": "hgp_rate_vs_N", "values": [64, 128, 256]}),
+            ("study", {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 3}),
             # an N sweep's values are particle numbers
             ("study", {"kind": "lemma26_vs_N", "values": [64.5, 128, 256], "grid_d": 1}),
             # a many-body check needs at least one trial

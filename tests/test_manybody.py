@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from tfcond import manybody as mb
-from tfcond.grids import make_grid
+from tfcond.grids import apply_symbol, make_grid
 from tfcond.harness import TOLERANCES
 from tfcond.manybody import (
     ManyBodyState,
@@ -831,6 +832,109 @@ class TestProjectorSplit:
         assert _rel_dev(bounds, _rate_bounds(H, phi, a_ref, 0.5)) <= 1e-12
 
 
+# ---------------------------------------------------------------------------
+# Frozen per-trial oracle of verify_appendix: the original loop, one trial at
+# a time through the engine's unstacked calls, with every 64 x 64 product of
+# the Hoelder checks formed in full.
+
+
+def _per_trial_appendix(N, M, trials, seed):
+    """(violations, max_dev) of verify_appendix(N, M, trials, seed), trial by trial."""
+    tol = mb._IDENTITY_TOL
+    rng = np.random.default_rng(seed)
+    eng = _TensorEngine(N, M)
+    grid = make_grid(1, 64, 8.0)
+    viol = dict.fromkeys(
+        (
+            "number_identity", "counting_equality", "counting_inequality", "shift_commutation",
+            "one_projector_bound", "two_projector_bound", "pair_projector_bound",
+        ),
+        0,
+    )
+    max_dev = 0.0
+
+    def bump(key, dev, limit):
+        nonlocal max_dev
+        max_dev = max(max_dev, dev - limit if dev > limit else 0.0)
+        if dev > limit:
+            viol[key] += 1
+
+    nu2 = np.arange(N + 1) / N
+    for _ in range(trials):
+        phi = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        phi /= np.linalg.norm(phi)
+        p = np.outer(phi, phi.conj())
+        q = np.eye(M) - p
+        U = eng.basis(p)
+
+        def fhat(fvals, vec, d=0):
+            return eng.fhat(U, fvals, vec, d)
+
+        raw = rng.standard_normal(eng.shape) + 1j * rng.standard_normal(eng.shape)
+        raw /= np.linalg.norm(raw)
+        rhs = np.zeros_like(raw)
+        for j in range(N):
+            rhs = rhs + eng.apply_one(q, raw, j) / N
+        bump("number_identity", float(np.max(np.abs(fhat(nu2, raw) - rhs))), tol)
+
+        psi = eng.symmetric_random(rng)
+        f = rng.uniform(-1.0, 1.0, N + 1)
+        fq1 = fhat(f, eng.apply_one(q, psi, 0))
+        fnu = fhat(f * np.sqrt(nu2), psi)
+        bump("counting_equality", abs(np.linalg.norm(fq1) - np.linalg.norm(fnu)), tol)
+        q1q2 = eng.apply_one(q, eng.apply_one(q, psi, 0), 1)
+        lhs2 = np.linalg.norm(fhat(f, q1q2))
+        rhs2 = math.sqrt(N / (N - 1)) * np.linalg.norm(fhat(f * nu2, psi))
+        bump("counting_inequality", lhs2 - rhs2, tol)
+
+        Wr = rng.standard_normal((M * M, M * M)) + 1j * rng.standard_normal((M * M, M * M))
+        Wr = 0.5 * (Wr + Wr.conj().T)
+        Qs = {
+            0: lambda v: eng.apply_one(p, eng.apply_one(p, v, 0), 1),
+            1: lambda v: eng.apply_one(p, eng.apply_one(q, v, 1), 0),
+            2: lambda v: eng.apply_one(q, eng.apply_one(q, v, 0), 1),
+        }
+        for j, k in itertools.permutations(range(3), 2):
+            a = fhat(f, Qs[j](eng.apply_pair(Wr, Qs[k](psi))))
+            b = Qs[j](eng.apply_pair(Wr, Qs[k](fhat(f, psi, d=j - k))))
+            bump("shift_commutation", float(np.max(np.abs(a - b))), tol)
+
+    n, h = grid.n, grid.h
+    xs = grid.coords()[0]
+    didx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    low = (grid.k2_half <= (0.4 * np.pi / h) ** 2).astype(float)
+
+    def l2(mat):
+        return float(np.sqrt(np.sum(np.abs(mat) ** 2) * h * h))
+
+    for _ in range(trials):
+        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        phi_g = apply_symbol(low, raw) * np.exp(-(xs**2) / 8)
+        phi_g = phi_g / math.sqrt(float(np.sum(np.abs(phi_g) ** 2) * h))
+        u_raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u = apply_symbol(low, u_raw) * np.exp(-(xs**2) / 10)
+        Umat = u[(didx + n // 2) % n]
+        psi2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        psi2 /= math.sqrt(float(np.sum(np.abs(psi2) ** 2) * h * h))
+        u_inf = float(np.max(np.abs(u)))
+        u_l2 = float(np.sqrt(np.sum(np.abs(u) ** 2) * h))
+        u_l4 = float(np.sum(np.abs(u) ** 4) * h) ** 0.25
+        phi_l4 = float(np.sum(np.abs(phi_g) ** 4) * h) ** 0.25
+
+        p1psi = np.outer(phi_g, (phi_g.conj() @ psi2) * h)
+        lhs = l2(Umat * p1psi)
+        bump("one_projector_bound", lhs - u_inf, tol)
+        bump("one_projector_bound", lhs - phi_l4 * u_l4, tol)
+        lhs2 = l2(np.outer(phi_g, (phi_g.conj() @ (Umat * p1psi)) * h))
+        bump("two_projector_bound", lhs2 - u_inf, tol)
+        bump("two_projector_bound", lhs2 - phi_l4**2 * u_l2, tol)
+        overlap = (phi_g.conj() @ psi2 @ phi_g.conj()) * h * h
+        lhs3 = l2(Umat * overlap * np.outer(phi_g, phi_g))
+        bump("pair_projector_bound", lhs3 - u_inf, tol)
+        bump("pair_projector_bound", lhs3 - phi_l4**2 * u_l2, tol)
+    return viol, max_dev
+
+
 class TestAppendix:
     SHAPES = [(4, 3), (6, 2), (3, 4), (2, 5)]
 
@@ -895,6 +999,35 @@ class TestAppendix:
         rep = verify_appendix(3, 2, 5, seed=3)
         assert rep.trials == 5
         assert rep.N == 3 and rep.M == 2
+
+    @pytest.mark.parametrize(
+        "N, M, trials, seed",
+        [(N, M, 12, seed) for N, M in SHAPES for seed in (0, 5)]
+        # 3^8 = 6561 amplitudes: 15 trials per stack, so 20 span two
+        + [(8, 3, 20, 1)],
+    )
+    def test_batched_trials_match_per_trial_oracle(self, N, M, trials, seed):
+        rep = verify_appendix(N, M, trials, seed)
+        viol, max_dev = _per_trial_appendix(N, M, trials, seed)
+        assert rep.violations == viol
+        assert abs(rep.max_dev - max_dev) <= 1e-12
+
+    def test_violations_are_counted_per_trial(self, monkeypatch):
+        # a basis of another projector breaks the number identity in every
+        # trial; at (8, 3) the 20 trials run as two stacks
+        assert mb._TENSOR_CAP // _TensorEngine(8, 3).size < 20
+        rng = np.random.default_rng(67)
+        _, other, _ = _random_projector_pair(rng, 3)
+        wrong = np.linalg.eigh(other)[1]
+        monkeypatch.setattr(
+            _TensorEngine, "basis", staticmethod(lambda p: np.broadcast_to(wrong, p.shape))
+        )
+        for N, trials in ((4, 7), (8, 20)):
+            rep = verify_appendix(N, 3, trials, seed=2)
+            viol, max_dev = _per_trial_appendix(N, 3, trials, seed=2)
+            assert rep.violations["number_identity"] == trials
+            assert rep.violations == viol
+            assert rep.max_dev > 0.01 and abs(rep.max_dev - max_dev) <= 1e-12
 
 
 class TestGapChain:
@@ -1120,7 +1253,8 @@ class TestDenseOracle:
         e0_again, gs_again = ground_state(H)
         assert e0_again == e0 and np.array_equal(gs_again.vector, gs.vector)
 
-        # every step evolve_and_track takes, against exp(-i H dt) by eigh
+        # every step evolve_and_track takes, against exp(-i H dt) by eigh and
+        # by scipy's expm_multiply
         steps = []
 
         def spy(H_, vec, dt, evolve=mb._evolve):
@@ -1137,6 +1271,9 @@ class TestDenseOracle:
         for dt, vec, out in steps:
             exact = evecs @ (np.exp(-1j * evals * dt) * (evecs.conj().T @ vec))
             assert np.max(np.abs(out - exact)) < 1e-12
+            assert np.max(np.abs(out - expm_multiply(-1j * dt * H.matrix, vec))) < 1e-12
+        for dt in (0.05, 1e-4, -1e-4, 2e-4):
+            assert any(abs(step[0] - dt) <= 1e-15 for step in steps)
         # psi(t) on the grid, chained from psi0; the other steps are the
         # finite-difference ones of at most 2 fd_dt = 2e-4
         coeff0 = evecs.conj().T @ psi0.vector
@@ -1144,6 +1281,40 @@ class TestDenseOracle:
         assert len(chain) == len(times) - 1
         for t, out in zip(times[1:], chain):
             assert np.max(np.abs(out - evecs @ (np.exp(-1j * evals * t) * coeff0))) < 1e-12
+
+    @pytest.mark.parametrize("N, M", [(8, 5), (12, 5)])
+    def test_taylor_substeps_match_eigh_and_expm_multiply(self, N, M):
+        H = _toy_hamiltonian(N=N, M=M, g=0.1)
+        evals, evecs = np.linalg.eigh(H.matrix.toarray())
+        mu, A, norm1 = H._centered
+        dense = H.matrix.toarray()
+        assert np.array_equal(A.toarray(), dense - mu * np.eye(H.sector.D))
+        assert abs(norm1 - np.max(np.sum(np.abs(A.toarray()), axis=0))) <= 1e-14 * norm1
+        rng = np.random.default_rng(71)
+        vec = rng.standard_normal(H.sector.D) + 1j * rng.standard_normal(H.sector.D)
+        vec /= np.linalg.norm(vec)
+        dt = 60.0 / norm1  # |dt| ||H - mu I||_1 = 60 > 50
+        assert mb._taylor_plan(abs(dt) * norm1)[1] > 1
+        for step in (dt, -dt):
+            out = mb._evolve(H, vec, step)
+            exact = evecs @ (np.exp(-1j * evals * step) * (evecs.conj().T @ vec))
+            assert np.max(np.abs(out - exact)) < 1e-12
+            assert np.max(np.abs(out - expm_multiply(-1j * step * H.matrix, vec))) < 1e-12
+
+    def test_evolve_leaves_the_global_random_state_alone(self):
+        # at dt = 5, expm_multiply would estimate norms from np.random
+        H = _toy_hamiltonian(N=8, M=5, g=0.1)
+        phi0 = np.zeros(5, dtype=complex)
+        phi0[0] = 1.0
+        psi = product_state(H.sector, phi0).vector
+        before = np.random.get_state()
+        out = mb._evolve(H, psi, 5.0)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+        evals, evecs = np.linalg.eigh(H.matrix.toarray())
+        exact = evecs @ (np.exp(-5j * evals) * (evecs.conj().T @ psi))
+        assert np.max(np.abs(out - exact)) < 1e-12
 
     def test_counting_config_matches_seed(self, monkeypatch):
         seed = _counting_seed(monkeypatch)
