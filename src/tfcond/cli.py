@@ -21,7 +21,7 @@ from . import harness
 from . import manybody as mb
 from .grids import Field, make_grid, normalize
 from .model import _INTERACTION_KEYS, _TRAP_KEYS, _take
-from .model import InteractionSpec, RegimeParams, TrapSpec, scattering_length
+from .model import InteractionSpec, TrapSpec, scattering_length
 
 __all__ = ["main", "build_parser"]
 
@@ -250,18 +250,8 @@ def _cmd_manybody(args) -> int:
         _write_json(args.out, "manybody_appendix.json", payload)
         return _report(lines, rep.passed)
 
-    grid = make_grid(1, 64, 8.0)
-    if mode_kind == "harmonic":
-        modes = mb.ModeBasis.harmonic(grid, M)
-        trap = TrapSpec(strength=1.0, s=2)
-    elif mode_kind == "planewave":
-        modes = mb.ModeBasis.planewave(grid, M)
-        trap = None
-    else:
-        raise ValueError(f"unknown mode kind {mode_kind!r}")
     inter = InteractionSpec(profile="gaussian", beta=beta)
-    reg = RegimeParams(N=N, beta=beta, g_N=g, lambda_weight=lam)
-    H = mb.build(modes, trap, inter, reg)
+    H = harness._mode_hamiltonian(inter, N, M, g, lam, mode_kind)
 
     if check == "gapchain":
         rep = mb.verify_gap_chain(H, lam=lam, samples=trials, seed=seed)
@@ -284,13 +274,7 @@ def _cmd_manybody(args) -> int:
         return _report(lines, rep.passed)
 
     # gronwall
-    phi0 = np.zeros(M, dtype=complex)
-    phi0[0] = 1.0
-    psi0 = mb.product_state(H.sector, phi0)
-    t_grid = np.linspace(0.0, cfg["t_final"], cfg["steps"])
-    rep = mb.evolve_and_track(
-        psi0, H, phi0, mb.hartree_from_hamiltonian(H), t_grid, lam
-    )
+    rep = harness._product_track(H, np.linspace(0.0, cfg["t_final"], cfg["steps"]), lam)
     passed = rep.passed
     lines = [
         f"counting-rate identity: N={N} M={M} g={g} modes={mode_kind}",

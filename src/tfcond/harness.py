@@ -539,6 +539,29 @@ def _study_hgp_rate_vs_N(spec: StudySpec):
     return rows, checks, fits
 
 
+def _mode_hamiltonian(inter, N, M, g, lam, modes="harmonic") -> mb.ManyBodyHamiltonian:
+    """H of N bosons with pair interaction inter, coupling g and counting
+    exponent lam on the 64-point grid on [-8, 8): on its M lowest harmonic
+    modes in the trap (1, 2), or on its M lowest plane waves and no trap."""
+    grid = make_grid(1, 64, 8.0)
+    if modes == "harmonic":
+        basis, trap = mb.ModeBasis.harmonic(grid, M), TrapSpec(strength=1.0, s=2)
+    elif modes == "planewave":
+        basis, trap = mb.ModeBasis.planewave(grid, M), None
+    else:
+        raise ValueError(f"unknown mode kind {modes!r}")
+    reg = RegimeParams(N=N, beta=inter.beta, g_N=g, lambda_weight=lam)
+    return mb.build(basis, trap, inter, reg)
+
+
+def _product_track(H: mb.ManyBodyHamiltonian, t_grid, lam: float) -> mb.TrackReport:
+    """``evolve_and_track`` of the product state of mode 0 against the mean-field flow from it."""
+    phi0 = np.zeros(H.sector.M, dtype=complex)
+    phi0[0] = 1.0
+    psi0 = mb.product_state(H.sector, phi0)
+    return mb.evolve_and_track(psi0, H, phi0, mb.hartree_from_hamiltonian(H), t_grid, lam)
+
+
 def _study_manybody_suite(spec: StudySpec):
     inter = InteractionSpec(profile=spec.profile, beta=spec.beta)
 
@@ -558,10 +581,7 @@ def _study_manybody_suite(spec: StudySpec):
                 "metric_ok": total == 0,
             }
         if check == "gapchain":
-            grid = make_grid(1, 64, 8.0)
-            modes = mb.ModeBasis.harmonic(grid, 3)
-            reg = RegimeParams(N=3, beta=spec.beta, g_N=0.5, lambda_weight=spec.lam)
-            H = mb.build(modes, TrapSpec(strength=1.0, s=2), inter, reg)
+            H = _mode_hamiltonian(inter, 3, 3, 0.5, spec.lam)
             rep = mb.verify_gap_chain(H, lam=spec.lam, samples=100, seed=spec.seed)
             return {
                 "check": check,
@@ -572,16 +592,8 @@ def _study_manybody_suite(spec: StudySpec):
                 "metric_ok": rep.passed,
             }
         # gronwall
-        grid = make_grid(1, 64, 8.0)
-        modes = mb.ModeBasis.harmonic(grid, 4)
-        reg = RegimeParams(N=4, beta=spec.beta, g_N=0.1, lambda_weight=spec.lam)
-        H = mb.build(modes, TrapSpec(strength=1.0, s=2), inter, reg)
-        phi0 = np.zeros(4, dtype=complex)
-        phi0[0] = 1.0
-        psi0 = mb.product_state(H.sector, phi0)
-        rep = mb.evolve_and_track(
-            psi0, H, phi0, mb.hartree_from_hamiltonian(H), np.linspace(0, 0.5, 11), spec.lam
-        )
+        H = _mode_hamiltonian(inter, 4, 4, 0.1, spec.lam)
+        rep = _product_track(H, np.linspace(0, 0.5, 11), spec.lam)
         return {
             "check": check,
             "trials": len(rep.times),

@@ -7,11 +7,12 @@ reduced densities, the condensate projector/counting calculus, and exact
 verification of the projector identities, operator-norm bounds,
 spectral-gap chain, and counting-rate inequalities.
 
-``_evaluate`` is the one evaluation of a state against a reference phi: one
-P_k split and one reduced density give the counting functional alpha, N_+,
-the depletion, the distance ||gamma - |phi><phi|||, the sandwich
-inequalities and, given H, the exact counting rate with its three terms and
-their bounds.  ``evolve_and_track`` and ``verify_gap_chain`` both call it.
+``_evaluate`` is the one evaluation of a state against a reference phi: the
+P_k weights |P_k psi|^2 and one reduced density give the counting functional
+alpha, the depletion, the distance ||gamma - |phi><phi|||, the sandwich
+inequalities and, given H, one f-hat application gives the exact counting
+rate with its three terms and their bounds.  ``evolve_and_track`` and
+``verify_gap_chain`` both call it.
 The mean-field matrix W(phi) = sum V_abcd conj(phi_b) phi_d of the pair
 tensor serves the rate, the self-consistent reference ``gp_modes_ground``
 and the Galerkin Hartree flow."""
@@ -198,13 +199,6 @@ class SymmetricSector:
             out.append(tuple(by_n))
         return tuple(out)
 
-    def _apply_two_body(self, X: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """two_body_matrix(X) @ v through the sparse pair map, no D x D matrix."""
-        if self.N == 1:
-            return np.zeros(self.D, dtype=complex)
-        A2 = self._pair_lowering
-        return A2.T @ (X @ (A2 @ v).reshape(len(X), -1)).ravel()
-
     def one_body_matrix(self, h: np.ndarray) -> np.ndarray:
         """Sector matrix of sum_j h_j = sum_ab h_ab adag_a a_b."""
         return _sandwich(self.lowering, np.asarray(h)).toarray()
@@ -315,16 +309,15 @@ def mode_one_body(modes: ModeBasis, trap: TrapSpec | None) -> np.ndarray:
 
 
 def pair_tensor(modes: ModeBasis, kernel: Field) -> np.ndarray:
-    """<ab| v_N |cd> for all mode pairs via FFT convolutions."""
+    """<ab| v_N |cd> for all mode pairs, from one batched FFT convolution of a real kernel."""
+    if np.any(kernel.values.imag != 0):
+        raise ValueError("the pair kernel must be real")
     grid = modes.grid
     U = modes.values
     M = modes.M
     P = U.conj()[:, None, :] * U[None, :, :]  # P[a,c](x) = conj(u_a) u_c
-    V = np.zeros((M, M, M, M), dtype=complex)
-    for b in range(M):
-        for d in range(M):
-            conv = convolve(kernel, Field(grid, P[b, d])).values
-            V[:, b, :, d] = np.einsum("acx,x->ac", P, conv) * grid.dv
+    conv = apply_symbol(grid.kernel_symbol(kernel.values.real), P.reshape(M * M, -1).T)
+    V = np.einsum("acx,bdx->abcd", P, conv.T.reshape(P.shape)) * grid.dv
     V = V.reshape(M * M, M * M)
     return 0.5 * (V + V.conj().T)
 
@@ -439,8 +432,11 @@ class ProjectorContext:
     turns each pair rotation into small exact rotations of the strings of
     states that differ only in how modes 0 and i share their bosons.  So
     P_k = Gamma(W)^H [n_0 = N - k] Gamma(W), with no D x D matrix and with
-    rounding that does not grow with N.  Every weighted counting operator
-    f-hat (shifted ones too) is a weighted sum of the P_k parts.
+    rounding that does not grow with N.  ``weights`` bins |P_k vec|^2
+    straight from the turned coefficients; ``fhat`` applies any weighted
+    counting operator f-hat = sum_k f(k) P_k (shifted ones too) by weighting
+    them and turning back only its own rows.  Both also turn back the k = N
+    part, which a(phi) must annihilate, so a wrong turn raises.
     """
 
     def __init__(self, sector: SymmetricSector, phi: np.ndarray):
@@ -474,37 +470,39 @@ class ProjectorContext:
             X *= self._phase.conj()[:, None]
         return X
 
-    def split(self, vec: np.ndarray) -> np.ndarray:
-        """(N + 1, D) array whose row k is P_k vec."""
+    def _turn(self, vec: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Gamma(W) vec, sum_k rows[j, k] P_k vec for each row j) from one forward turn.
+
+        The inverse turn carries the weighted rows and the k = N part,
+        which has no boson in phi, so a(phi) must annihilate it.
+        """
         vec = np.asarray(vec, dtype=complex)
-        D, N = self.sector.D, self.sector.N
+        N = self.sector.N
         coeff = self._rotate(vec[:, None])[:, 0]
-        blocks = np.zeros((D, N + 1), dtype=complex)
-        blocks[np.arange(D), self._k] = coeff
-        parts = self._rotate(blocks, inverse=True).T
-        # a(phi) must annihilate the k = N part, which has no boson in phi
-        lowered = self.phi.conj() @ (self.sector.lowering @ parts[N]).reshape(self.sector.M, -1)
+        rows = np.concatenate([rows, (np.arange(N + 1) == N)[None, :]])
+        back = self._rotate((rows[:, self._k] * coeff).T, inverse=True).T
+        lowered = self.phi.conj() @ (self.sector.lowering @ back[-1]).reshape(self.sector.M, -1)
         residual = np.linalg.norm(lowered)
         if residual > 1e-10 * np.linalg.norm(vec):
             raise RuntimeError(f"a(phi) does not annihilate P_N vec (residual {residual:.2e})")
-        return parts
+        return coeff, back[:-1]
 
-    def sector_weights(self, vec: np.ndarray) -> np.ndarray:
+    def weights(self, vec: np.ndarray) -> np.ndarray:
         """|P_k vec|^2 for k = 0..N."""
-        return np.linalg.norm(self.split(vec), axis=1) ** 2
+        N = self.sector.N
+        coeff, _ = self._turn(vec, np.zeros((0, N + 1)))
+        return np.bincount(self._k, np.abs(coeff) ** 2, minlength=N + 1)
 
-    def n_plus_matrix(self) -> np.ndarray:
-        # a(phi)^+ a(phi), the number of bosons in phi
-        nphi = self.sector.one_body_matrix(np.outer(self.phi, self.phi.conj()))
-        return self.sector.N * np.eye(self.sector.D) - nphi
-
-    def expect_weights(self, weights_by_k, vec: np.ndarray) -> float:
-        return float(np.dot(weights_by_k, self.sector_weights(vec)))
+    def fhat(self, fvals, vec: np.ndarray) -> np.ndarray:
+        """sum_k fvals[..., k] P_k vec: a (D,) vector per weight row of N + 1 entries."""
+        fvals = np.asarray(fvals)
+        rows = fvals.reshape(-1, self.sector.N + 1)
+        return self._turn(vec, rows)[1].reshape(fvals.shape[:-1] + (self.sector.D,))
 
 
 @dataclass
 class CountingReport:
-    """A state evaluated against a reference phi from one P_k split and one gamma.
+    """A state evaluated against a reference phi from its P_k weights and one gamma.
 
     ``distance`` is ||gamma - |phi><phi|||; ``sandwich_ok`` says whether
     distance^2 <= 2 alpha <= 2 N^{1-lam} distance holds (to 1e-10).  The rate
@@ -512,7 +510,6 @@ class CountingReport:
     """
 
     alpha: float
-    n_plus: float
     depletion: float
     distance: float
     sandwich_ok: bool
@@ -527,26 +524,25 @@ def _evaluate(
     lam: float,
     H: ManyBodyHamiltonian | None = None,
 ) -> CountingReport:
-    """Counting report of psi against ctx.phi from one split; the rate too, given H."""
+    """Counting report of psi against ctx.phi: alpha from ``ctx.weights``, the
+    distance, depletion and sandwich from gamma, and, given H, the rate from
+    one ``ctx.fhat`` call."""
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0, 1)")
-    N, M = psi.sector.N, psi.sector.M
+    N = psi.sector.N
     c = ctx.phi
     mu = mu_weights(N, lam)
-    parts = ctx.split(psi.vector)  # row k is P_k psi
-    a_val = float(mu @ np.linalg.norm(parts, axis=1) ** 2)
+    a_val = float(mu @ ctx.weights(psi.vector))
     gamma = reduced_density(psi)
-    p = np.outer(c, c.conj())
-    dist = op_norm(gamma - p)
+    dist = op_norm(gamma - np.outer(c, c.conj()))
     rep = CountingReport(
         alpha=a_val,
-        n_plus=N * float(np.trace((np.eye(M) - p) @ gamma).real),
         depletion=1.0 - float((c.conj() @ gamma @ c).real),
         distance=dist,
         sandwich_ok=dist**2 <= 2 * a_val + 1e-10 and a_val <= N ** (1 - lam) * dist + 1e-10,
     )
     if H is not None:
-        rep.rate, rep.rate_terms = _counting_rate(H, c, psi.vector, parts, mu)
+        rep.rate, rep.rate_terms = _counting_rate(H, ctx, psi.vector, mu)
         if H.modes is not None:
             rep.rate_bounds = _rate_bounds(H, c, a_val, lam)
     return rep
@@ -560,38 +556,41 @@ def _mean_field_matrix(v_tensor: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _counting_rate(
     H: ManyBodyHamiltonian,
-    c: np.ndarray,
-    psi_v: np.ndarray,
-    parts: np.ndarray,
+    ctx: ProjectorContext,
+    psi: np.ndarray,
     mu: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Exact counting rate of psi_v against c and its three term magnitudes.
+    """Exact counting rate of the vector psi against ctx.phi and its three term magnitudes.
 
-    parts holds the P_k psi_v as rows.  The rate is
+    The rate is
                  g [ 2 Im<psi, (mu - mu_1) P0 U12 P1 psi>
                    +  Im<psi, (mu - mu_2) P0 U12 P2 psi>
                    + 2 Im<psi, (mu - mu_1) P1 U12 P2 psi> ]
     with U12 = (N-1) v_N - N (v_N * rho)_1 - N (v_N * rho)_2 and the block
-    projectors P0 = p p, P1 = p q, P2 = q q on the pair slots.
+    projectors P0 = p p, P1 = p q, P2 = q q on the pair slots.  One
+    ``ctx.fhat`` call gives chi_s = (mu - mu_s) psi, s = 1, 2; with the
+    pair lowering map A2, <chi, A2^T X A2 psi> = <A2 chi, X A2 psi>, so
+    each term is one small matmul on the pair amplitudes A2 psi.
     """
     sector = H.sector
     N, M = sector.N, sector.M
     if N < 2:
         raise ValueError(f"the counting rate needs N >= 2 bosons, got N={N}")
+    c = ctx.phi
     p1 = np.outer(c, c.conj())
     q1 = np.eye(M) - p1
     W = _mean_field_matrix(H.v_tensor, c)
     eye = np.eye(M)
     U12 = (N - 1) * H.v_tensor - N * np.kron(W, eye) - N * np.kron(eye, W)
-    Q0 = np.kron(p1, p1)
-    Q1 = np.kron(p1, q1)
-    Q2 = np.kron(q1, q1)
+    Q0, Q1, Q2 = np.kron(p1, p1), np.kron(p1, q1), np.kron(q1, q1)
 
-    chi1 = (mu - _shifted(mu, 1, N)) @ parts
-    chi2 = (mu - _shifted(mu, 2, N)) @ parts
-    combos = ((chi1, Q0 @ U12 @ Q1), (chi2, Q0 @ U12 @ Q2), (chi1, Q1 @ U12 @ Q2))
+    chi = ctx.fhat(mu - np.stack([_shifted(mu, 1, N), _shifted(mu, 2, N)]), psi)
+    A2 = sector._pair_lowering
+    pair_psi = (A2 @ psi).reshape(M * M, -1)
+    pair_chi = (A2 @ chi.T).T.reshape(2, M * M, -1)
+    combos = ((0, Q0 @ U12 @ Q1), (1, Q0 @ U12 @ Q2), (0, Q1 @ U12 @ Q2))
     terms = np.array(
-        [(np.vdot(chi, sector._apply_two_body(X, psi_v)) / (N * (N - 1))).imag for chi, X in combos]
+        [(np.vdot(pair_chi[s], X @ pair_psi) / (N * (N - 1))).imag for s, X in combos]
     )
     rate = H.g * (2 * terms[0] + terms[1] + 2 * terms[2])
     return float(rate), np.abs(terms)
@@ -887,7 +886,7 @@ class GapChainReport:
     min_eig_nplus: float
     sandwich_violations: int
     samples: int
-    depletion: float | None = None
+    depletion: float
 
     @property
     def passed(self) -> bool:
@@ -897,6 +896,9 @@ class GapChainReport:
             and self.sandwich_violations == 0
         )
 
+
+# largest sector dimension whose dense D x D matrices the gap chain builds
+_DENSE_CAP = 4096
 
 # the mean-field iteration stops once its eigenvector moves less than
 # _SCF_TOL (up to a phase) and gives up after _SCF_MAX_ITER sweeps
@@ -937,23 +939,27 @@ def verify_gap_chain(
     depletion of H against the mean-field reference.
 
     h^GP is the converged operator of ``gp_modes_ground(H)``, mu0 < mu1 its
-    lowest eigenvalues and its lowest mode the reference phi of N_+.
+    lowest eigenvalues and its lowest mode the reference phi of N_+ = sum_j
+    q_j, q = 1 - |phi><phi|.  Both sides are one-body operators, so each is
+    one dense D x D sector matrix; a sector beyond _DENSE_CAP states is
+    rejected.
     """
     if samples < 1:
         raise ValueError(f"the gap chain needs at least one sample, got {samples}")
     sector = H.sector
+    if sector.D > _DENSE_CAP:
+        raise ValueError(f"the dense gap chain needs D <= {_DENSE_CAP}, got D = {sector.D}")
     _, h_gp = gp_modes_ground(H)
     vals, vecs = np.linalg.eigh(h_gp)
     mu0, mu1 = float(vals[0]), float(vals[1])
     phi_gp = vecs[:, 0]
 
+    eye = np.eye(sector.M)
+    q = eye - np.outer(phi_gp, phi_gp.conj())
+    nplus = sector.one_body_matrix(q)
+    # sum_j (h^GP_j - mu0) - (mu1 - mu0) N_+, since sum_j 1 = N on the sector
+    chain = sector.one_body_matrix(h_gp - mu0 * eye - (mu1 - mu0) * q)
     ctx = ProjectorContext(sector, phi_gp)
-    nplus = ctx.n_plus_matrix()
-    chain = (
-        sector.one_body_matrix(h_gp)
-        - sector.N * mu0 * np.eye(sector.D)
-        - (mu1 - mu0) * nplus
-    )
     min_chain = float(np.min(np.linalg.eigvalsh(chain)))
     min_nplus = float(np.min(np.linalg.eigvalsh(nplus)))
 
@@ -1173,7 +1179,7 @@ def evolve_and_track(
 
     def alpha_after(t, vec, s):
         """alpha at t + s of vec = psi(t) stepped by s."""
-        return ProjectorContext(sector, phi_at(t + s)).expect_weights(mu, _evolve(H, vec, s))
+        return mu @ ProjectorContext(sector, phi_at(t + s)).weights(_evolve(H, vec, s))
 
     pv = psi0.vector
     for i, t in enumerate(t_grid):

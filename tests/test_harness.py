@@ -128,6 +128,46 @@ def test_reach_guard_resolves_the_module_of_a_name(tmp_path):
     }
 
 
+def test_bench_tracer_installs_and_restores(monkeypatch):
+    # the traced benchmark patches these methods by name, so a rename must
+    # fail here and not only in a --trace 1 run
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    patched = {(m, c, f) for m, c, f, _ in tracing.METHODS}
+    assert patched >= {
+        ("manybody", "SymmetricSector", "__init__"),
+        ("manybody", "SymmetricSector", "one_body_matrix"),
+        ("manybody", "SymmetricSector", "two_body_matrix"),
+        ("manybody", "ProjectorContext", "__init__"),
+    }
+    mods = {layer: importlib.import_module(f"tfcond.{layer}") for layer in tracing.LAYERS}
+
+    def bound():
+        names = {key: getattr(getattr(mods[key[0]], key[1]), key[2]) for key in patched}
+        for layer, mod in mods.items():
+            names.update(((layer, name), getattr(mod, name)) for name in mod.__all__)
+        names["eigh"], names["fft"] = np.linalg.eigh, np.fft.fft
+        names["harness pool"] = harness.ThreadPoolExecutor
+        names["dynamics pool"] = dyn.ThreadPoolExecutor
+        return names
+
+    before = bound()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        during = bound()
+        assert all(during[key] is not before[key] for key in patched)
+        mods["manybody"].SymmetricSector(2, 2)
+        assert [span[2] for span in tracer.spans] == ["manybody.SymmetricSector"]
+    finally:
+        tracer.uninstall()
+    after = bound()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
+
+
 class TestFitLoglog:
     def test_exact_power_law(self):
         x = np.array([1.0, 2.0, 4.0, 8.0])

@@ -13,7 +13,8 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 from tfcond import manybody as mb
-from tfcond.grids import apply_symbol, make_grid
+from tfcond import cli
+from tfcond.grids import Field, apply_symbol, convolve, make_grid
 from tfcond.harness import TOLERANCES
 from tfcond.manybody import (
     ManyBodyState,
@@ -224,6 +225,19 @@ def _loop_from_occupation(N, M, coeff):
     return vec
 
 
+def _loop_pair_tensor(modes, kernel):
+    """The original pair tensor: one convolution and one contraction per (b, d)."""
+    grid, U, M = modes.grid, modes.values, modes.M
+    P = U.conj()[:, None, :] * U[None, :, :]  # P[a,c](x) = conj(u_a) u_c
+    V = np.zeros((M, M, M, M), dtype=complex)
+    for b in range(M):
+        for d in range(M):
+            conv = convolve(kernel, Field(grid, P[b, d])).values
+            V[:, b, :, d] = np.einsum("acx,x->ac", P, conv) * grid.dv
+    V = V.reshape(M * M, M * M)
+    return 0.5 * (V + V.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # Frozen dense oracles for the projector calculus: the original
 # ProjectorContext (a dense eigh of the occupation of phi, built from the loop
@@ -378,7 +392,11 @@ class TestSector:
         if N > 1:
             T = _loop_two_body(N, M, X)
             assert _rel_dev(sec.two_body_matrix(X), T) <= 1e-12
-            assert _rel_dev(sec._apply_two_body(X, v), T @ v) <= 1e-12
+            # <w, T v> = <A2 w, X A2 v> on the pair amplitudes, as the counting rate reads it
+            w = cplx(sec.D)
+            A2 = sec._pair_lowering
+            pairs = np.vdot(A2 @ w, X @ (A2 @ v).reshape(M * M, -1))
+            assert abs(pairs - np.vdot(w, T @ v)) <= 1e-12 * abs(np.vdot(w, T @ v))
         gamma = reduced_density(ManyBodyState(sec, v))
         assert _rel_dev(gamma, _loop_reduced_density(N, M, v)) <= 1e-12
         prod = product_state(sec, phi).vector
@@ -392,7 +410,6 @@ class TestSector:
         sec = SymmetricSector(1, 3)
         X = np.arange(81.0).reshape(9, 9) + 1j
         assert np.array_equal(sec.two_body_matrix(X), np.zeros((3, 3)))
-        assert np.array_equal(sec._apply_two_body(X, np.ones(3)), np.zeros(3))
 
     def test_single_mode_counts_particles(self):
         sec = SymmetricSector(5, 1)
@@ -455,8 +472,9 @@ class TestSector:
         oracle = _EighProjectorContext(sec, phi)
         split_t = _slot_split(eng, p, q, psi_t)
         split_e = _engine_split(eng, p, psi_t)
+        parts = ctx.fhat(np.eye(N + 1), coeff)
         for k in range(N + 1):
-            block = ctx.split(coeff)[k]
+            block = parts[k]
             ref_t = _pattern_p_k(eng, p, q, k, psi_t)
             # the sector split, the engine, the slot recursion and the pattern sum agree
             assert np.max(np.abs(eng.from_occupation(block) - ref_t)) < 1e-12
@@ -589,6 +607,20 @@ class TestHamiltonian:
         V = pair_tensor(modes, kern).reshape(3, 3, 3, 3)
         assert np.max(np.abs(V - V.transpose(1, 0, 3, 2))) < 1e-12
 
+    @pytest.mark.parametrize("M", [3, 5, 7])
+    @pytest.mark.parametrize("kind", ["harmonic", "planewave"])
+    def test_pair_tensor_matches_loop_oracle(self, kind, M):
+        grid = make_grid(1, 64, 8.0)
+        modes = getattr(ModeBasis, kind)(grid, M)
+        kern = InteractionSpec(profile="gaussian", beta=0.2).kernel_on_grid(grid, 8)
+        assert np.array_equal(pair_tensor(modes, kern), _loop_pair_tensor(modes, kern))
+
+    def test_pair_tensor_rejects_a_complex_kernel(self):
+        grid = make_grid(1, 32, 6.0)
+        kern = InteractionSpec(profile="gaussian", beta=0.2).kernel_on_grid(grid, 4)
+        with pytest.raises(ValueError, match="real"):
+            pair_tensor(ModeBasis.harmonic(grid, 2), Field(grid, 1j * kern.values))
+
 
 class TestModeBasis:
     def test_harmonic_orthonormal_and_ordered(self):
@@ -630,8 +662,7 @@ class TestCounting:
         c = np.array([1.0, 0.5, 0.25 + 0.1j])
         rep = alpha(product_state(sec, c), c, 0.5)
         assert rep.alpha < 1e-12
-        assert rep.n_plus < 1e-12
-        assert rep.depletion < 1e-12
+        assert sec.N * rep.depletion < 1e-12  # N_+ = N times the depletion
         assert rep.distance < 1e-13
         assert rep.sandwich_ok
 
@@ -642,7 +673,7 @@ class TestCounting:
         chi = np.array([0.0, 0.0, 1.0])
         rep = alpha(excitation_state(sec, phi, chi), phi, 0.5)
         assert abs(rep.alpha - N**-0.5) < 1e-12
-        assert abs(rep.n_plus - 1.0) < 1e-12
+        assert abs(N * rep.depletion - 1.0) < 1e-12
 
     def test_alpha_gauge_invariance(self):
         rng = np.random.default_rng(13)
@@ -653,7 +684,7 @@ class TestCounting:
         a1 = alpha(st, phi, 0.5)
         a2 = alpha(st, np.exp(0.7j) * phi, 0.5)
         assert abs(a1.alpha - a2.alpha) < 1e-12
-        assert abs(a1.n_plus - a2.n_plus) < 1e-12
+        assert abs(a1.depletion - a2.depletion) < 1e-12
 
     def test_alpha_lambda_range(self):
         sec = SymmetricSector(2, 2)
@@ -664,10 +695,9 @@ class TestCounting:
     def test_nplus_spectrum_is_integers(self):
         sec = SymmetricSector(4, 3)
         phi = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
-        ctx = ProjectorContext(sec, phi)
         oracle = _EighProjectorContext(sec, phi)
         assert sorted(set(oracle.k_of_col.tolist())) == list(range(5))
-        vals = np.linalg.eigvalsh(ctx.n_plus_matrix())
+        vals = np.linalg.eigvalsh(sec.one_body_matrix(np.eye(3) - np.outer(phi, phi)))
         assert np.max(np.abs(vals - np.rint(vals))) < 1e-10
         # the range of P_k places k bosons in the M - 1 modes orthogonal to phi
         mult = np.bincount(np.rint(vals).astype(int), minlength=5)
@@ -682,9 +712,8 @@ class TestCounting:
         v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
         st = ManyBodyState(sec, v)
         ctx = ProjectorContext(sec, phi)
-        n_direct = ctx.expect_weights(np.arange(5, dtype=float), st.vector)
+        n_direct = np.arange(5) @ ctx.weights(st.vector)
         rep = alpha(st, phi, 0.5)
-        assert abs(n_direct - rep.n_plus) < 1e-10
         assert abs(n_direct - 4 * rep.depletion) < 1e-10
 
     def test_weights_match_loop_oracle(self):
@@ -697,8 +726,8 @@ class TestCounting:
         f = rng.uniform(0.5, 1.5, sec.N + 1)
         for d in (-2, -1, 0, 1, 2):
             ref = _loop_apply_weights(oracle, f, v, d)
-            assert _rel_dev(_shifted(f, d, sec.N) @ ctx.split(v), ref) <= 1e-12
-        assert _rel_dev(ctx.sector_weights(v), _loop_sector_weights(oracle, v)) <= 1e-12
+            assert _rel_dev(ctx.fhat(_shifted(f, d, sec.N), v), ref) <= 1e-12
+        assert _rel_dev(ctx.weights(v), _loop_sector_weights(oracle, v)) <= 1e-12
 
     def test_pk_partition_of_unity(self):
         rng = np.random.default_rng(19)
@@ -706,9 +735,9 @@ class TestCounting:
         phi = rng.standard_normal(3)
         ctx = ProjectorContext(sec, phi)
         v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
-        total = sum(ctx.split(v)[k] for k in range(4))
+        total = ctx.fhat(np.eye(4), v).sum(axis=0)
         assert np.max(np.abs(total - v)) < 1e-12
-        w = ctx.sector_weights(v)
+        w = ctx.weights(v)
         assert abs(np.sum(w) - np.vdot(v, v).real) < 1e-12
 
     def test_sandwich_random_states(self):
@@ -734,7 +763,8 @@ class TestCounting:
 
 
 class TestProjectorSplit:
-    """ProjectorContext's split into P_k parts against the dense eigh oracle."""
+    """ProjectorContext's P_k parts (the rows of fhat(eye(N + 1), v)) and weights
+    against the dense eigh oracle."""
 
     # the larger N: the rotation is unitary, so its rounding does not grow with N
     @pytest.mark.parametrize("N, M", [(1, 3), (2, 2), (4, 3), (8, 5), (20, 3), (40, 2)])
@@ -746,17 +776,36 @@ class TestProjectorSplit:
         oracle = _EighProjectorContext(sec, phi)
         v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
         v /= np.linalg.norm(v)
-        parts = ctx.split(v)
+        parts = ctx.fhat(np.eye(N + 1), v)
         assert parts.shape == (N + 1, sec.D)
         for k in range(N + 1):
             assert np.max(np.abs(parts[k] - oracle.p_k(v, k))) <= 1e-12
-            assert np.array_equal(ctx.split(v)[k], parts[k])
+            assert np.array_equal(ctx.fhat(np.eye(N + 1), v)[k], parts[k])
         f = rng.uniform(0.5, 1.5, N + 1)
         for d in (-2, -1, 0, 1, 2):  # at N = 1, d = +-2 leaves every weight zero
             ref = _loop_apply_weights(oracle, f, v, d)
-            assert np.max(np.abs(_shifted(f, d, N) @ ctx.split(v) - ref)) <= 1e-12
-        assert _rel_dev(ctx.sector_weights(v), _loop_sector_weights(oracle, v)) <= 1e-12
-        assert _rel_dev(ctx.n_plus_matrix(), oracle.n_plus_matrix()) <= 1e-12
+            assert np.max(np.abs(ctx.fhat(_shifted(f, d, N), v) - ref)) <= 1e-12
+        assert _rel_dev(ctx.weights(v), _loop_sector_weights(oracle, v)) <= 1e-12
+        # N_+ = sum_j q_j, as the gap chain builds it
+        n_plus = sec.one_body_matrix(np.eye(M) - np.outer(ctx.phi, ctx.phi.conj()))
+        assert _rel_dev(n_plus, oracle.n_plus_matrix()) <= 1e-12
+
+    @pytest.mark.parametrize("N, M", [(1, 3), (4, 3), (8, 5), (20, 3)])
+    def test_stacked_rows_match_single_rows(self, N, M):
+        rng = np.random.default_rng(20 * N + M)
+        sec = SymmetricSector(N, M)
+        ctx = ProjectorContext(sec, _random_projector_pair(rng, M)[0])
+        v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
+        v /= np.linalg.norm(v)
+        F = rng.uniform(-1.0, 1.0, (2, 3, N + 1))
+        stacked = ctx.fhat(F, v)
+        assert stacked.shape == (2, 3, sec.D)
+        for i, j in np.ndindex(2, 3):
+            assert np.max(np.abs(stacked[i, j] - ctx.fhat(F[i, j], v))) <= 1e-15
+        # the weights are the squared norms of the one-hot rows, the P_k parts
+        onehot = np.linalg.norm(ctx.fhat(np.eye(N + 1), v), axis=1) ** 2
+        assert _rel_dev(ctx.weights(v), onehot) <= 1e-12
+        assert abs(ctx.weights(v).sum() - 1.0) <= 1e-14
 
     def test_parts_are_orthogonal_number_eigenvectors(self):
         rng = np.random.default_rng(41)
@@ -766,12 +815,11 @@ class TestProjectorSplit:
         n_plus = sec.one_body_matrix(q)  # sum_j q_j, built without the ladder
         v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
         v /= np.linalg.norm(v)
-        for k, part in enumerate(ctx.split(v)):
+        for k, part in enumerate(ctx.fhat(np.eye(sec.N + 1), v)):
             assert np.max(np.abs(n_plus @ part - k * part)) <= 1e-12
-            assert np.max(np.abs(ctx.n_plus_matrix() @ part - k * part)) <= 1e-12
-            for j in range(sec.N + 1):
+            for j, again in enumerate(ctx.fhat(np.eye(sec.N + 1), part)):
                 target = part if j == k else np.zeros_like(part)
-                assert np.max(np.abs(ctx.split(part)[j] - target)) <= 1e-12
+                assert np.max(np.abs(again - target)) <= 1e-12
 
     @pytest.mark.parametrize("N, M", [(4, 3), (8, 5)])
     def test_near_condensate_small_parts(self, N, M):
@@ -785,7 +833,7 @@ class TestProjectorSplit:
         v /= np.linalg.norm(v)
         ctx = ProjectorContext(sec, phi)
         oracle = _EighProjectorContext(sec, phi)
-        parts = ctx.split(v)
+        parts = ctx.fhat(np.eye(N + 1), v)
         assert np.linalg.norm(parts[0]) > 0.999
         for k in range(1, N + 1):
             assert np.linalg.norm(parts[k]) < 1.1e-3
@@ -796,10 +844,14 @@ class TestProjectorSplit:
         sec = SymmetricSector(4, 3)
         ctx = ProjectorContext(sec, _random_projector_pair(rng, 3)[0])
         v = rng.standard_normal(sec.D) + 1j * rng.standard_normal(sec.D)
-        ctx.split(v)
+        f = np.linspace(0.0, 1.0, sec.N + 1)
+        ctx.weights(v)
+        ctx.fhat(f, v)
         ctx._phase = ctx._phase.conj()  # now rotates conj(phi) into mode 0
         with pytest.raises(RuntimeError, match="annihilate"):
-            ctx.split(v)
+            ctx.weights(v)
+        with pytest.raises(RuntimeError, match="annihilate"):
+            ctx.fhat(f, v)
 
     def test_rate_matches_dense_oracle(self):
         # the original counting rate: dense pair matrices, eigh-oracle weights
@@ -826,7 +878,7 @@ class TestProjectorSplit:
         assert _rel_dev(terms, np.abs(ref)) <= 1e-12
         ref_rate = H.g * (2 * ref[0] + ref[1] + 2 * ref[2])
         assert abs(rate - ref_rate) <= 1e-12 * np.max(np.abs(ref))
-        # the bounds read alpha from the same split of psi
+        # the bounds read alpha from the same weights of psi
         a_ref = float(mu @ _loop_sector_weights(oracle, psi))
         assert abs(rep.alpha - a_ref) <= 1e-12 * a_ref
         assert _rel_dev(bounds, _rate_bounds(H, phi, a_ref, 0.5)) <= 1e-12
@@ -1041,6 +1093,19 @@ class TestGapChain:
         assert rep.mu1 > rep.mu0
         assert rep.depletion < 0.05
 
+    def test_dense_cap_exits_2(self, monkeypatch, capsys):
+        # the cap is monkeypatched down to D = 10, the sector of N = M = 3
+        H = _toy_hamiltonian(N=3, M=3, g=0.5)
+        assert H.sector.D == 10
+        monkeypatch.setattr(mb, "_DENSE_CAP", 10)
+        assert verify_gap_chain(H, samples=5).passed
+        monkeypatch.setattr(mb, "_DENSE_CAP", 9)
+        with pytest.raises(ValueError, match="needs D <= 9, got D = 10"):
+            verify_gap_chain(H, samples=5)
+        assert cli.main(["manybody", "--N", "3", "--M", "3", "--check", "gapchain"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "D = 10" in err and "Traceback" not in err
+
     def test_free_chain_saturates_on_single_excitation(self):
         # with g = 0 the mean-field operator is h itself and the chain
         # inequality is tight on one excitation into the second mode
@@ -1049,11 +1114,11 @@ class TestGapChain:
         phi = vecs[:, 0]
         chi = vecs[:, 1]
         sec = H.sector
-        ctx = ProjectorContext(sec, phi)
+        n_plus = sec.one_body_matrix(np.eye(3) - np.outer(phi, phi.conj()))
         chain = (
             sec.one_body_matrix(H.h_mat)
             - sec.N * eps[0] * np.eye(sec.D)
-            - (eps[1] - eps[0]) * ctx.n_plus_matrix()
+            - (eps[1] - eps[0]) * n_plus
         )
         exc = excitation_state(sec, phi, chi)
         assert np.linalg.norm(chain @ exc.vector) < 1e-10
@@ -1330,18 +1395,20 @@ class TestDenseOracle:
         assert _rel_dev(rep.rate, np.array(seed.COUNTING_RATE)) <= 1e-8
 
     def test_counting_track_splits_each_state_once(self, monkeypatch):
-        # per record time: one split for alpha, rate, distance and sandwich,
-        # and two for the finite-difference alphas
+        # per record time: one forward turn for the weights of alpha (and so
+        # the sandwich) and two for the finite-difference alphas, each with
+        # only the guard's column turned back, plus one for the rate's two
+        # f-hat rows
         seed = _counting_seed(monkeypatch)
         H = _toy_hamiltonian(N=seed.COUNTING_N, M=seed.COUNTING_M, g=seed.COUNTING_G)
         calls = []
-        split = ProjectorContext.split
+        turn = ProjectorContext._turn
 
-        def spy(self, vec):
-            calls.append(len(vec))
-            return split(self, vec)
+        def spy(self, vec, rows):
+            calls.append(len(rows))
+            return turn(self, vec, rows)
 
-        monkeypatch.setattr(ProjectorContext, "split", spy)
+        monkeypatch.setattr(ProjectorContext, "_turn", spy)
         phi0 = np.zeros(H.sector.M, dtype=complex)
         phi0[0] = 1.0
         evolve_and_track(
@@ -1349,7 +1416,9 @@ class TestDenseOracle:
             seed.COUNTING_TIMES, seed.COUNTING_LAM,
         )
         assert len(seed.COUNTING_TIMES) == 11
-        assert len(calls) == 3 * 11
+        assert calls.count(0) == 3 * 11
+        assert calls.count(2) == 11
+        assert len(calls) == 4 * 11
 
     def test_no_dense_hamiltonian_at_16_bosons(self):
         # a dense H alone would take D^2 * 16 B = 358 MiB at D = 4845
