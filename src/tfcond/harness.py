@@ -545,7 +545,7 @@ def _mode_hamiltonian(inter, N, M, g, lam, modes="harmonic") -> mb.ManyBodyHamil
     modes in the trap (1, 2), or on its M lowest plane waves and no trap."""
     grid = make_grid(1, 64, 8.0)
     if modes == "harmonic":
-        basis, trap = mb.ModeBasis.harmonic(grid, M), TrapSpec(strength=1.0, s=2)
+        basis, trap = mb.ModeBasis.harmonic(grid, M), mb._HARMONIC_TRAP
     elif modes == "planewave":
         basis, trap = mb.ModeBasis.planewave(grid, M), None
     else:

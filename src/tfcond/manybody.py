@@ -10,9 +10,9 @@ spectral-gap chain, and counting-rate inequalities.
 ``_evaluate`` is the one evaluation of a state against a reference phi: the
 P_k weights |P_k psi|^2 and one reduced density give the counting functional
 alpha, the depletion, the distance ||gamma - |phi><phi|||, the sandwich
-inequalities and, given H, one f-hat application gives the exact counting
-rate with its three terms and their bounds.  ``evolve_and_track`` and
-``verify_gap_chain`` both call it.
+inequalities and, given H, the same turn of psi gives the two f-hat rows of
+the exact counting rate with its three terms and their bounds.
+``evolve_and_track`` and ``verify_gap_chain`` both call it.
 The mean-field matrix W(phi) = sum V_abcd conj(phi_b) phi_d of the pair
 tensor serves the rate, the self-consistent reference ``gp_modes_ground``
 and the Galerkin Hartree flow."""
@@ -310,13 +310,11 @@ def mode_one_body(modes: ModeBasis, trap: TrapSpec | None) -> np.ndarray:
 
 def pair_tensor(modes: ModeBasis, kernel: Field) -> np.ndarray:
     """<ab| v_N |cd> for all mode pairs, from one batched FFT convolution of a real kernel."""
-    if np.any(kernel.values.imag != 0):
-        raise ValueError("the pair kernel must be real")
     grid = modes.grid
     U = modes.values
     M = modes.M
     P = U.conj()[:, None, :] * U[None, :, :]  # P[a,c](x) = conj(u_a) u_c
-    conv = apply_symbol(grid.kernel_symbol(kernel.values.real), P.reshape(M * M, -1).T)
+    conv = apply_symbol(grid.kernel_symbol(kernel.values), P.reshape(M * M, -1).T)
     V = np.einsum("acx,bdx->abcd", P, conv.T.reshape(P.shape)) * grid.dv
     V = V.reshape(M * M, M * M)
     return 0.5 * (V + V.conj().T)
@@ -435,8 +433,9 @@ class ProjectorContext:
     rounding that does not grow with N.  ``weights`` bins |P_k vec|^2
     straight from the turned coefficients; ``fhat`` applies any weighted
     counting operator f-hat = sum_k f(k) P_k (shifted ones too) by weighting
-    them and turning back only its own rows.  Both also turn back the k = N
-    part, which a(phi) must annihilate, so a wrong turn raises.
+    them and turning back only its own rows; ``_evaluate`` takes both from
+    one private ``_turn``.  Every turn also turns back the k = N part, which
+    a(phi) must annihilate, so a wrong turn raises.
     """
 
     def __init__(self, sector: SymmetricSector, phi: np.ndarray):
@@ -471,7 +470,7 @@ class ProjectorContext:
         return X
 
     def _turn(self, vec: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Gamma(W) vec, sum_k rows[j, k] P_k vec for each row j) from one forward turn.
+        """(|P_k vec|^2 for each k, sum_k rows[j, k] P_k vec for each row j) from one turn.
 
         The inverse turn carries the weighted rows and the k = N part,
         which has no boson in phi, so a(phi) must annihilate it.
@@ -485,13 +484,11 @@ class ProjectorContext:
         residual = np.linalg.norm(lowered)
         if residual > 1e-10 * np.linalg.norm(vec):
             raise RuntimeError(f"a(phi) does not annihilate P_N vec (residual {residual:.2e})")
-        return coeff, back[:-1]
+        return np.bincount(self._k, np.abs(coeff) ** 2, minlength=N + 1), back[:-1]
 
     def weights(self, vec: np.ndarray) -> np.ndarray:
         """|P_k vec|^2 for k = 0..N."""
-        N = self.sector.N
-        coeff, _ = self._turn(vec, np.zeros((0, N + 1)))
-        return np.bincount(self._k, np.abs(coeff) ** 2, minlength=N + 1)
+        return self._turn(vec, np.zeros((0, self.sector.N + 1)))[0]
 
     def fhat(self, fvals, vec: np.ndarray) -> np.ndarray:
         """sum_k fvals[..., k] P_k vec: a (D,) vector per weight row of N + 1 entries."""
@@ -524,15 +521,20 @@ def _evaluate(
     lam: float,
     H: ManyBodyHamiltonian | None = None,
 ) -> CountingReport:
-    """Counting report of psi against ctx.phi: alpha from ``ctx.weights``, the
-    distance, depletion and sandwich from gamma, and, given H, the rate from
-    one ``ctx.fhat`` call."""
+    """Counting report of psi against ctx.phi: alpha from the P_k weights, the
+    distance, depletion and sandwich from gamma, and, given H, the rate.
+    Given H, one turn of psi gives both the weights and the rate's two
+    f-hat rows chi_s = (mu - mu_s) psi, s = 1, 2."""
     if not 0 < lam < 1:
         raise ValueError("lam must lie in (0, 1)")
     N = psi.sector.N
     c = ctx.phi
     mu = mu_weights(N, lam)
-    a_val = float(mu @ ctx.weights(psi.vector))
+    if H is None:
+        w = ctx.weights(psi.vector)
+    else:
+        w, chi = ctx._turn(psi.vector, mu - np.stack([_shifted(mu, 1, N), _shifted(mu, 2, N)]))
+    a_val = float(mu @ w)
     gamma = reduced_density(psi)
     dist = op_norm(gamma - np.outer(c, c.conj()))
     rep = CountingReport(
@@ -542,7 +544,7 @@ def _evaluate(
         sandwich_ok=dist**2 <= 2 * a_val + 1e-10 and a_val <= N ** (1 - lam) * dist + 1e-10,
     )
     if H is not None:
-        rep.rate, rep.rate_terms = _counting_rate(H, ctx, psi.vector, mu)
+        rep.rate, rep.rate_terms = _counting_rate(H, c, psi.vector, chi)
         if H.modes is not None:
             rep.rate_bounds = _rate_bounds(H, c, a_val, lam)
     return rep
@@ -556,19 +558,19 @@ def _mean_field_matrix(v_tensor: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _counting_rate(
     H: ManyBodyHamiltonian,
-    ctx: ProjectorContext,
+    c: np.ndarray,
     psi: np.ndarray,
-    mu: np.ndarray,
+    chi: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Exact counting rate of the vector psi against ctx.phi and its three term magnitudes.
+    """Exact counting rate of the vector psi against phi = c and its three term magnitudes.
 
     The rate is
                  g [ 2 Im<psi, (mu - mu_1) P0 U12 P1 psi>
                    +  Im<psi, (mu - mu_2) P0 U12 P2 psi>
                    + 2 Im<psi, (mu - mu_1) P1 U12 P2 psi> ]
     with U12 = (N-1) v_N - N (v_N * rho)_1 - N (v_N * rho)_2 and the block
-    projectors P0 = p p, P1 = p q, P2 = q q on the pair slots.  One
-    ``ctx.fhat`` call gives chi_s = (mu - mu_s) psi, s = 1, 2; with the
+    projectors P0 = p p, P1 = p q, P2 = q q on the pair slots.  chi
+    holds the f-hat rows chi_s = (mu - mu_s) psi, s = 1, 2; with the
     pair lowering map A2, <chi, A2^T X A2 psi> = <A2 chi, X A2 psi>, so
     each term is one small matmul on the pair amplitudes A2 psi.
     """
@@ -576,7 +578,6 @@ def _counting_rate(
     N, M = sector.N, sector.M
     if N < 2:
         raise ValueError(f"the counting rate needs N >= 2 bosons, got N={N}")
-    c = ctx.phi
     p1 = np.outer(c, c.conj())
     q1 = np.eye(M) - p1
     W = _mean_field_matrix(H.v_tensor, c)
@@ -584,7 +585,6 @@ def _counting_rate(
     U12 = (N - 1) * H.v_tensor - N * np.kron(W, eye) - N * np.kron(eye, W)
     Q0, Q1, Q2 = np.kron(p1, p1), np.kron(p1, q1), np.kron(q1, q1)
 
-    chi = ctx.fhat(mu - np.stack([_shifted(mu, 1, N), _shifted(mu, 2, N)]), psi)
     A2 = sector._pair_lowering
     pair_psi = (A2 @ psi).reshape(M * M, -1)
     pair_chi = (A2 @ chi.T).T.reshape(2, M * M, -1)
