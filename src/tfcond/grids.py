@@ -84,18 +84,19 @@ class Grid:
     @cached_property
     def k2(self) -> np.ndarray:
         """|k|^2 on the grid, FFT ordering."""
-        out = np.zeros(self.shape)
-        for ax in range(self.d):
-            k = self.k_axis.reshape(
-                (1,) * ax + (self.n,) + (1,) * (self.d - ax - 1)
-            )
-            out = out + k ** 2
-        return out
+        return self._k2_up_to(self.n)
 
     @cached_property
     def k2_half(self) -> np.ndarray:
         """|k|^2 in ``rfftn`` layout: the last axis keeps its n//2 + 1 modes."""
-        return np.ascontiguousarray(self.k2[..., : self.n // 2 + 1])
+        return self._k2_up_to(self.n // 2 + 1)
+
+    def _k2_up_to(self, last: int) -> np.ndarray:
+        """|k|^2 on the first ``last`` modes of the last axis, FFT ordering."""
+        out = np.zeros(self.shape[:-1] + (last,))
+        for ax in range(self.d):
+            out = out + self.k_along(ax)[..., :last] ** 2
+        return out
 
     def kinetic(self, values: np.ndarray, p: int = 1) -> float:
         """Quadrature sum(|k|^{2p} |u-hat|^2) h^d of samples u (unitary FFT)."""

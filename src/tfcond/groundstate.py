@@ -12,6 +12,7 @@ Thomas-Fermi convergence, smearing of the interaction kernel).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -142,7 +143,7 @@ class _ParitySector:
         n, half = grid.n, grid.n // 2
         self.parity = parity
         self._axes = []  # per axis: octant points j, mirror points n - j, their weights
-        k2, c2 = np.zeros(()), np.ones(())
+        self._tables = []  # per axis: k^2 and c2 at the octant points, multiplied out lazily
         for odd in parity:
             o = np.arange(1, half) if odd else np.arange(half + 1)
             fixed = (o == 0) | (o == half)
@@ -150,13 +151,19 @@ class _ParitySector:
             weight = np.where(fixed, 0.5, math.sqrt(0.5))
             mirror_weight = -weight if odd else weight
             self._axes.append(((half + o) % n, (half - o) % n, weight, mirror_weight))
-            k2 = np.add.outer(k2, grid.k_axis[o] ** 2)
-            c2 = np.multiply.outer(c2, np.where(fixed, 1.0, 0.5))
+            self._tables.append((grid.k_axis[o] ** 2, np.where(fixed, 1.0, 0.5)))
         self.n = n
-        self.k2 = k2
-        self.c2 = c2.ravel()
-        self.shape = k2.shape
-        self.dim = k2.size
+        self.shape = tuple(k2.size for k2, _ in self._tables)
+        self.dim = math.prod(self.shape)
+
+    @functools.cached_property
+    def k2(self) -> np.ndarray:
+        return functools.reduce(np.add.outer, (k2 for k2, _ in self._tables), np.zeros(()))
+
+    @functools.cached_property
+    def c2(self) -> np.ndarray:
+        c2 = functools.reduce(np.multiply.outer, (c2 for _, c2 in self._tables), np.ones(()))
+        return c2.ravel()
 
     @staticmethod
     def _along(vec, ax, ndim):
@@ -642,7 +649,9 @@ def hgp_spectrum(
     the starts that no coarse vector replaces.
 
     ``residuals`` and ``converged`` come from h on the full grid, applied to
-    every unfolded eigenvector, copies included, without any symmetry.
+    every unfolded eigenvector, copies included, without any symmetry. They
+    are formed one eigenvector at a time, each unfolded, certified and
+    dropped before the next, so no (n^d, k) block is held.
     ``iterations`` counts the fine representative solves only, though every
     solve calls this module's ``lobpcg``. The warnings of every solve are
     returned in ``SpectrumResult.warnings`` instead of printed; recording
@@ -673,15 +682,12 @@ def hgp_spectrum(
         for j, lam in enumerate(vals)
     )[:k]
     eigenvalues = np.array([lam for lam, *_ in lowest])
-    columns = []
-    for _, i, m, j in lowest:
+    residuals = np.empty(k)
+    for col, (lam, i, m, j) in enumerate(lowest):
         member, axes = copies[i][m]
-        columns.append(member.unfold(sectors[i].transpose(vectors[i][:, j], axes)))
-    vecs = np.stack(columns, axis=1)
-    cols = vecs.reshape(grid.shape + (-1,))
-    resid = apply_symbol(grid.k2_half, cols) + (W[..., None] - eigenvalues) * cols
-    resid = resid.reshape(vecs.shape)
-    residuals = np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)
+        v = member.unfold(sectors[i].transpose(vectors[i][:, j], axes)).reshape(grid.shape)
+        r = apply_symbol(grid.k2_half, v) + (W - lam) * v
+        residuals[col] = np.linalg.norm(r) / np.linalg.norm(v)
 
     mu0 = float(eigenvalues[0])
     gap = float(eigenvalues[1] - eigenvalues[0])
@@ -734,7 +740,10 @@ def _sector_solves(grid, W, base, k, rng, starts=None):
 
     orbits = _parity_orbits(grid.d)
     sectors = [_ParitySector(grid, rep) for rep in orbits]
-    copies = [[(_ParitySector(grid, p), axes) for p, axes in orbit] for orbit in orbits.values()]
+    copies = [
+        [(sec if p == sec.parity else _ParitySector(grid, p), axes) for p, axes in orbit]
+        for sec, orbit in zip(sectors, orbits.values())
+    ]
     ops = [sector_operators(sec) for sec in sectors]
     guesses = [
         guess(sec, math.prod(c for c, odd in zip(coords, sec.parity) if odd), any(sec.parity))

@@ -32,6 +32,17 @@ def test_wavenumber_layout():
     assert g.x_axis[0] == -1.0 and g.x_axis[-1] == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_k2_half_is_the_rfft_slice_of_k2(d):
+    # built from the axis wavenumbers without the full n^d |k|^2, in the same
+    # order of operations, so it keeps its bits
+    g = make_grid(d, 16, 3.0)
+    half = g.k2_half
+    assert "k2" not in vars(g)
+    assert half.flags.c_contiguous
+    assert np.array_equal(half, g.k2[..., : g.n // 2 + 1])
+
+
 @pytest.mark.parametrize(
     "d,n,L",
     [(0, 8, 1.0), (4, 8, 1.0), (2, 12, 1.0), (1, 4, 1.0), (1, 8, 0.0), (1, 8, -2.0)],

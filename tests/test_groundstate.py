@@ -8,6 +8,7 @@ the spectral solver under test.
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -559,6 +560,14 @@ def test_spectrum_converges_inside_near_degenerate_clusters(k):
     assert spec.warnings == (), (k, spec.warnings)
 
 
+def _block_residuals(grid, W, vecs, lam):
+    """Oracle: ||h v - lam v|| of the unfolded columns of ``vecs``, as one block,
+    with every column and every transform held at once."""
+    cols = vecs.reshape(grid.shape + (-1,))
+    r = apply_symbol(grid.k2_half, cols) + (W[..., None] - lam) * cols
+    return np.linalg.norm(r.reshape(-1, lam.size), axis=0)
+
+
 @pytest.mark.parametrize("d,n", [(2, 16), (3, 16)])
 def test_orbit_copies_are_member_sector_eigenvectors(d, n):
     # W with the symmetries of the cube but not of the sphere; each copy
@@ -575,9 +584,7 @@ def test_orbit_copies_are_member_sector_eigenvectors(d, n):
         return sec.apply_symbol(sec.k2, X) + sec.octant(W).reshape(-1, 1) * X
 
     def full_residual(sec, X, lam):
-        cols = sec.unfold(X).reshape(grid.shape + (-1,))
-        r = apply_symbol(grid.k2_half, cols) + (W[..., None] - lam) * cols
-        return np.linalg.norm(r.reshape(-1, lam.size), axis=0)
+        return _block_residuals(grid, W, sec.unfold(X), lam)
 
     orbits = _parity_orbits(d)
     assert len(orbits) == d + 1
@@ -689,6 +696,59 @@ def test_coarse_start_keeps_the_cold_start_eigenvalues(k, seed):
     assert spec.converged
     assert spec.warnings == ()
     assert 2 * spec.iterations <= cold_iterations, (spec.iterations, cold_iterations)
+
+
+@pytest.mark.parametrize("case", ["gs3d", "3d-G20"])
+@pytest.mark.parametrize("k", [4, 8])
+def test_streamed_residuals_match_the_block_oracle(monkeypatch, case, k):
+    # the residuals formed one eigenvector at a time against the block of
+    # every unfolded eigenvector, rebuilt from the fine-grid sector solves
+    if case == "gs3d":
+        G, (grid, W, phi) = 100.0, _gs3d_case()
+    else:
+        grid, G, phi, _ = _dense_case(case)
+        W = TRAP.on_grid(grid) + G * np.abs(phi.values) ** 2
+    solves = []
+    solve = gs._sector_solves
+
+    def recorded(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(gs, "_sector_solves", recorded)
+    spec = hgp_spectrum(grid, TRAP, G, phi, k=k)
+    sectors, copies, values, vectors, _ = solves[-1]  # the fine grid's
+    lowest = sorted(
+        (lam, i, m, j)
+        for i, vals in enumerate(values)
+        for m in range(len(copies[i]))
+        for j, lam in enumerate(vals)
+    )[:k]
+    assert np.array_equal(spec.eigenvalues, [lam for lam, *_ in lowest])
+    columns = []
+    for _, i, m, j in lowest:
+        member, axes = copies[i][m]
+        columns.append(member.unfold(sectors[i].transpose(vectors[i][:, j], axes)))
+    vecs = np.stack(columns, axis=1)
+    want = _block_residuals(grid, W, vecs, spec.eigenvalues) / np.linalg.norm(vecs, axis=0)
+    err = float(np.max(np.abs(spec.residuals - want)))
+    assert err <= 1e-12 * np.max(spec.eigenvalues), (err, spec.residuals, want)
+
+
+def test_spectrum_holds_one_full_grid_eigenvector_at_a_time():
+    # the traced peak of the gs3d spectrum (k = 4), above what is held when
+    # it is called, in 64^3 float64 fields of 2 MiB: 21.6 fields (43.3 MiB)
+    # with the (n^3, k) residual block, 8.8 fields (17.6 MiB) one at a time
+    grid, _, phi = _gs3d_case()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        hgp_spectrum(grid, TRAP, 100.0, phi, k=4)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    fields = peak / (8 * grid.n ** 3)
+    assert fields <= 12.0, fields
 
 
 def test_spectrum_requires_two_levels():

@@ -13,7 +13,6 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 from tfcond import manybody as mb
-from tfcond import cli
 from tfcond.grids import Field, apply_symbol, convolve, make_grid
 from tfcond.harness import TOLERANCES
 from tfcond.manybody import (
@@ -1093,18 +1092,45 @@ class TestGapChain:
         assert rep.mu1 > rep.mu0
         assert rep.depletion < 0.05
 
-    def test_dense_cap_exits_2(self, monkeypatch, capsys):
-        # the cap is monkeypatched down to D = 10, the sector of N = M = 3
-        H = _toy_hamiltonian(N=3, M=3, g=0.5)
-        assert H.sector.D == 10
-        monkeypatch.setattr(mb, "_DENSE_CAP", 10)
-        assert verify_gap_chain(H, samples=5).passed
-        monkeypatch.setattr(mb, "_DENSE_CAP", 9)
-        with pytest.raises(ValueError, match="needs D <= 9, got D = 10"):
-            verify_gap_chain(H, samples=5)
-        assert cli.main(["manybody", "--N", "3", "--M", "3", "--check", "gapchain"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "D = 10" in err and "Traceback" not in err
+    @staticmethod
+    def _dense_minima(H, mu1_index=1):
+        """Oracle: the least eigenvalues of the chain and of N_+ as dense D x D
+        sector matrices, with mu1 read at ``mu1_index`` of h^GP's spectrum."""
+        sec = H.sector
+        _, h_gp = gp_modes_ground(H)
+        vals, vecs = np.linalg.eigh(h_gp)
+        q = np.eye(sec.M) - np.outer(vecs[:, 0], vecs[:, 0].conj())
+        shift = vals[0] * np.eye(sec.M) + (vals[mu1_index] - vals[0]) * q
+        chain = sec.one_body_matrix(h_gp - shift)
+        return np.linalg.eigvalsh(chain)[0], np.linalg.eigvalsh(sec.one_body_matrix(q))[0]
+
+    @pytest.mark.parametrize("N,M", [(3, 3), (8, 5), (6, 7)])
+    def test_minima_match_the_dense_sector_oracle(self, N, M):
+        H = _toy_hamiltonian(N=N, M=M, g=0.5)
+        rep = verify_gap_chain(H, samples=5)
+        chain, nplus = self._dense_minima(H)
+        assert abs(rep.min_eig_chain - chain) <= 1e-12, (rep.min_eig_chain, chain)
+        assert abs(rep.min_eig_nplus - nplus) <= 1e-12, (rep.min_eig_nplus, nplus)
+        assert rep.passed
+
+    def test_chain_fails_with_mu2_for_mu1(self, monkeypatch):
+        # negative control: the third level of h^GP in place of the second
+        # breaks the chain by N (mu1 - mu2) on one excitation into mode 1
+        H = _toy_hamiltonian(N=6, M=7, g=0.5)
+        solve = mb.gp_modes_ground
+
+        def without_mu1(H):
+            vals, h_gp = solve(H)
+            return np.delete(vals, 1), h_gp
+
+        monkeypatch.setattr(mb, "gp_modes_ground", without_mu1)
+        rep = verify_gap_chain(H, samples=5)
+        vals = solve(H)[0]
+        assert rep.mu1 == vals[2]
+        assert not rep.passed
+        assert rep.min_eig_chain == pytest.approx(6 * (vals[1] - vals[2]), rel=1e-10)
+        chain, _ = self._dense_minima(H, mu1_index=2)
+        assert abs(rep.min_eig_chain - chain) <= 1e-12, (rep.min_eig_chain, chain)
 
     def test_free_chain_saturates_on_single_excitation(self):
         # with g = 0 the mean-field operator is h itself and the chain
