@@ -254,9 +254,14 @@ def _cmd_manybody(args) -> int:
     H = harness._mode_hamiltonian(inter, N, M, g, lam, mode_kind)
 
     if check == "gapchain":
-        rep = mb.verify_gap_chain(H, lam=lam, samples=trials, seed=seed)
+        header = f"gap chain: N={N} M={M} g={g} modes={mode_kind}"
+        try:
+            rep = mb.verify_gap_chain(H, lam=lam, samples=trials, seed=seed)
+        except RuntimeError as exc:  # no mean-field reference to test the chain against
+            _write_json(args.out, "manybody_gapchain.json", {"error": str(exc), "passed": False})
+            return _report([header, f"failed check: mean-field reference ({exc})"], False)
         lines = [
-            f"gap chain: N={N} M={M} g={g} modes={mode_kind}",
+            header,
             f"min eig chain {rep.min_eig_chain:.3e}, min eig counting "
             f"{rep.min_eig_nplus:.3e}, sandwich violations "
             f"{rep.sandwich_violations}/{rep.samples}, depletion {rep.depletion:.3e}",

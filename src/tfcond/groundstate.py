@@ -124,6 +124,17 @@ def tf_minimize(trap: TrapSpec, G: float, d: int = 3) -> TFProfile:
 # ---------------------------------------------------------------------------
 
 
+# Longest sector axis, in points, on which _ParitySector.apply_symbol applies
+# T as a dense matrix, one GEMM per axis; longer axes go through scipy.fft.
+# Medians on 2 cores (OpenBLAS, pocketfft), T symbol T over a sector, dense
+# against scipy.fft: 0.05 against 0.20 ms at 32^3 (17 points per axis), 0.5
+# against 2.3 ms at 64^3 (33 points), 4 against 11 ms at 128^3 (65 points),
+# a tie at 256^2 (129 points) and 1.9 against 0.07 ms at n = 4096 in 1D
+# (2049 points). Sector axes of one grid differ by two points, so with n a
+# power of two they all fall on the same side: dense for n <= 128.
+_DENSE_AXIS_MAX = 65
+
+
 class _ParitySector:
     """One reflection-parity sector of a cubic grid, stored on an octant.
 
@@ -137,6 +148,10 @@ class _ParitySector:
     DCT-I (even) or DST-I (odd), which is its own inverse. Where ``c2`` is
     1 per axis at a fixed point and 1/2 elsewhere, the unfolded field is
     sqrt(c2) x at the octant points, so its density there is c2 x^2.
+    :meth:`apply_symbol` applies T as a dense matrix, built on first use,
+    on axes of at most _DENSE_AXIS_MAX points (grids up to n = 128), where
+    a GEMM beats the FFT, and through ``scipy.fft`` on longer ones;
+    :meth:`prolong` always goes through ``scipy.fft``.
     """
 
     def __init__(self, grid: Grid, parity: tuple):
@@ -205,8 +220,29 @@ class _ParitySector:
         u = u.transpose(tuple(axes) + tuple(range(d, u.ndim)))
         return u.reshape(X.shape)
 
+    @functools.cached_property
+    def _matrices(self):
+        """T per axis as an m x m matrix, or None if an axis is past the cut-off."""
+        if max(self.shape) > _DENSE_AXIS_MAX:
+            return None
+        return [
+            (sfft.dst if odd else sfft.dct)(np.eye(m), type=1, axis=0, norm="ortho")
+            for m, odd in zip(self.shape, self.parity)
+        ]
+
     def apply_symbol(self, symbol: np.ndarray, X: np.ndarray) -> np.ndarray:
         """T symbol T X for sector vectors X (one, or one per column)."""
+        if self._matrices is not None:
+            # one GEMM per axis: T on the leading axis, which it moves to the
+            # end, so after d of them the columns lead, then back the same way
+            u = X
+            for T in self._matrices:
+                u = u.reshape(T.shape[0], -1).T @ T.T
+            u = u.reshape(-1, self.dim)
+            u *= symbol.reshape(self.dim)
+            for T in reversed(self._matrices):
+                u = T @ u.reshape(-1, T.shape[0]).T
+            return u.reshape(X.shape)
         u = X.reshape(self.shape + X.shape[1:])
         for ax, odd in enumerate(self.parity):
             u = (sfft.dst if odd else sfft.dct)(u, type=1, axis=ax, norm="ortho")
@@ -640,13 +676,15 @@ def hgp_spectrum(
     plus the 10% random part; its later vectors, and those of every other
     sector, grow from random vectors.
 
-    On a 3D grid with n >= 64, the only grids where it measured faster, the
-    same solves run first on the grid of the even points (n/2 per axis), with
-    W and phi sampled there. Each coarse eigenvector, prolonged
-    (:meth:`_ParitySector.prolong`), starts the fine solve of its sector and
-    index, but the all-even sector's first starts from phi; tau, constraints
-    and residuals stay the fine grid's. ``seed`` draws the random parts of
-    the starts that no coarse vector replaces.
+    On a 3D grid with n >= 64, the same solves run first on the grid of the
+    even points (n/2 per axis), with W and phi sampled there. Each coarse
+    eigenvector, prolonged (:meth:`_ParitySector.prolong`), starts the fine
+    solve of its sector and index, but the all-even sector's first starts
+    from phi; tau, constraints and residuals stay the fine grid's. ``seed``
+    draws the random parts of the starts that no coarse vector replaces. It
+    measured faster there: at 64^3 (k = 4, G = 100) the solves from the
+    coarse starts took 0.27 s, coarse solves included, against 0.51 s from
+    the cold starts; at 32^3 the two tied (0.09 against 0.08 s).
 
     ``residuals`` and ``converged`` come from h on the full grid, applied to
     every unfolded eigenvector, copies included, without any symmetry. They
@@ -682,12 +720,15 @@ def hgp_spectrum(
         for j, lam in enumerate(vals)
     )[:k]
     eigenvalues = np.array([lam for lam, *_ in lowest])
-    residuals = np.empty(k)
-    for col, (lam, i, m, j) in enumerate(lowest):
+
+    def residual(lam, i, m, j):
+        # the full-grid fields die here, before the next eigenvector is unfolded
         member, axes = copies[i][m]
         v = member.unfold(sectors[i].transpose(vectors[i][:, j], axes)).reshape(grid.shape)
         r = apply_symbol(grid.k2_half, v) + (W - lam) * v
-        residuals[col] = np.linalg.norm(r) / np.linalg.norm(v)
+        return np.linalg.norm(r) / np.linalg.norm(v)
+
+    residuals = np.array([residual(*low) for low in lowest])
 
     mu0 = float(eigenvalues[0])
     gap = float(eigenvalues[1] - eigenvalues[0])
@@ -713,6 +754,7 @@ def _sector_solves(grid, W, base, k, rng, starts=None):
     ``starts`` holds per sector the start vectors of its solves as columns."""
     unit = base / np.linalg.norm(base)
     shift = max(1.0, float(np.vdot(unit, apply_symbol(grid.k2_half, unit) + W * unit)))
+    del unit
     coords = grid.coords()
     iterations = 0
 
@@ -730,8 +772,13 @@ def _sector_solves(grid, W, base, k, rng, starts=None):
 
         return _operator(sec.dim, h), _operator(sec.dim, precond)
 
-    def guess(sec, factor, noisy=True):
-        x = sec.restrict(factor * base)
+    def guess(sec, factors, noisy=True):
+        # the sector vector of base times the factors, which have the sector's
+        # parity: its octant samples over sqrt(c2), with no full-grid product
+        x = sec.octant(base)
+        for f in factors:
+            x = x * sec.octant(np.broadcast_to(f, base.shape))
+        x = x.ravel() / np.sqrt(sec.c2)
         x /= np.linalg.norm(x)
         if noisy:
             noise = rng.standard_normal(sec.dim)
@@ -746,7 +793,7 @@ def _sector_solves(grid, W, base, k, rng, starts=None):
     ]
     ops = [sector_operators(sec) for sec in sectors]
     guesses = [
-        guess(sec, math.prod(c for c, odd in zip(coords, sec.parity) if odd), any(sec.parity))
+        guess(sec, [c for c, odd in zip(coords, sec.parity) if odd], any(sec.parity))
         for sec in sectors
     ]
     # the all-even sector's next level: the quadrupole, or the 1D breathing mode
@@ -782,7 +829,7 @@ def _sector_solves(grid, W, base, k, rng, starts=None):
                 # a repeated physical guess would lean on levels already found
                 guesses[i] = rng.standard_normal((sectors[i].dim, 1))
             else:
-                guesses[i] = guess(sectors[i], even_growth)
+                guesses[i] = guess(sectors[i], [even_growth])
     return sectors, copies, values, vectors, iterations
 
 

@@ -645,6 +645,18 @@ class TestCli:
         argv = ["manybody", "--N", "3", "--M", "3", "--check", "gapchain", "--trials", "20"]
         assert cli.main(argv) == 0, capsys.readouterr().err
 
+    def test_manybody_gapchain_reports_a_failed_mean_field_reference(self, tmp_path, capsys):
+        # at g = 5 the mean-field iteration of gp_modes_ground finds no fixed point
+        cfg = tmp_path / "mb.json"
+        cfg.write_text(json.dumps({"N": 4, "M": 3, "g": 5.0, "check": "gapchain"}))
+        code = cli.main(["manybody", "--config", str(cfg), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1, err
+        assert "failed check: mean-field reference" in out
+        assert out.rstrip().endswith("FAIL")
+        payload = json.loads((tmp_path / "manybody_gapchain.json").read_text())
+        assert payload == {"error": "mean-field iteration did not converge", "passed": False}
+
     @pytest.mark.parametrize("modes", ["harmonic", "planewave"])
     def test_manybody_gronwall(self, tmp_path, capsys, modes):
         argv = ["manybody", "--N", "3", "--M", "3", "--check", "gronwall", "--modes", modes]
