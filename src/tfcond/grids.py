@@ -20,8 +20,6 @@ __all__ = [
     "make_grid",
     "apply_symbol",
     "norm",
-    "gradient",
-    "convolve",
     "normalize",
 ]
 
@@ -195,33 +193,6 @@ def norm(f: Field, kind: str = "L2") -> float:
             total += f.grid.kinetic(vals, 2)
         return float(np.sqrt(total))
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def gradient(f: Field) -> list:
-    """Spectral gradient, one Field per axis."""
-    hat = np.fft.fftn(f.values)
-    out = []
-    for ax in range(f.grid.d):
-        out.append(Field(f.grid, np.fft.ifftn(1j * f.grid.k_along(ax) * hat)))
-    return out
-
-
-def convolve(kernel: Field, f: Field) -> Field:
-    """Periodic convolution (kernel * f)(x) ~ integral kernel(x-y) f(y) dy.
-
-    FFT product scaled by the cell volume h^d, so the result approximates the
-    continuum convolution when both factors decay inside the box. The kernel
-    is given as ordinary point samples (origin at the center of the box)
-    and acts as a function of the displacement x - y (:meth:`Grid.kernel_symbol`);
-    a complex kernel acts as its real part plus i times its imaginary part.
-    """
-    if kernel.grid != f.grid:
-        raise ValueError("fields live on different grids")
-    grid, k = f.grid, kernel.values
-    out = apply_symbol(grid.kernel_symbol(k.real), f.values)
-    if np.any(k.imag != 0):
-        out = out + 1j * apply_symbol(grid.kernel_symbol(k.imag), f.values)
-    return Field(grid, out)
 
 
 def normalize(f: Field) -> Field:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .grids import Field, Grid, apply_symbol, convolve, gradient, norm
+from .grids import Field, Grid, apply_symbol, norm
 from .model import InteractionSpec, TrapSpec, sphere_area
 
 __all__ = [
@@ -854,8 +854,11 @@ class LinfReport:
 
 
 def _grad_linf(phi: Field) -> float:
-    """sup norm of |grad phi|."""
-    return float(np.max(np.sqrt(sum(np.abs(gf.values) ** 2 for gf in gradient(phi)))))
+    """sup norm of |grad phi|, each component the inverse FFT of i k_ax phi-hat."""
+    grid = phi.grid
+    hat = np.fft.fftn(phi.values)
+    parts = (np.fft.ifftn(1j * grid.k_along(ax) * hat) for ax in range(grid.d))
+    return float(np.max(np.sqrt(sum(np.abs(part) ** 2 for part in parts))))
 
 
 def linf_diagnostics(
@@ -921,31 +924,35 @@ class GapReport:
         return self.measured / self.bound if self.bound > 0 else math.inf
 
 
-def interaction_gap(phi: Field, interaction: InteractionSpec, N: int) -> GapReport:
-    """sup norm of v_N * |phi|^2 - integral(v) |phi|^2 and its Taylor bound.
+def interaction_gap(phi: Field, interaction: InteractionSpec):
+    """The smearing error of v_N * |phi|^2 against integral(v) |phi|^2, per N.
 
-    The bound is 2 * integral(|y| |v|) * N^{-beta} * ||phi||_inf
-    * ||grad phi||_inf; the grid must resolve the kernel range
-    (h <= N^{-beta} / 4).
+    Returns ``gap(N) -> GapReport``: the sup norm of v_N * |phi|^2 -
+    integral(v) |phi|^2 and its Taylor bound 2 * integral(|y| |v|)
+    * N^{-beta} * ||phi||_inf * ||grad phi||_inf. The density, the sup norms
+    and the integrals are computed here, once; each ``gap(N)`` builds only
+    the kernel and one convolution, and may run on several threads. It needs
+    N >= 1 and a grid that resolves the kernel range (h <= N^{-beta} / 4).
     """
     grid = phi.grid
-    rng_scale = float(N) ** (-interaction.beta)
-    if grid.h > rng_scale / 4.0:
-        raise ValueError(
-            f"grid spacing {grid.h:.3g} does not resolve the kernel range "
-            f"{rng_scale:.3g} (need h <= range/4)"
-        )
-    rho = Field(grid, (np.abs(phi.values) ** 2).astype(np.complex128))
-    smeared = convolve(interaction.kernel_on_grid(grid, N), rho)
-    flat = interaction.integral(grid.d) * rho.values
-    measured = float(np.max(np.abs(smeared.values - flat)))
+    rho = np.abs(phi.values) ** 2
+    flat = interaction.integral(grid.d) * rho
+    first_moment = interaction.first_moment(grid.d)
+    linf = norm(phi, "Linf")
+    grad_linf = _grad_linf(phi)
 
-    bound = (
-        2.0
-        * interaction.first_moment(grid.d)
-        * rng_scale
-        * norm(phi, "Linf")
-        * _grad_linf(phi)
-    )
-    return GapReport(measured=measured, bound=bound, N=N)
+    def gap(N: int) -> GapReport:
+        if N < 1:
+            raise ValueError(f"particle number must be >= 1, got {N}")
+        rng_scale = float(N) ** (-interaction.beta)
+        if grid.h > rng_scale / 4.0:
+            raise ValueError(
+                f"grid spacing {grid.h:.3g} does not resolve the kernel range "
+                f"{rng_scale:.3g} (need h <= range/4)"
+            )
+        symbol = grid.kernel_symbol(interaction.kernel_on_grid(grid, N).values)
+        measured = float(np.max(np.abs(apply_symbol(symbol, rho) - flat)))
+        bound = 2.0 * first_moment * rng_scale * linf * grad_linf
+        return GapReport(measured=measured, bound=bound, N=N)
 
+    return gap

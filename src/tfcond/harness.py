@@ -95,6 +95,8 @@ class StudySpec:
             raise ValueError("sweep values must be strictly increasing")
         elif row.sweeps == "N" and not all(float(v).is_integer() for v in vals):
             raise ValueError(f"particle numbers must be integers, got {list(vals)}")
+        elif row.sweeps == "N" and min(vals) < 1:
+            raise ValueError(f"particle numbers in values must be >= 1, got {list(vals)}")
         elif row.sweeps == "g" and min(vals) <= 0:
             raise ValueError(f"couplings in values must be positive, got {list(vals)}")
         # every kind reads its kind, values, seed and out_dir
@@ -384,10 +386,11 @@ def _study_tf_convergence(spec: StudySpec):
 def _study_lemma26_vs_N(spec: StudySpec):
     inter = InteractionSpec(profile=spec.profile, beta=spec.beta)
     grid = make_grid(spec.grid_d, spec.grid_n, spec.half_width)
-    phi = _gaussian_state(grid)
+    # the state's part once; the N convolutions share the workers' threads
+    gap = gs.interaction_gap(_gaussian_state(grid), inter)
 
     def worker(N):
-        rep = gs.interaction_gap(phi, inter, int(N))
+        rep = gap(int(N))
         return {
             "N": int(N),
             "grid_d": spec.grid_d,

@@ -30,7 +30,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 from scipy.special import comb, gammaln
 
-from .grids import Field, Grid, apply_symbol, convolve, make_grid, norm
+from .grids import Field, Grid, apply_symbol, make_grid, norm
 from .model import InteractionSpec, RegimeParams, TrapSpec
 
 __all__ = [
@@ -1149,7 +1149,7 @@ def evolve_and_track(
     c0n = c0n / np.linalg.norm(c0n)
     phi_grid = H.modes.expand(c0n)
     rho = np.abs(phi_grid) ** 2
-    conv = convolve(H.kernel, Field(grid, rho)).values.real
+    conv = apply_symbol(grid.kernel_symbol(H.kernel.values), rho)
     rhs_grid = conv * phi_grid
     inside = H.modes.expand(H.modes.project(rhs_grid))
     num = float(np.sqrt(np.sum(np.abs(rhs_grid - inside) ** 2) * grid.dv))

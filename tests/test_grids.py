@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from tfcond.grids import (
-    Field,
-    apply_symbol,
-    convolve,
-    gradient,
-    make_grid,
-    norm,
-    normalize,
-)
+from tfcond.grids import Field, apply_symbol, make_grid, norm, normalize
+from tfcond.groundstate import _grad_linf
 
 
 def sampled(grid, fn):
@@ -89,9 +82,8 @@ def test_spectral_derivatives_exact_on_plane_wave():
     np.testing.assert_allclose(
         lap, -(kx ** 2 + ky ** 2) * f.values, rtol=1e-12, atol=1e-12
     )
-    gx, gy = gradient(f)
-    np.testing.assert_allclose(gx.values, 1j * kx * f.values, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(gy.values, 1j * ky * f.values, rtol=1e-12, atol=1e-12)
+    # |grad f| = |k| at every point of a unit plane wave
+    assert _grad_linf(f) == pytest.approx(np.hypot(kx, ky), rel=1e-12)
 
 
 def test_convolve_with_grid_delta_is_identity():
@@ -100,8 +92,8 @@ def test_convolve_with_grid_delta_is_identity():
     delta = np.zeros(g.shape)
     delta[g.n // 2, g.n // 2] = 1.0 / g.dv  # unit-mass spike at x = 0
     f = random_field(g, rng)
-    out = convolve(Field(g, delta), f)
-    np.testing.assert_allclose(out.values, f.values, rtol=1e-12, atol=1e-12)
+    out = apply_symbol(g.kernel_symbol(delta), f.values)
+    np.testing.assert_allclose(out, f.values, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -109,11 +101,11 @@ def test_convolve_gaussians_analytic(d):
     # exp(-|x|^2) * exp(-|x|^2) = (pi/2)^{d/2} exp(-|x|^2/2)
     g = make_grid(d, 128 if d == 1 else 64, 8.0)
     ker = sampled(g, lambda *xs: np.exp(-sum(x ** 2 for x in xs)))
-    out = convolve(ker, ker)
+    out = apply_symbol(g.kernel_symbol(ker.values), ker.values.real)
     expected = sampled(
         g, lambda *xs: (np.pi / 2.0) ** (d / 2.0) * np.exp(-sum(x ** 2 for x in xs) / 2.0)
     )
-    np.testing.assert_allclose(out.values, expected.values, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(out, expected.values.real, rtol=0, atol=1e-8)
 
 
 def test_convolve_matches_direct_periodic_sum():
@@ -126,17 +118,8 @@ def test_convolve_matches_direct_periodic_sum():
     diff = x[:, None] - x[None, :]
     wrapped = (diff + g.half_width) % (2 * g.half_width) - g.half_width
     direct = g.h * np.exp(-(wrapped ** 2)) @ f.values
-    out = convolve(ker, f)
-    np.testing.assert_allclose(out.values, direct, rtol=1e-11, atol=1e-12)
-
-
-def test_convolution_commutes():
-    rng = np.random.default_rng(5)
-    g = make_grid(1, 64, 4.0)
-    a, b = random_field(g, rng), random_field(g, rng)
-    ab = convolve(a, b)
-    ba = convolve(b, a)
-    np.testing.assert_allclose(ab.values, ba.values, rtol=1e-11, atol=1e-12)
+    out = apply_symbol(g.kernel_symbol(ker.values), f.values)
+    np.testing.assert_allclose(out, direct, rtol=1e-11, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -167,17 +150,13 @@ def test_normalize_and_inner():
 
 
 def test_field_arithmetic_and_compat():
-    # fields combine through their values; samples must match the grid, and
-    # convolve refuses fields on different grids
+    # fields combine through their values; samples must match the grid
     rng = np.random.default_rng(2)
     g = make_grid(1, 64, 4.0)
     f, h = random_field(g, rng), random_field(g, rng)
     assert norm(Field(g, f.values + h.values), "L2") <= norm(f, "L2") + norm(h, "L2")
     with pytest.raises(ValueError, match="shape"):
         Field(g, np.zeros(128))
-    other = make_grid(1, 128, 4.0)
-    with pytest.raises(ValueError, match="different grids"):
-        convolve(f, random_field(other, rng))
 
 
 def test_boundary_shell_mask():

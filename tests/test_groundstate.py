@@ -834,7 +834,8 @@ def test_interaction_gap_bound_holds():
     grid = make_grid(1, 4096, 8.0)
     res = gp_minimize(grid, TRAP, 20.0, tol=1e-8)
     inter = InteractionSpec(profile="gaussian", beta=0.2)
-    reps = [interaction_gap(res.field, inter, N) for N in (64, 256, 1024, 4096)]
+    gap = interaction_gap(res.field, inter)
+    reps = [gap(N) for N in (64, 256, 1024, 4096)]
     for rep in reps:
         assert rep.measured < rep.bound
         assert rep.ratio < 0.5
@@ -847,5 +848,9 @@ def test_interaction_gap_resolution_guard():
     res = gp_minimize(grid, TRAP, 20.0, tol=1e-7)
     inter = InteractionSpec(profile="gaussian", beta=0.2)
     with pytest.raises(ValueError, match="resolve"):
-        interaction_gap(res.field, inter, 10 ** 6)
+        interaction_gap(res.field, inter)(10 ** 6)
+    # a particle number below 1 has no kernel range
+    for N in (0, -64):
+        with pytest.raises(ValueError, match=">= 1"):
+            interaction_gap(res.field, inter)(N)
 

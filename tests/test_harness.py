@@ -498,6 +498,27 @@ class TestRunStudy:
         )
         assert run_study(spec).csv_text == _HGP_RATE_GOLDEN_CSV
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lemma26_csv_keeps_its_bytes(self, workers):
+        assert run_study(_small_lemma26(workers=workers)).csv_text == _LEMMA26_GOLDEN_CSV_1D
+        spec = StudySpec(kind="lemma26_vs_N", values=(64, 512, 4096), grid_d=3, workers=workers)
+        assert run_study(spec).csv_text == _LEMMA26_GOLDEN_CSV_3D
+
+    def test_lemma26_computes_the_gradient_once_per_sweep(self, monkeypatch):
+        # the state's sup norms do not depend on N: one gradient per sweep,
+        # not one per point
+        calls = []
+        grad_linf = gs._grad_linf
+
+        def counting_grad_linf(phi):
+            calls.append(phi)
+            return grad_linf(phi)
+
+        monkeypatch.setattr(gs, "_grad_linf", counting_grad_linf)
+        res = run_study(_small_lemma26())
+        assert [r["status"] for r in res.rows] == ["ok"] * 4
+        assert len(calls) == 1
+
     def test_artifacts_written(self, tmp_path):
         spec = _small_lemma26(out_dir=str(tmp_path))
         res = run_study(spec)
@@ -518,6 +539,23 @@ N,grid_n,half_width,beta,g,t_final,dt,final_distance,final_bound,mass_drift_gp,m
 64,256,8.0,0.2,4.0,0.05,0.001,0.0038961898209453,5.604275483472255,8.881784197001252e-16,2.220446049250313e-15,True,ok
 128,256,8.0,0.2,4.0,0.05,0.001,0.0029867631338207213,5.073710602035031,8.881784197001252e-16,4.440892098500626e-16,True,ok
 256,256,8.0,0.2,4.0,0.05,0.001,0.0022834849621820746,4.607826379336268,8.881784197001252e-16,1.3322676295501878e-15,True,ok
+"""
+
+
+# run_study(_small_lemma26()).csv_text and the 3D sweep at N = 64, 512, 4096
+# on the default 128^3 grid, as one gradient and one convolution per N gave them
+_LEMMA26_GOLDEN_CSV_1D = """\
+N,grid_d,grid_n,half_width,beta,measured,bound,ratio,status
+64,1,512,8.0,0.2,0.08309520346564037,0.2979009056847661,0.27893571949583246,ok
+128,1,512,8.0,0.2,0.064884320168904,0.2593378012502987,0.25019229690422645,ok
+256,1,512,8.0,0.2,0.05033658910836847,0.2257666689624258,0.22295846122771096,ok
+512,1,512,8.0,0.2,0.03884768329226673,0.19654130083872937,0.19765658986933712,ok
+"""
+_LEMMA26_GOLDEN_CSV_3D = """\
+N,grid_d,grid_n,half_width,beta,measured,bound,ratio,status
+64,3,128,3.0,0.2,0.22916022021786442,0.596063151833365,0.3844562770119504,ok
+512,3,128,3.0,0.2,0.11208172811693695,0.39325502208217494,0.28501029058318356,ok
+4096,3,128,3.0,0.2,0.05152983681144008,0.2594515562942995,0.19861062908017044,ok
 """
 
 
@@ -589,6 +627,17 @@ _STUDY_FIELD_CASES = [
         "g",
         {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
          "half_width": 8.0, "t_final": 0.05, "dt": 1e-3, "g": -3.0},
+    ),
+    # particle numbers start at 1, refused before any point runs
+    (
+        "values",
+        {"kind": "lemma26_vs_N", "values": [-64, 0, 64, 128], "grid_d": 1, "grid_n": 512,
+         "half_width": 8.0},
+    ),
+    (
+        "values",
+        {"kind": "hgp_rate_vs_N", "values": [0, 64, 128], "grid_d": 1, "grid_n": 256,
+         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3},
     ),
 ]
 

@@ -13,7 +13,7 @@ import pytest
 from scipy.sparse.linalg import expm_multiply
 
 from tfcond import manybody as mb
-from tfcond.grids import Field, apply_symbol, convolve, make_grid
+from tfcond.grids import Field, apply_symbol, make_grid
 from tfcond.harness import TOLERANCES
 from tfcond.manybody import (
     ManyBodyState,
@@ -231,7 +231,7 @@ def _loop_pair_tensor(modes, kernel):
     V = np.zeros((M, M, M, M), dtype=complex)
     for b in range(M):
         for d in range(M):
-            conv = convolve(kernel, Field(grid, P[b, d])).values
+            conv = apply_symbol(grid.kernel_symbol(kernel.values), P[b, d])
             V[:, b, :, d] = np.einsum("acx,x->ac", P, conv) * grid.dv
     V = V.reshape(M * M, M * M)
     return 0.5 * (V + V.conj().T)
@@ -1153,12 +1153,10 @@ class TestGapChain:
         H = _toy_hamiltonian(N=3, M=3, g=0.7)
         vals, h_gp = gp_modes_ground(H)
         # recompute the mean-field matrix from the converged eigenvector
-        from tfcond.grids import Field, convolve
-
         c = np.linalg.eigh(h_gp)[1][:, 0]
         grid = H.modes.grid
         rho = np.abs(H.modes.expand(c)) ** 2
-        conv = convolve(H.kernel, Field(grid, rho)).values.real
+        conv = apply_symbol(grid.kernel_symbol(H.kernel.values), rho)
         U = H.modes.values
         Wm = (U.conj() * conv[None, :]) @ U.T * grid.dv
         rebuilt = H.h_mat + H.g * 0.5 * (Wm + Wm.conj().T)
