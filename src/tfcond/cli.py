@@ -185,10 +185,16 @@ def _cmd_dynamics(args) -> int:
         phi0 = normalize(Field(grid, vals))
     else:
         raise ValueError(f"unknown initial state {initial!r}")
-    rep = dyn.compare_h_vs_gp(phi0, inter, g, N, pcfg)
-    lines = [
+    header = [
         f"grid: {grid.d}D n={grid.n} half_width={grid.half_width}",
         f"g={g} N={N} t_final={pcfg.t_final} dt={pcfg.dt}",
+    ]
+    try:
+        rep = dyn.compare_h_vs_gp(phi0, inter, g, N, pcfg)
+    except RuntimeError as exc:  # the mass-drift or the non-finite guard refused a run
+        _write_json(args.out, "dynamics.json", {"error": str(exc), "passed": False})
+        return _report(header + [f"failed check: {exc}"], False)
+    lines = header + [
         f"final distance {rep.final_distance:.6e} (bound {rep.bound[-1]:.6e})",
         f"mass drift: gp {rep.trace_gp.mass_drift:.3e}, "
         f"hartree {rep.trace_hartree.mass_drift:.3e}",

@@ -10,13 +10,14 @@ well-posedness estimates.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
 
-from .grids import Field, Grid, norm
+from .grids import Field, Grid, _ParitySector, norm
 from .model import InteractionSpec
 
 __all__ = [
@@ -70,6 +71,10 @@ class PropagatorConfig:
 class PropagationTrace:
     """Observables recorded along a trajectory."""
 
+    # The mass-drift guard of every run: a run fails when its drift exceeds
+    # MASS_DRIFT_TOL * max(1, initial mass); studies check the drift itself.
+    MASS_DRIFT_TOL = 1e-12
+
     times: np.ndarray
     mass: np.ndarray
     e_free: np.ndarray
@@ -106,78 +111,172 @@ def propagate(
     density, which the phase leaves invariant), a full kinetic step in
     frequency space, and a half potential phase at the updated density.  The
     phase exp(i theta), theta = -(dt/2) W, is written as cos(theta) +
-    i sin(theta) into one preallocated buffer; the convolution W is a real-to-
-    complex convolution with the kernel's rfftn symbol, built once per run.
-    Mass is preserved to rounding; the rounding accumulates coherently at
-    about 2e-16 per step (at most 4.5e-13 over the 2000 steps of each
-    criterion-07 run), so runs past ~5e3 steps can exceed the 1e-12 conservation guard
-    -- pick dt accordingly.  The run is the one-row case of the stacked
-    stepper that also steps the convolution flows of a Hartree-vs-GP sweep
-    side by side, so both give the same bits.
+    i sin(theta) into one preallocated buffer; the convolution W multiplies
+    by the kernel's rfftn symbol, built once per run.
+    When phi0 and the kernel equal their reflections the flow stays even and
+    is stepped on the all-even parity sector by DCT-I; otherwise on the full
+    grid by FFT.  Mass is preserved to rounding, and the guard
+    (PropagationTrace.MASS_DRIFT_TOL) refuses a run whose drift exceeds it.
+    On criterion 07's sweep (1D n=4096, t=0.5) the largest drift over the
+    records was 9e-15, 3.3e-13 and 1.6e-13 in the sector at dt = 2.5e-4,
+    dt/2 and dt/4; on the full grid the power-of-two FFTs drift coherently,
+    about 2e-16 per step, to 4.4e-13, 1.22e-12 and 1.94e-12, past the guard
+    from dt/2 on.  The run is the one-row case of the stacked stepper that
+    also steps the flows of a Hartree-vs-GP sweep side by side, so both give
+    the same bits.
     """
-    grid = phi0.grid
-    if kernel is None:
-        coupling = np.full((1,) * grid.d, g, dtype=float)  # w = g rho
-    else:
-        # w = g (kernel * rho), one real-to-complex convolution per call
-        coupling = g * grid.kernel_symbol(kernel.values)
-    (out,) = _strang(phi0, coupling[np.newaxis], config, kernel is not None)
+    (out,) = _strang(phi0, [(g, kernel)], config)
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def _strang(
-    phi0: Field, couplings: np.ndarray, config: PropagatorConfig, convolve: bool, on_record=None
-) -> list:
-    """Strang-step one trajectory of phi0 per row of couplings, side by side.
+def _even(values: np.ndarray) -> bool:
+    """True if values equal their image under x_ax -> -x_ax on every axis, bit for bit."""
+    return all(
+        np.array_equal(values, np.roll(np.flip(values, ax), 1, ax)) for ax in range(values.ndim)
+    )
 
-    The rows share the grid, dt and the record times and are held along a
-    leading axis; every transform runs over the grid axes only, so each row
-    gets the bits it would get alone.  couplings[i] gives row i its W[rho]:
-    G, broadcast over the grid, for W = G rho, or (convolve) an rfftn kernel
-    symbol for W = irfftn(symbol * rfftn(rho)).  Each row is checked as a
-    run of its own: the phase guard, non-finite records and the mass-drift
-    guard.  Returns one PropagationTrace per row, or the
-    exception that row raised; a failed row leaves the stack at once.
-    on_record(i, values), if given, sees row i's field at each of its
-    record points, after that record's guards.
+
+def _kick(vals, w, scale, theta, phase):
+    """vals *= exp(i scale w) without a complex exp; theta and phase are buffers of vals' shape."""
+    np.multiply(w, scale, out=theta)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    vals *= phase
+
+
+def _strang(phi0: Field, couplings: list, config: PropagatorConfig, on_record=None) -> list:
+    """Strang-step one trajectory of phi0 per coupling, side by side.
+
+    couplings[i] = (g, kernel) gives row i its W[rho]: g rho without a
+    kernel, g (kernel * rho) with one.  A row steps in the all-even parity
+    sector (grids._ParitySector) when phi0 and its kernel equal their
+    reflections (_even), and on the full grid otherwise.  The sector's rows
+    go first, as one stack, then the others, through the one loop of
+    _step_rows.  Each row is checked as a run of its own: the phase guard,
+    non-finite records and the mass-drift guard.  Returns one
+    PropagationTrace per row, or the exception that row raised; a failed row
+    leaves its stack at once.  on_record(i, values), if given, sees row i's
+    full-grid field at each of its record points, after that record's
+    guards, and on_record(i, error) the error a row leaves its stack with.
+    """
+    out = [None] * len(couplings)
+    even = _even(phi0.values)
+    in_sector = [even and (kernel is None or _even(kernel.values)) for _, kernel in couplings]
+    for sector in (True, False):
+        rows = [i for i, s in enumerate(in_sector) if s is sector]
+        if rows:
+            _step_rows(phi0, couplings, rows, config, sector, on_record, out)
+    return out
+
+
+def _step_rows(phi0, couplings, rows, config, sector, on_record, out):
+    """Step couplings[i] for i in rows as one stack; out[i] gets each result.
+
+    The rows are held along a leading axis and every transform runs over the
+    grid axes only, so each row gets the bits it would get alone.  On the
+    full grid a row holds the field and the transforms are FFTs.  In the
+    all-even sector (sector=True) it holds the field's samples at the
+    sector's octant points, n/2 + 1 per axis, and the transforms are
+    the unnormalised DCT-I, the FFT of the even extension: applied twice it
+    is n times the identity per axis, so the symbols carry 1/n^d.  Records
+    see the even extension to the full grid.
     """
     grid = phi0.grid
     dt_eff, nsteps = _step_plan(config)
     axes = tuple(range(1, grid.d + 1))
+    symbols = {}
+    for i in rows:
+        g, kernel = couplings[i]
+        if kernel is not None:
+            try:
+                symbols[i] = g * grid.kernel_symbol(kernel.values)
+            except ValueError as exc:  # this row fails as it would alone
+                out[i] = exc
+    rows = [i for i in rows if out[i] is None]
+    if not rows:
+        return
 
-    if convolve:
+    if sector:
+        sec = _ParitySector(grid, (0,) * grid.d)
+        scale = 1.0 / grid.n ** grid.d
+        kin_phase = np.exp(-1j * dt_eff * sec.k2) * scale
+        # an even symbol at the octant wavenumbers, the first n/2 + 1 on every axis
+        symbols = {
+            i: s[(slice(0, grid.n // 2 + 1),) * grid.d].real * scale for i, s in symbols.items()
+        }
+        vals = np.stack([sec.octant(phi0.values)] * len(rows))
+        mirror = np.abs(np.arange(grid.n) - grid.n // 2)  # the octant point of each grid point
 
-        def w_of(rho):
-            hat = sfft.rfftn(rho, axes=axes)
-            hat *= couplings
-            return sfft.irfftn(hat, s=grid.shape, axes=axes, overwrite_x=True)
+        def dct(u):
+            for ax in axes:
+                u = sfft.dct(u, type=1, axis=ax, overwrite_x=True)
+            return u
+
+        def kinetic(vals):
+            # re and im as a trailing pair: one DCT-I per axis transforms both
+            u = dct(vals.view(np.float64).reshape(vals.shape + (2,)))
+            hat = u.view(np.complex128)[..., 0]
+            hat *= kin_phase
+            return dct(u).view(np.complex128)[..., 0]
+
+        def convolve(rho, stack):
+            hat = dct(rho)
+            hat *= stack
+            return dct(hat)
+
+        def on_grid(v):
+            for ax in range(grid.d):
+                v = np.take(v, mirror, axis=ax)
+            return v
 
     else:
+        kin_phase = np.exp(-1j * dt_eff * grid.k2)
+        vals = np.stack([phi0.values] * len(rows))
+
+        def kinetic(vals):
+            hat = sfft.fftn(vals, axes=axes, overwrite_x=True)
+            hat *= kin_phase
+            return sfft.ifftn(hat, axes=axes, overwrite_x=True)
+
+        def convolve(rho, stack):
+            hat = sfft.rfftn(rho, axes=axes)
+            hat *= stack
+            return sfft.irfftn(hat, s=grid.shape, axes=axes, overwrite_x=True)
+
+        def on_grid(v):
+            return v
+
+    def coupled(rows):
+        # W[rho] of a stack: G rho on the rows without a kernel, convolutions on the rest
+        local = [k for k, i in enumerate(rows) if i not in symbols]
+        conv = [k for k, i in enumerate(rows) if i in symbols]
+        big_g = np.array([couplings[rows[k]][0] for k in local], dtype=float)
+        big_g = big_g.reshape((-1,) + (1,) * (vals.ndim - 1))
+        stack = np.stack([symbols[rows[k]] for k in conv]) if conv else None
 
         def w_of(rho):
-            return couplings * rho
+            if not conv:
+                return big_g * rho
+            if not local:
+                return convolve(rho, stack)
+            w = np.empty_like(rho)
+            w[local] = big_g * rho[local]
+            w[conv] = convolve(rho[conv], stack)
+            return w
 
-    kin_phase = np.exp(-1j * dt_eff * grid.k2)
-    rows = list(range(len(couplings)))  # the stack's rows, as indices into couplings
-    vals = np.stack([phi0.values] * len(rows))
-    theta = np.empty(vals.shape)
-    phase = np.empty(vals.shape, dtype=complex)
+        return w_of
 
-    def kick(vals, w, scale):
-        # vals *= exp(i scale W), without a complex exp
-        np.multiply(w, scale, out=theta)
-        np.cos(theta, out=phase.real)
-        np.sin(theta, out=phase.imag)
-        vals *= phase
-
+    w_of = coupled(rows)
+    theta = np.empty_like(vals, dtype=float)
+    phase = np.empty_like(vals)
     names = ("times", "mass", "e_free", "h1", "h2", "linf")
-    records = [{name: [] for name in names} for _ in rows]
-    out = [None] * len(rows)
+    records = {i: {name: [] for name in names} for i in rows}
 
     def record(i, j, v, w_now):
-        # row i at step j; the phase guard refuses the row before its first step
+        # row i at step j, its field and W on the grid; the phase guard
+        # refuses the row before its first step
         if j == 0:
             phase_sup = dt_eff * float(np.max(np.abs(w_now)))
             if phase_sup > _PHASE_THRESHOLD:
@@ -201,47 +300,48 @@ def _strang(
     # The trailing half phase of one step and the leading half phase of the
     # next act on the same density, so interior pairs are fused into full
     # phases; this halves the rounding-error accumulation in the modulus.
-    half = -0.5 * dt_eff
+    half_dt = -0.5 * dt_eff
     pending_half = True
     w = w_of(np.abs(vals) ** 2)
     for j in range(nsteps + 1):
         if j > 0:
-            kick(vals, w, half if pending_half else 2 * half)
-            hat = sfft.fftn(vals, axes=axes, overwrite_x=True)
-            hat *= kin_phase
-            vals = sfft.ifftn(hat, axes=axes, overwrite_x=True)
+            _kick(vals, w, half_dt if pending_half else 2 * half_dt, theta, phase)
+            vals = kinetic(vals)
             w = w_of(np.abs(vals) ** 2)
             pending_half = j % config.record_every == 0 or j == nsteps
             if not pending_half:
                 continue
-            kick(vals, w, half)
+            _kick(vals, w, half_dt, theta, phase)
             w = w_of(np.abs(vals) ** 2)
         keep = []
         for k, i in enumerate(rows):
             try:
-                record(i, j, vals[k], w[k])
+                record(i, j, on_grid(vals[k]), on_grid(w[k]))
                 keep.append(k)
             except (ValueError, RuntimeError) as exc:
                 out[i] = exc
+                if on_record is not None:
+                    on_record(i, exc)
         if len(keep) < len(rows):
             rows = [rows[k] for k in keep]
-            vals, w, couplings = vals[keep], w[keep], couplings[keep]
-            theta = np.empty(vals.shape)
-            phase = np.empty(vals.shape, dtype=complex)
             if not rows:
                 break
+            vals, w = vals[keep], w[keep]
+            w_of = coupled(rows)
+            theta = np.empty_like(vals, dtype=float)
+            phase = np.empty_like(vals)
 
+    tol = PropagationTrace.MASS_DRIFT_TOL
     for k, i in enumerate(rows):
         trace = PropagationTrace(
             **{name: np.asarray(values) for name, values in records[i].items()},
-            final=Field(grid, vals[k].copy()),
+            final=Field(grid, on_grid(vals[k]).copy()),
             dt=dt_eff,
         )
-        if trace.mass_drift > 1e-12 * max(1.0, trace.mass[0]):
-            out[i] = RuntimeError(f"mass drift {trace.mass_drift:.3e} exceeds 1e-12")
+        if trace.mass_drift > tol * max(1.0, trace.mass[0]):
+            out[i] = RuntimeError(f"mass drift {trace.mass_drift:.3e} exceeds {tol:g}")
         else:
             out[i] = trace
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +418,72 @@ def compare_h_vs_gp(
 def _compare_sweep(phi0: Field, interaction: InteractionSpec, g: float, Ns, config, workers):
     """compare_h_vs_gp at each N of Ns: its report, or the exception it raises.
 
-    The cubic flow does not depend on N: it is stepped once and keeps its
-    fields at the record points.  The N values are cut into `workers`
-    contiguous stacks, each stepped through _strang on a thread of its own;
-    at every record point each convolution row takes its L2 distance to the
-    cubic field of that record, so no row keeps fields of its own.  A stacked
-    row gets the bits it would get alone.
+    Row 0 is the cubic flow and row n the convolution flow at Ns[n - 1].
+    np.array_split cuts the rows into `workers` contiguous stacks, each
+    stepped by one _strang call on a thread of its own, so the cubic flow is
+    row 0 of the first stack.  At every record point each convolution row
+    takes its L2 distance to the cubic field of that record, once the cubic
+    row has recorded it (one threading.Event per record), so no convolution
+    row keeps fields of its own.  If the cubic row fails, the rows waiting
+    on it fail with its error, and every N fails with the cubic's error.  A
+    stacked row gets the bits it would get alone.
     """
     grid = phi0.grid
-    gp_fields = []
-    big_g = np.full((1,) * (grid.d + 1), g * interaction.integral(grid.d))
-    (trace_gp,) = _strang(phi0, big_g, config, False, lambda i, v: gp_fields.append(v.copy()))
+    _, nsteps = _step_plan(config)
+    records = nsteps // config.record_every + 1 + (nsteps % config.record_every > 0)
+    reached = [threading.Event() for _ in range(records)]
+    gp_fields, gp_error = [], []
+    dists = {n: [] for n in range(1, len(Ns) + 1)}
+    out = [None] * (len(Ns) + 1)
+
+    def recorded(n, values):
+        # row n's field at its next record point, or the error it failed with
+        if n == 0:
+            if isinstance(values, Exception):
+                gp_error.append(values)
+                for event in reached:
+                    event.set()
+            else:
+                gp_fields.append(values.copy())
+                reached[len(gp_fields) - 1].set()
+        elif not isinstance(values, Exception):
+            r = len(dists[n])
+            reached[r].wait()
+            if r >= len(gp_fields):  # the cubic row stopped before this record
+                err = gp_error[0] if gp_error else RuntimeError("the cubic flow stopped")
+                raise type(err)(*err.args)
+            dists[n].append(norm(Field(grid, gp_fields[r] - values), "L2"))
+
+    def run_stack(part):
+        couplings, members = [], []  # stacked row i is row members[i]
+        for n in part:
+            try:
+                kernel = interaction.kernel_on_grid(grid, Ns[n - 1]) if n else None
+            except Exception as exc:  # this N fails as propagate would, the rest go on
+                out[n] = exc
+                continue
+            couplings.append((g if n else g * interaction.integral(grid.d), kernel))
+            members.append(n)
+        try:
+            flows = _strang(phi0, couplings, config, lambda i, v: recorded(members[i], v))
+        finally:
+            if 0 in part:  # nothing waits on a cubic row that has stopped
+                for event in reached:
+                    event.set()
+        for n, flow in zip(members, flows):
+            out[n] = flow
+
+    parts = np.array_split(np.arange(len(out)), min(workers, len(out)))
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        list(pool.map(run_stack, [part.tolist() for part in parts]))
+    trace_gp = out[0]
     if isinstance(trace_gp, Exception):
         return [trace_gp] * len(Ns)  # every N fails with the error of the cubic flow
-
-    def run_stack(stack):
-        out, rows, symbols = [None] * len(stack), [], []  # stacked row i is stack[rows[i]]
-        for k, N in enumerate(stack):
-            try:
-                symbols.append(g * grid.kernel_symbol(interaction.kernel_on_grid(grid, N).values))
-                rows.append(k)
-            except Exception as exc:  # this N fails as propagate would, the rest go on
-                out[k] = exc
-        dists = [[] for _ in rows]
-
-        def distance(i, v):
-            dists[i].append(norm(Field(grid, gp_fields[len(dists[i])] - v), "L2"))
-
-        if rows:
-            flows = _strang(phi0, np.stack(symbols), config, True, distance)
-            for k, flow, dist in zip(rows, flows, dists):
-                out[k] = flow if isinstance(flow, Exception) else _comparison(
-                    trace_gp, flow, np.array(dist), stack[k], interaction.beta, g
-                )
-        return out
-
-    parts = np.array_split(np.arange(len(Ns)), min(workers, len(Ns)))
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        stacks = pool.map(run_stack, [[Ns[i] for i in part] for part in parts])
-        return [out for stack in stacks for out in stack]
+    return [
+        flow if isinstance(flow, Exception)
+        else _comparison(trace_gp, flow, np.array(dists[n]), N, interaction.beta, g)
+        for n, (N, flow) in enumerate(zip(Ns, out[1:]), 1)
+    ]
 
 
 def _comparison(trace_gp, trace_h, dist, N, beta, g) -> ComparisonReport:

@@ -1,5 +1,7 @@
 """Tests for the split-step propagators, distance bounds, and dispersive checks."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,72 @@ def test_a_failed_row_leaves_the_stack_with_its_own_error(monkeypatch):
             _assert_same_trace(out.trace_hartree, alone)
 
 
+def _sweep_within(phi0, inter, g, Ns, cfg, workers, timeout=120):
+    """_compare_sweep under a future, so that a hang fails instead of blocking."""
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        return pool.submit(dyn._compare_sweep, phi0, inter, g, Ns, cfg, workers).result(timeout)
+    finally:
+        pool.shutdown(wait=False)  # a hung sweep must not hold the test
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("failure", ["phase guard", "non-finite start", "non-finite later"])
+def test_a_failed_cubic_row_fails_every_n(monkeypatch, workers, failure):
+    # the cubic flow is row 0 of the first stack: the rows waiting on its
+    # records are released, and every N fails with the error it raises alone
+    grid = make_grid(1, 256, 8.0)
+    inter = InteractionSpec(profile="gaussian", beta=0.2)
+    phi0, g = gaussian_packet(grid), 4.0
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, record_every=10)
+    if failure == "phase guard":
+        g, cfg = 40.0, PropagatorConfig(dt=0.5, t_final=1.0)
+    elif failure == "non-finite start":
+        vals = phi0.values.copy()
+        vals[3] = np.nan
+        phi0 = Field(grid, vals)
+    else:  # a NaN coupling passes the phase guard and the first record
+        monkeypatch.setattr(InteractionSpec, "integral", lambda self, d=3: np.nan)
+    with pytest.raises((ValueError, RuntimeError)) as alone:
+        propagate(phi0, g * inter.integral(1), cfg)
+    Ns = [64, 128, 256, 512, 1024]
+    sweep = _sweep_within(phi0, inter, g, Ns, cfg, workers)
+    assert [type(out) for out in sweep] == [alone.type] * len(Ns)
+    assert [str(out) for out in sweep] == [str(alone.value)] * len(Ns)
+
+
+def test_a_sweep_steps_even_flows_in_the_sector(monkeypatch):
+    # the oracle is the full-grid path of the same stepper, forced by
+    # declaring no field even; every record agrees to 1e-12 of its scale
+    grid = make_grid(1, 256, 8.0)
+    inter = InteractionSpec(profile="gaussian", beta=0.2)
+    phi0 = _trapped_state(grid, 4.0 * inter.integral(1))
+    assert dyn._even(phi0.values)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, record_every=200)
+    Ns = [64, 128, 256]
+    sectors = []
+    sector_of = dyn._ParitySector
+    monkeypatch.setattr(dyn, "_ParitySector", lambda *a: sectors.append(a) or sector_of(*a))
+    sweep = dyn._compare_sweep(phi0, inter, 4.0, Ns, cfg, workers=2)
+    assert len(sectors) == 2  # one per stack
+    monkeypatch.setattr(dyn, "_even", lambda values: False)
+    full = dyn._compare_sweep(phi0, inter, 4.0, Ns, cfg, workers=2)
+    assert len(sectors) == 2
+
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    for rep, oracle in zip(sweep, full):
+        for trace in ("trace_gp", "trace_hartree"):
+            for name in _TRACE_ARRAYS:
+                close(getattr(getattr(rep, trace), name), getattr(getattr(oracle, trace), name))
+            close(getattr(rep, trace).final.values, getattr(oracle, trace).final.values)
+        close(rep.distance, oracle.distance)
+        close(rep.bound, oracle.bound)
+        close(rep.final_distance, oracle.final_distance)
+
+
 # --- guards ------------------------------------------------------------------
 
 
@@ -297,6 +365,50 @@ def test_non_finite_input_rejected():
     vals[3] = np.nan
     with pytest.raises(RuntimeError, match="non-finite"):
         propagate(Field(grid, vals), 0.0, PropagatorConfig(dt=1e-3, t_final=0.01))
+
+
+@pytest.mark.parametrize("d, n, half_width", [(2, 32, 6.0), (3, 16, 4.0)])
+@pytest.mark.parametrize("flow", ["gp", "hartree"])
+def test_sector_step_matches_the_full_grid_in_d_dimensions(monkeypatch, d, n, half_width, flow):
+    grid = make_grid(d, n, half_width)
+    phi0 = normalize(Field(grid, np.exp(-grid.r2 / 2) * (1 + 0.3 * np.cos(grid.r2))))
+    kernel = InteractionSpec(profile="gaussian", beta=0.2).kernel_on_grid(grid, 64)
+    assert dyn._even(phi0.values) and dyn._even(kernel.values)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.02, record_every=7)
+    args = (phi0, 4.0, cfg) + ((kernel,) if flow == "hartree" else ())
+    sector = propagate(*args)
+    monkeypatch.setattr(dyn, "_even", lambda values: False)
+    full = propagate(*args)
+    for name in _TRACE_ARRAYS:
+        a, b = getattr(sector, name), getattr(full, name)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+    assert np.max(np.abs(sector.final.values - full.final.values)) <= 1e-12
+
+
+def _leaky_kick(vals, w, scale, theta, phase):
+    # the kick with a phase of modulus 1 + 1e-13: the mass grows by about
+    # 2e-13 per step, far above the rounding of either path
+    np.multiply(w, scale, out=theta)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    phase *= 1 + 1e-13
+    vals *= phase
+
+
+@pytest.mark.parametrize("path", ["sector", "full grid"])
+@pytest.mark.parametrize("dt", [1e-3, 5e-4, 2.5e-4])
+def test_mass_guard_trips_on_a_leaky_kick(monkeypatch, path, dt):
+    # negative control: the guard still means something at every dt
+    grid = make_grid(1, 256, 8.0)
+    phi0 = gaussian_packet(grid)
+    assert dyn._even(phi0.values)
+    if path == "full grid":
+        monkeypatch.setattr(dyn, "_even", lambda values: False)
+    cfg = PropagatorConfig(dt=dt, t_final=0.05, record_every=10)
+    assert propagate(phi0, 4.0, cfg).mass_drift < 1e-13
+    monkeypatch.setattr(dyn, "_kick", _leaky_kick)
+    with pytest.raises(RuntimeError, match="mass drift .* exceeds 1e-12"):
+        propagate(phi0, 4.0, cfg)
 
 
 # --- Hartree vs GP distance --------------------------------------------------
@@ -365,11 +477,11 @@ def test_bound_keeps_its_bits():
     rep = compare_h_vs_gp(phi0, inter, 4.0, 128, cfg)
     assert rep.bound.tolist() == [
         4.6406327364725595,
-        5.080268672763988,
-        5.5673004878181995,
-        6.1073805561694465,
-        6.7068949939873,
-        7.37306619923339,
+        5.080268672763987,
+        5.567300487818198,
+        6.107380556169442,
+        6.706894993987292,
+        7.37306619923338,
     ]
 
 

@@ -411,19 +411,22 @@ class TestRunStudy:
         assert run_study(spec).passed
         assert len(threads) == 3 and len(set(threads)) == 1
 
-        # an N sweep steps its convolution flows in one stack per worker: at
-        # workers=2 both stacks (2 + 1 rows) must be inside the stepper at
-        # once to pass the barrier, at workers=1 one stack holds all three
+        # an N sweep steps the cubic flow and its convolution flows in one
+        # stack per worker, one _strang call each, the cubic flow as row 0 of
+        # the first: at workers=2 both stacks (2 + 2 rows) must be inside the
+        # stepper at once to pass the barrier, at workers=1 one stack holds
+        # all four (the splitting-order check's runs record no distances)
         stack_calls = []
         barrier = threading.Barrier(2, timeout=60)
         strang = dyn._strang
 
-        def recording_strang(phi0, couplings, config, convolve, on_record=None):
-            if convolve:
-                stack_calls.append((threading.get_ident(), len(couplings)))
+        def recording_strang(phi0, couplings, config, on_record=None):
+            if on_record is not None:
+                kernels = [kernel is not None for _, kernel in couplings]
+                stack_calls.append((threading.get_ident(), kernels))
                 if workers == 2:
                     barrier.wait()
-            return strang(phi0, couplings, config, convolve, on_record)
+            return strang(phi0, couplings, config, on_record)
 
         monkeypatch.setattr(dyn, "_strang", recording_strang)
         for workers in (2, 1):
@@ -435,7 +438,11 @@ class TestRunStudy:
             res = run_study(spec)
             assert [r["status"] for r in res.rows] == ["ok", "ok", "ok"]
             assert [r["N"] for r in res.rows] == [64, 128, 256]
-            assert sorted(size for _, size in stack_calls) == ([3] if workers == 1 else [1, 2])
+            stacks = sorted(kernels for _, kernels in stack_calls)
+            if workers == 1:
+                assert stacks == [[False, True, True, True]]
+            else:
+                assert stacks == [[False, True], [True, True]]
             assert len({ident for ident, _ in stack_calls}) == workers
 
     def test_hgp_rate_failed_flow_fails_only_its_point(self, monkeypatch):
@@ -490,6 +497,18 @@ class TestRunStudy:
         assert checks["point_failures"].value == 0.0
         assert not res.passed
 
+    def test_hgp_rate_keeps_its_mass_at_half_dt(self):
+        # criterion 07's grid and dt / 2: the even flows step on the all-even
+        # sector, whose mass drift stays below the guard (the full grid's
+        # FFTs drifted 1.22e-12 here)
+        spec = StudySpec(kind="hgp_rate_vs_N", values=(64, 512, 4096), grid_d=1, dt=1.25e-4)
+        res = run_study(spec)
+        assert [r["status"] for r in res.rows] == ["ok"] * 3
+        checks = {c.name: c for c in res.checks}
+        assert checks["mass_conserved"].passed
+        assert checks["mass_conserved"].value < TOLERANCES["mass_drift"]
+        assert res.passed
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_hgp_rate_csv_keeps_its_bytes(self, workers):
         spec = StudySpec(
@@ -532,13 +551,13 @@ class TestRunStudy:
 
 
 # run_study(StudySpec("hgp_rate_vs_N", (64, 128, 256), grid_d=1, grid_n=256,
-# half_width=8.0, t_final=0.05, dt=1e-3)).csv_text, as one cubic flow and one
-# standalone convolution flow per N gave it
+# half_width=8.0, t_final=0.05, dt=1e-3)).csv_text, as the even flows stepped
+# on the all-even parity sector gave it
 _HGP_RATE_GOLDEN_CSV = """\
 N,grid_n,half_width,beta,g,t_final,dt,final_distance,final_bound,mass_drift_gp,mass_drift_hartree,bound_respected,status
-64,256,8.0,0.2,4.0,0.05,0.001,0.0038961898209453,5.604275483472255,8.881784197001252e-16,2.220446049250313e-15,True,ok
-128,256,8.0,0.2,4.0,0.05,0.001,0.0029867631338207213,5.073710602035031,8.881784197001252e-16,4.440892098500626e-16,True,ok
-256,256,8.0,0.2,4.0,0.05,0.001,0.0022834849621820746,4.607826379336268,8.881784197001252e-16,1.3322676295501878e-15,True,ok
+64,256,8.0,0.2,4.0,0.05,0.001,0.0038961898209454063,5.6042754834722475,1.7763568394002505e-15,4.440892098500626e-16,True,ok
+128,256,8.0,0.2,4.0,0.05,0.001,0.002986763133820853,5.073710602035024,1.7763568394002505e-15,1.7763568394002505e-15,True,ok
+256,256,8.0,0.2,4.0,0.05,0.001,0.00228348496218214,4.607826379336262,1.7763568394002505e-15,6.661338147750939e-16,True,ok
 """
 
 
@@ -823,6 +842,31 @@ class TestCli:
         payload = json.loads((tmp_path / "dynamics.json").read_text())
         assert payload["passed"] is False
         assert payload["distance"][1] > payload["bound"][1]
+
+    def test_dynamics_guard_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a run the mass guard refuses is a failed check, not a traceback
+        kick = dyn._kick
+
+        def leaky_kick(vals, w, scale, theta, phase):
+            kick(vals, w, scale, theta, phase)
+            vals *= 1 + 1e-13  # a phase of modulus 1 + 1e-13
+
+        monkeypatch.setattr(dyn, "_kick", leaky_kick)
+        cfg = tmp_path / "dyn.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "grid": {"d": 1, "n": 256, "half_width": 8.0}, "g": 4.0, "N": 128,
+                    "t_final": 0.05, "dt": 1e-3, "record_every": 10, "initial": "gaussian",
+                }
+            )
+        )
+        assert cli.main(["dynamics", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "FAIL"
+        assert re.fullmatch(r"failed check: mass drift \S+ exceeds 1e-12", out[-2])
+        payload = json.loads((tmp_path / "dynamics.json").read_text())
+        assert payload == {"error": out[-2].removeprefix("failed check: "), "passed": False}
 
     def test_bad_config_exits_2(self):
         # the module entry point turns main's return value into the exit code
