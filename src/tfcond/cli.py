@@ -39,11 +39,11 @@ def _load_config(path: str | None, keys: dict | None = None) -> dict:
 
 
 def _numbers(value, where: str) -> list:
-    """A number or a nonempty list of numbers, as a list of floats."""
+    """A finite number or a nonempty list of them, as a list of floats."""
     items = value if isinstance(value, list) else [value]
-    if not items or not all(type(v) in (int, float) for v in items):
+    if not items or not all(type(v) in (int, float) and np.isfinite(v) for v in items):
         raise ValueError(
-            f"{where!r} must be a number or a nonempty list of numbers, got {value!r}"
+            f"{where!r} must be a finite number or a nonempty list of them, got {value!r}"
         )
     return [float(v) for v in items]
 

@@ -59,10 +59,10 @@ class PropagatorConfig:
     record_every: int = 10
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        for name in ("dt", "t_final"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -89,15 +89,10 @@ class PropagationTrace:
         return float(np.max(np.abs(self.mass - self.mass[0])))
 
 
-def _energy(vals, grid: Grid, w_half) -> float:
-    """Conserved functional: kinetic + (1/2) <W rho>."""
-    return grid.kinetic(vals) + float(np.sum(w_half * np.abs(vals) ** 2) * grid.dv)
-
-
 def _step_plan(config: PropagatorConfig) -> tuple[float, int]:
     """Effective time step and number of steps of a run."""
-    nsteps = max(1, int(round(config.t_final / config.dt))) if config.t_final > 0 else 0
-    return (config.t_final / nsteps if nsteps else config.dt), nsteps
+    nsteps = max(1, int(round(config.t_final / config.dt)))
+    return config.t_final / nsteps, nsteps
 
 
 def propagate(
@@ -157,9 +152,9 @@ def _strang(phi0: Field, couplings: list, config: PropagatorConfig, on_record=No
     _step_rows.  Each row is checked as a run of its own: the phase guard,
     non-finite records and the mass-drift guard.  Returns one
     PropagationTrace per row, or the exception that row raised; a failed row
-    leaves its stack at once.  on_record(i, values), if given, sees row i's
-    full-grid field at each of its record points, after that record's
-    guards, and on_record(i, error) the error a row leaves its stack with.
+    stays in its stack, recorded no more.  on_record(i, values), if given,
+    sees row i's full-grid field at each of its record points, after that
+    record's guards, and on_record(i, error) the error a stepped row fails with.
     """
     out = [None] * len(couplings)
     even = _even(phi0.values)
@@ -181,7 +176,10 @@ def _step_rows(phi0, couplings, rows, config, sector, on_record, out):
     sector's octant points, n/2 + 1 per axis, and the transforms are
     the unnormalised DCT-I, the FFT of the even extension: applied twice it
     is n times the identity per axis, so the symbols carry 1/n^d.  Records
-    see the even extension to the full grid.
+    see the even extension to the full grid.  The stack is built once: the
+    phase guard reads each row's initial W before the first step, a row that
+    fails stays in the stack, unrecorded, and the loop returns once every
+    row has failed.
     """
     grid = phi0.grid
     dt_eff, nsteps = _step_plan(config)
@@ -248,61 +246,63 @@ def _step_rows(phi0, couplings, rows, config, sector, on_record, out):
         def on_grid(v):
             return v
 
-    def coupled(rows):
-        # W[rho] of a stack: G rho on the rows without a kernel, convolutions on the rest
-        local = [k for k, i in enumerate(rows) if i not in symbols]
-        conv = [k for k, i in enumerate(rows) if i in symbols]
-        big_g = np.array([couplings[rows[k]][0] for k in local], dtype=float)
-        big_g = big_g.reshape((-1,) + (1,) * (vals.ndim - 1))
-        stack = np.stack([symbols[rows[k]] for k in conv]) if conv else None
+    # W[rho] of the stack: G rho on the rows without a kernel, convolutions on the rest
+    local = [k for k, i in enumerate(rows) if i not in symbols]
+    conv = [k for k, i in enumerate(rows) if i in symbols]
+    big_g = np.array([couplings[rows[k]][0] for k in local], dtype=float)
+    big_g = big_g.reshape((-1,) + (1,) * (vals.ndim - 1))
+    stack = np.stack([symbols[rows[k]] for k in conv]) if conv else None
 
-        def w_of(rho):
-            if not conv:
-                return big_g * rho
-            if not local:
-                return convolve(rho, stack)
-            w = np.empty_like(rho)
-            w[local] = big_g * rho[local]
-            w[conv] = convolve(rho[conv], stack)
-            return w
+    def w_of(rho):
+        if not conv:
+            return big_g * rho
+        if not local:
+            return convolve(rho, stack)
+        w = np.empty_like(rho)
+        w[local] = big_g * rho[local]
+        w[conv] = convolve(rho[conv], stack)
+        return w
 
-        return w_of
-
-    w_of = coupled(rows)
     theta = np.empty_like(vals, dtype=float)
     phase = np.empty_like(vals)
-    names = ("times", "mass", "e_free", "h1", "h2", "linf")
-    records = {i: {name: [] for name in names} for i in rows}
+    records = {i: [] for i in rows}  # row i's (time, mass, e_free, h1, h2, linf) per record
+    live = dict(enumerate(rows))  # stacked row k -> i, until row i fails
+
+    def fail(k, exc):
+        i = live.pop(k)
+        out[i] = exc
+        if on_record is not None:
+            on_record(i, exc)
 
     def record(i, j, v, w_now):
-        # row i at step j, its field and W on the grid; the phase guard
-        # refuses the row before its first step
-        if j == 0:
-            phase_sup = dt_eff * float(np.max(np.abs(w_now)))
-            if phase_sup > _PHASE_THRESHOLD:
-                raise ValueError(
-                    f"potential phase per step {phase_sup:.3g} rad exceeds "
-                    f"{_PHASE_THRESHOLD}; reduce dt"
-                )
-        f = Field(grid, v)
-        rec = records[i]
-        rec["times"].append(j * dt_eff)
-        rec["mass"].append(norm(f, "L2") ** 2)
-        rec["e_free"].append(_energy(v, grid, 0.5 * w_now))
-        rec["h1"].append(norm(f, "H1"))
-        rec["h2"].append(norm(f, "H2"))
-        rec["linf"].append(norm(f, "Linf"))
-        if not np.isfinite(rec["mass"][-1]):
+        # row i at step j, its field and W on the grid; one FFT gives the
+        # kinetic sums of e_free, h1 and h2
+        mod = np.abs(v)
+        rho = mod ** 2
+        l2sq = np.sum(rho) * grid.dv
+        mass = float(np.sqrt(l2sq)) ** 2
+        if not np.isfinite(mass):
             raise RuntimeError("propagation produced non-finite values")
+        k1, k2 = grid.kinetic(v)
+        e_free = k1 + float(np.sum(0.5 * w_now * rho) * grid.dv)
+        h1, h2 = float(np.sqrt(l2sq + k1)), float(np.sqrt(l2sq + k1 + k2))
+        records[i].append((j * dt_eff, mass, e_free, h1, h2, float(np.max(mod))))
         if on_record is not None:
             on_record(i, v)
 
+    w = w_of(np.abs(vals) ** 2)
+    for k in list(live):  # the phase guard refuses a row before its first step
+        phase_sup = dt_eff * float(np.max(np.abs(w[k])))
+        if phase_sup > _PHASE_THRESHOLD:
+            fail(k, ValueError(
+                f"potential phase per step {phase_sup:.3g} rad exceeds "
+                f"{_PHASE_THRESHOLD}; reduce dt"
+            ))
     # The trailing half phase of one step and the leading half phase of the
     # next act on the same density, so interior pairs are fused into full
     # phases; this halves the rounding-error accumulation in the modulus.
     half_dt = -0.5 * dt_eff
     pending_half = True
-    w = w_of(np.abs(vals) ** 2)
     for j in range(nsteps + 1):
         if j > 0:
             _kick(vals, w, half_dt if pending_half else 2 * half_dt, theta, phase)
@@ -313,28 +313,18 @@ def _step_rows(phi0, couplings, rows, config, sector, on_record, out):
                 continue
             _kick(vals, w, half_dt, theta, phase)
             w = w_of(np.abs(vals) ** 2)
-        keep = []
-        for k, i in enumerate(rows):
+        for k, i in list(live.items()):
             try:
                 record(i, j, on_grid(vals[k]), on_grid(w[k]))
-                keep.append(k)
-            except (ValueError, RuntimeError) as exc:
-                out[i] = exc
-                if on_record is not None:
-                    on_record(i, exc)
-        if len(keep) < len(rows):
-            rows = [rows[k] for k in keep]
-            if not rows:
-                break
-            vals, w = vals[keep], w[keep]
-            w_of = coupled(rows)
-            theta = np.empty_like(vals, dtype=float)
-            phase = np.empty_like(vals)
+            except RuntimeError as exc:
+                fail(k, exc)
+        if not live:
+            return
 
     tol = PropagationTrace.MASS_DRIFT_TOL
-    for k, i in enumerate(rows):
+    for k, i in live.items():
         trace = PropagationTrace(
-            **{name: np.asarray(values) for name, values in records[i].items()},
+            *map(np.asarray, zip(*records[i])),
             final=Field(grid, on_grid(vals[k]).copy()),
             dt=dt_eff,
         )
@@ -425,14 +415,14 @@ def _compare_sweep(phi0: Field, interaction: InteractionSpec, g: float, Ns, conf
     takes its L2 distance to the cubic field of that record, once the cubic
     row has recorded it (one threading.Event per record), so no convolution
     row keeps fields of its own.  If the cubic row fails, the rows waiting
-    on it fail with its error, and every N fails with the cubic's error.  A
-    stacked row gets the bits it would get alone.
+    on it fail with a plain RuntimeError, so none hangs, and every N fails
+    with the cubic's error.  A stacked row gets the bits it would get alone.
     """
     grid = phi0.grid
     _, nsteps = _step_plan(config)
     records = nsteps // config.record_every + 1 + (nsteps % config.record_every > 0)
     reached = [threading.Event() for _ in range(records)]
-    gp_fields, gp_error = [], []
+    gp_fields = []
     dists = {n: [] for n in range(1, len(Ns) + 1)}
     out = [None] * (len(Ns) + 1)
 
@@ -440,7 +430,6 @@ def _compare_sweep(phi0: Field, interaction: InteractionSpec, g: float, Ns, conf
         # row n's field at its next record point, or the error it failed with
         if n == 0:
             if isinstance(values, Exception):
-                gp_error.append(values)
                 for event in reached:
                     event.set()
             else:
@@ -450,8 +439,7 @@ def _compare_sweep(phi0: Field, interaction: InteractionSpec, g: float, Ns, conf
             r = len(dists[n])
             reached[r].wait()
             if r >= len(gp_fields):  # the cubic row stopped before this record
-                err = gp_error[0] if gp_error else RuntimeError("the cubic flow stopped")
-                raise type(err)(*err.args)
+                raise RuntimeError("the cubic flow stopped")
             dists[n].append(norm(Field(grid, gp_fields[r] - values), "L2"))
 
     def run_stack(part):

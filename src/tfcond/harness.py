@@ -91,6 +91,8 @@ class StudySpec:
                 raise ValueError(f"unknown manybody check(s) {bad}")
         elif any(isinstance(v, bool) or not isinstance(v, (int, float, np.number)) for v in vals):
             raise ValueError(f"sweep values must be numbers, got {list(vals)}")
+        elif not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"sweep values must be finite, got {list(vals)}")
         elif any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly increasing")
         elif row.sweeps == "N" and not all(float(v).is_integer() for v in vals):
@@ -120,8 +122,8 @@ class StudySpec:
             raise ValueError(f"mb_trials must be >= 1, got {self.mb_trials}")
         if self.lam is not None and not 0 < self.lam < 1:
             raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
-        if self.t_final is not None and self.t_final <= 0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if self.t_final is not None:  # the one kind that reads t_final reads dt too
+            dyn.PropagatorConfig(dt=self.dt, t_final=self.t_final)
         if self.g is not None and self.g < 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
 

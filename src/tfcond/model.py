@@ -366,7 +366,7 @@ def _take(block, where: str, schema: dict) -> dict:
     type; a type itself (float, list, ...) does too, with None as default.
     An int accepts an integral number and a float accepts an int. A key that
     is absent or null takes its default. An unknown key, a block that is not
-    an object and a value of the wrong type raise ValueError.
+    an object, a value of the wrong type and a non-finite float raise ValueError.
     """
     if not isinstance(block, dict):
         raise ValueError(f"{where} block must be a JSON object, got {block!r}")
@@ -388,6 +388,8 @@ def _take(block, where: str, schema: dict) -> dict:
                 value = int(value)
             if type(value) is not kind:
                 raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):  # JSON allows NaN and Infinity
+                raise ValueError(f"{key!r} must be finite, got {value!r}")
         out[key] = value
     return out
 

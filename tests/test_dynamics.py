@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from tfcond import dynamics as dyn
 from tfcond.dynamics import (
@@ -50,6 +51,10 @@ def test_config_validation():
         PropagatorConfig(dt=1e-3, t_final=-1.0)
     with pytest.raises(ValueError, match="record_every"):
         PropagatorConfig(dt=1e-3, record_every=0)
+    # a run that steps nothing, or a step that is not finite, is refused
+    for dt, t_final in ((np.inf, 1.0), (np.nan, 1.0), (1e-3, 0.0), (1e-3, np.inf), (1e-3, np.nan)):
+        with pytest.raises(ValueError, match="dt" if t_final == 1.0 else "t_final"):
+            PropagatorConfig(dt=dt, t_final=t_final)
 
 
 # --- propagator accuracy -----------------------------------------------------
@@ -347,6 +352,56 @@ def test_a_sweep_steps_even_flows_in_the_sector(monkeypatch):
         close(rep.distance, oracle.distance)
         close(rep.bound, oracle.bound)
         close(rep.final_distance, oracle.final_distance)
+
+
+# --- the record path ---------------------------------------------------------
+
+
+def _four_transform_record(t, v, w, grid):
+    """A record from norm L2, the energy, H1 and H2, each with transforms of its own."""
+
+    def kinetic(p):
+        weight = grid.k2 if p == 1 else grid.k2 ** p
+        return float(np.sum(weight * np.abs(sfft.fftn(v, norm="ortho")) ** 2) * grid.dv)
+
+    l2sq = np.sum(np.abs(v) ** 2) * grid.dv
+    energy = kinetic(1) + float(np.sum(0.5 * w * np.abs(v) ** 2) * grid.dv)
+    h2sq = l2sq + kinetic(1)
+    h2sq += kinetic(2)
+    h1 = float(np.sqrt(l2sq + kinetic(1)))
+    linf = float(np.max(np.abs(v)))
+    return t, norm(Field(grid, v), "L2") ** 2, energy, h1, float(np.sqrt(h2sq)), linf
+
+
+@pytest.mark.parametrize("path", ["sector", "full grid"])
+def test_each_record_takes_one_fft_and_the_bits_of_four(monkeypatch, path):
+    grid = make_grid(1, 256, 8.0)
+    phi0 = gaussian_packet(grid)
+    if path == "full grid":  # a moving packet is not even
+        phi0 = Field(grid, phi0.values * np.exp(1j * grid.coords()[0]))
+    assert dyn._even(phi0.values) == (path == "sector")
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, record_every=10)
+    g_rows = (4.0, 9.0)  # two cubic rows, W = g |phi|^2
+    fields = {i: [] for i in range(len(g_rows))}
+    field_ffts = []  # fftn calls on one field; the stepper transforms the stack
+    fftn = sfft.fftn
+
+    def counting_fftn(x, *args, **kwargs):
+        if np.ndim(x) == grid.d:
+            field_ffts.append(x)
+        return fftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(sfft, "fftn", counting_fftn)
+    couplings = [(g, None) for g in g_rows]
+    traces = dyn._strang(phi0, couplings, cfg, lambda i, v: fields[i].append(v.copy()))
+    monkeypatch.undo()
+    nrec = len(traces[0].times)
+    assert nrec == 6 and len(field_ffts) == len(g_rows) * nrec  # one per row and record
+    for g, trace, vs in zip(g_rows, traces, fields.values()):
+        assert len(vs) == nrec
+        recorded = zip(trace.times, trace.mass, trace.e_free, trace.h1, trace.h2, trace.linf)
+        for rec, t, v in zip(recorded, trace.times, vs):
+            assert rec == _four_transform_record(t, v, g * np.abs(v) ** 2, grid)
 
 
 # --- guards ------------------------------------------------------------------

@@ -224,7 +224,8 @@ def test_gp_argument_validation():
 
 def _full_grid_parts(vals, V, grid):
     rho = np.abs(vals) ** 2
-    return grid.kinetic(vals), float(np.sum(V * rho) * grid.dv), float(np.sum(rho ** 2) * grid.dv)
+    kin, _ = grid.kinetic(vals)
+    return kin, float(np.sum(V * rho) * grid.dv), float(np.sum(rho ** 2) * grid.dv)
 
 
 def _full_grid_polish(vals, V, grid, G, tol, max_newton=14):

@@ -658,6 +658,37 @@ _STUDY_FIELD_CASES = [
         {"kind": "hgp_rate_vs_N", "values": [0, 64, 128], "grid_d": 1, "grid_n": 256,
          "half_width": 8.0, "t_final": 0.05, "dt": 1e-3},
     ),
+    # a value must be finite (JSON writes NaN and Infinity), and a time step positive
+    ("values", {"kind": "gap_vs_g", "values": [10, np.nan, 100], "grid_n": 16}),
+    ("values", {"kind": "gap_vs_g", "values": [10, np.inf], "grid_n": 16}),
+    ("half_width", {"kind": "linf_vs_g", "values": [1, 2], "grid_n": 16, "half_width": np.nan}),
+    (
+        "t_final",
+        {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
+         "half_width": 8.0, "t_final": np.inf, "dt": 1e-3},
+    ),
+    (
+        "dt",
+        {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
+         "half_width": 8.0, "t_final": 0.05, "dt": 0},
+    ),
+]
+
+# configs of the other commands with a value that is not finite, or a
+# comparison that steps nothing, with the key the error must name
+_SMALL_DYNAMICS = {
+    "initial": "gaussian", "grid": {"d": 1, "n": 256, "half_width": 8.0}, "N": 128,
+    "t_final": 0.05, "dt": 1e-3, "record_every": 10,
+}
+_BAD_NUMBER_CASES = [
+    ("dynamics", {**_SMALL_DYNAMICS, "t_final": np.nan}, "t_final"),
+    ("dynamics", {**_SMALL_DYNAMICS, "dt": np.inf}, "dt"),
+    ("dynamics", {**_SMALL_DYNAMICS, "t_final": 0}, "t_final"),
+    ("scattering", {"kappa": np.nan}, "kappa"),
+    ("scattering", {"kappa": [1e-3, -np.inf]}, "kappa"),
+    ("scattering", {"born_window": [0.9, np.nan]}, "born_window"),
+    ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "G": np.nan}, "G"),
+    ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "tol": np.nan}, "tol"),
 ]
 
 
@@ -949,6 +980,7 @@ class TestCli:
             ),
             # a study field its kind does not read, or out of its range
             *(("study", config) for _, config in _STUDY_FIELD_CASES),
+            *((command, config) for command, config, _ in _BAD_NUMBER_CASES),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
@@ -957,6 +989,13 @@ class TestCli:
         assert cli.main([*command.split(), "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, config, key", _BAD_NUMBER_CASES)
+    def test_bad_number_error_names_the_key(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "argv",
