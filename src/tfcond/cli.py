@@ -20,7 +20,7 @@ from . import groundstate as gs
 from . import harness
 from . import manybody as mb
 from .grids import Field, make_grid, normalize
-from .model import _INTERACTION_KEYS, _TRAP_KEYS, _take
+from .model import _INTERACTION_KEYS, _TRAP_KEYS, _finite, _take
 from .model import InteractionSpec, TrapSpec, scattering_length
 
 __all__ = ["main", "build_parser"]
@@ -41,7 +41,7 @@ def _load_config(path: str | None, keys: dict | None = None) -> dict:
 def _numbers(value, where: str) -> list:
     """A finite number or a nonempty list of them, as a list of floats."""
     items = value if isinstance(value, list) else [value]
-    if not items or not all(type(v) in (int, float) and np.isfinite(v) for v in items):
+    if not items or not all(type(v) in (int, float) for v in items) or not _finite(items):
         raise ValueError(
             f"{where!r} must be a finite number or a nonempty list of them, got {value!r}"
         )

@@ -23,7 +23,7 @@ from . import dynamics as dyn
 from . import groundstate as gs
 from . import manybody as mb
 from .grids import Field, make_grid, norm, normalize
-from .model import InteractionSpec, RegimeParams, TrapSpec, _take
+from .model import InteractionSpec, RegimeParams, TrapSpec, _finite, _take
 
 __all__ = [
     "STUDY_KINDS",
@@ -91,7 +91,7 @@ class StudySpec:
                 raise ValueError(f"unknown manybody check(s) {bad}")
         elif any(isinstance(v, bool) or not isinstance(v, (int, float, np.number)) for v in vals):
             raise ValueError(f"sweep values must be numbers, got {list(vals)}")
-        elif not all(math.isfinite(v) for v in vals):
+        elif not _finite(vals):
             raise ValueError(f"sweep values must be finite, got {list(vals)}")
         elif any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep values must be strictly increasing")

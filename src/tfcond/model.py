@@ -7,6 +7,17 @@ effective cubic coupling of the mean-field functional. This module holds the
 parameter containers, the regime window of the coupling growth, validity
 checks for the interaction profile, and the low-energy scattering length of
 ``kappa v``.
+
+Each interaction profile has the form ``v(r) = P(r^2) exp(-r^2)`` with a
+polynomial P. The table ``_PROFILES`` gives P's coefficients and the radii
+where P changes sign, so the moments of v (``integral(v)``, the first
+absolute moment and the L2 norm) are sums of the closed form
+
+    integral of r^k exp(-b r^2) over [0, R]
+        = Gamma((k + 1)/2) / (2 b^((k + 1)/2)) * gammainc((k + 1)/2, b R^2)
+
+with ``gammainc`` the regularized lower incomplete gamma function; R is
+infinite except at the sign changes, which split the |v| moment into pieces.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc
 
 from .grids import Field, Grid
 
@@ -35,13 +47,6 @@ __all__ = [
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^d (2, 2*pi, 4*pi for d=1,2,3)."""
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def _radial_quad(fn) -> float:
-    """integral of fn(r) over r in [0, inf)."""
-    from scipy.integrate import quad  # imported here: it adds about 0.2 s to every start-up
-
-    return quad(fn, 0.0, np.inf, limit=200)[0]
 
 
 @dataclass(frozen=True)
@@ -65,13 +70,23 @@ class TrapSpec:
         return self.strength * grid.r2 ** (self.s / 2.0)
 
 
-# radial profiles r >= 0 -> v(r); all smooth and rapidly decaying
+# radial profiles v(r) = P(r^2) exp(-r^2), r >= 0: the coefficients of P,
+# lowest power first, and the radii where P changes sign, increasing
 _PROFILES = {
-    "gaussian": lambda r: np.exp(-np.asarray(r, dtype=float) ** 2),
-    "hollow_gaussian": lambda r: (1.0 - np.asarray(r, dtype=float) ** 2)
-    * np.exp(-np.asarray(r, dtype=float) ** 2),
-    "zero": lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+    "gaussian": ((1.0,), ()),
+    "hollow_gaussian": ((1.0, -1.0), (1.0,)),
+    "zero": ((), ()),
 }
+
+
+def _gaussian_moment(poly, k: int, b: float, lo: float = 0.0, hi: float = math.inf) -> float:
+    """integral of P(r^2) r^k exp(-b r^2) over r in [lo, hi], P's coefficients in poly."""
+    total = 0.0
+    for j, c in enumerate(poly):
+        a = (2 * j + k + 1) / 2.0
+        piece = gammainc(a, b * hi * hi) - gammainc(a, b * lo * lo)
+        total += c * math.gamma(a) / (2.0 * b ** a) * float(piece)
+    return total
 
 
 @dataclass(frozen=True)
@@ -81,6 +96,14 @@ class InteractionSpec:
     The N-body kernel is ``v_N(x) = N^{d beta} v(N^beta |x|)`` on a
     d-dimensional grid, so its range shrinks like N^{-beta} while its integral
     stays fixed.
+
+    The profile is a row of ``_PROFILES``: v(r) = P(r^2) exp(-r^2). The
+    moments over R^d are the unit sphere's area times radial moments in
+    closed form: ``integral`` sums the coefficients of P against
+    Gamma((2j + d)/2) / 2, ``l2_norm`` does the same for P^2 with exp(-2 r^2),
+    and ``first_moment`` adds the absolute values of the integrals of
+    P(r^2) r^d exp(-r^2) between P's sign changes, each a difference of
+    regularized incomplete gamma functions.
     """
 
     profile: str = "gaussian"
@@ -95,22 +118,33 @@ class InteractionSpec:
             raise ValueError(f"beta must lie in (0, 1/3), got {self.beta}")
 
     def radial(self, r):
-        return _PROFILES[self.profile](r)
+        poly = _PROFILES[self.profile][0]
+        u = np.asarray(r, dtype=float) ** 2
+        p = poly[-1] if poly else 0.0
+        for c in reversed(poly[:-1]):  # Horner in u = r^2
+            p = p * u + c
+        return p * np.exp(-u)
 
     def v0(self) -> float:
         return float(self.radial(0.0))
 
     def integral(self, d: int = 3) -> float:
         """integral of v over R^d."""
-        return sphere_area(d) * _radial_quad(lambda r: self.radial(r) * r ** (d - 1))
+        poly = _PROFILES[self.profile][0]
+        return sphere_area(d) * _gaussian_moment(poly, d - 1, 1.0)
 
     def first_moment(self, d: int = 3) -> float:
         """integral of |x| |v(x)| over R^d."""
-        return sphere_area(d) * _radial_quad(lambda r: np.abs(self.radial(r)) * r ** d)
+        poly, signs = _PROFILES[self.profile]
+        edges = (0.0, *signs, math.inf)
+        pieces = (_gaussian_moment(poly, d, 1.0, lo, hi) for lo, hi in zip(edges, edges[1:]))
+        return sphere_area(d) * sum(abs(p) for p in pieces)
 
     def l2_norm(self, d: int = 3) -> float:
-        val = _radial_quad(lambda r: self.radial(r) ** 2 * r ** (d - 1))
-        return math.sqrt(sphere_area(d) * val)
+        """L2 norm of v over R^d."""
+        poly = _PROFILES[self.profile][0]
+        square = np.convolve(poly, poly) if poly else ()
+        return math.sqrt(sphere_area(d) * _gaussian_moment(square, d - 1, 2.0))
 
     def kernel_on_grid(self, grid: Grid, N: int) -> Field:
         """Sample v_N(x) = N^{d beta} v(N^beta |x|) on the grid."""
@@ -357,6 +391,17 @@ _TRAP_KEYS = {"strength": 1.0, "s": 2.0}
 _INTERACTION_KEYS = {"profile": "gaussian", "beta": 0.2}
 
 
+def _finite(values) -> bool:
+    """Whether every number of ``values`` is finite as a float.
+
+    JSON reads integer literals of any length; one too large for a float
+    is not finite."""
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:
+        return False
+
+
 def _take(block, where: str, schema: dict) -> dict:
     """Every key of ``schema``, read from the config block ``block``.
 
@@ -366,7 +411,9 @@ def _take(block, where: str, schema: dict) -> dict:
     type; a type itself (float, list, ...) does too, with None as default.
     An int accepts an integral number and a float accepts an int. A key that
     is absent or null takes its default. An unknown key, a block that is not
-    an object, a value of the wrong type and a non-finite float raise ValueError.
+    an object, a value of the wrong type and a number that is not finite as a
+    float (JSON allows NaN, Infinity and integer literals of any length)
+    raise ValueError.
     """
     if not isinstance(block, dict):
         raise ValueError(f"{where} block must be a JSON object, got {block!r}")
@@ -382,14 +429,14 @@ def _take(block, where: str, schema: dict) -> dict:
             value = None if isinstance(default, type) else default
         elif default is not None:
             kind = default if isinstance(default, type) else type(default)
+            if kind in (int, float) and type(value) in (int, float) and not _finite([value]):
+                raise ValueError(f"{key!r} must be finite, got {value!r}")
             if kind is float and type(value) is int:
                 value = float(value)
             elif kind is int and type(value) is float and value.is_integer():
                 value = int(value)
             if type(value) is not kind:
                 raise ValueError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
-            if kind is float and not math.isfinite(value):  # JSON allows NaN and Infinity
-                raise ValueError(f"{key!r} must be finite, got {value!r}")
         out[key] = value
     return out
 

@@ -562,19 +562,20 @@ N,grid_n,half_width,beta,g,t_final,dt,final_distance,final_bound,mass_drift_gp,m
 
 
 # run_study(_small_lemma26()).csv_text and the 3D sweep at N = 64, 512, 4096
-# on the default 128^3 grid, as one gradient and one convolution per N gave them
+# on the default 128^3 grid, as one gradient and one convolution per N gave
+# them with the interaction moments in closed form
 _LEMMA26_GOLDEN_CSV_1D = """\
 N,grid_d,grid_n,half_width,beta,measured,bound,ratio,status
-64,1,512,8.0,0.2,0.08309520346564037,0.2979009056847661,0.27893571949583246,ok
-128,1,512,8.0,0.2,0.064884320168904,0.2593378012502987,0.25019229690422645,ok
-256,1,512,8.0,0.2,0.05033658910836847,0.2257666689624258,0.22295846122771096,ok
-512,1,512,8.0,0.2,0.03884768329226673,0.19654130083872937,0.19765658986933712,ok
+64,1,512,8.0,0.2,0.08309520346564037,0.29790090568476607,0.2789357194958325,ok
+128,1,512,8.0,0.2,0.064884320168904,0.25933780125029865,0.2501922969042265,ok
+256,1,512,8.0,0.2,0.05033658910836847,0.22576666896242578,0.22295846122771099,ok
+512,1,512,8.0,0.2,0.03884768329226673,0.19654130083872934,0.19765658986933715,ok
 """
 _LEMMA26_GOLDEN_CSV_3D = """\
 N,grid_d,grid_n,half_width,beta,measured,bound,ratio,status
-64,3,128,3.0,0.2,0.22916022021786442,0.596063151833365,0.3844562770119504,ok
-512,3,128,3.0,0.2,0.11208172811693695,0.39325502208217494,0.28501029058318356,ok
-4096,3,128,3.0,0.2,0.05152983681144008,0.2594515562942995,0.19861062908017044,ok
+64,3,128,3.0,0.2,0.22916022021786198,0.5960631518333644,0.3844562770119466,ok
+512,3,128,3.0,0.2,0.11208172811693451,0.39325502208217455,0.2850102905831776,ok
+4096,3,128,3.0,0.2,0.051529836811437635,0.25945155629429933,0.19861062908016114,ok
 """
 
 
@@ -689,6 +690,18 @@ _BAD_NUMBER_CASES = [
     ("scattering", {"born_window": [0.9, np.nan]}, "born_window"),
     ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "G": np.nan}, "G"),
     ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "tol": np.nan}, "tol"),
+    # JSON reads integer literals of any length: one too large for a float
+    ("scattering", {"kappa": 10**400}, "kappa"),
+    ("scattering", {"mesh": 10**400}, "mesh"),
+    ("dynamics", {**_SMALL_DYNAMICS, "N": 10**400}, "N"),
+    ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "G": 10**400}, "G"),
+    ("study", {"kind": "gap_vs_g", "values": [10, 10**400], "grid_n": 16}, "values"),
+    (
+        "study",
+        {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
+         "half_width": 8.0, "t_final": 10**400, "dt": 1e-3},
+        "t_final",
+    ),
 ]
 
 
@@ -712,6 +725,29 @@ class TestCli:
         proc = _python("-c", "import sys, tfcond.cli; print('scipy.integrate' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_runs_leave_scipy_integrate_and_optimize_out(self, tmp_path):
+        # the interaction moments are closed forms: a flow, a scattering run
+        # and a Lemma 2.6 sweep load neither quad nor the optimizers
+        configs = {
+            "dynamics": _SMALL_DYNAMICS,
+            "scattering": {"kappa": [1e-3]},
+            "study": {"study": {"kind": "lemma26_vs_N", "values": [64, 128], "grid_d": 1,
+                                "grid_n": 256, "half_width": 8.0}},
+        }
+        script = ["import sys", "from tfcond import cli"]
+        for command, config in configs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(config))
+            script += [
+                f"assert cli.main([{command!r}, '--config', {str(path)!r}]) == 0",
+                f"print('loaded after', {command!r}, [m for m in ('scipy.integrate',"
+                " 'scipy.optimize') if m in sys.modules])",
+            ]
+        proc = _python("-c", "\n".join(script))
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded after")]
+        assert loaded == [f"loaded after {c} []" for c in configs]
 
     def test_scattering_pass(self, tmp_path, capsys):
         cfg = tmp_path / "scat.json"

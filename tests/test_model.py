@@ -53,6 +53,51 @@ def test_hollow_profile_moments():
     assert v.integral(3) == pytest.approx(-0.5 * math.pi ** 1.5, rel=1e-10)
 
 
+# the profiles written out directly: the oracle of the bits that
+# InteractionSpec.radial gives from the table of coefficients
+_LAMBDA_PROFILES = {
+    "gaussian": lambda r: np.exp(-np.asarray(r, dtype=float) ** 2),
+    "hollow_gaussian": lambda r: (1.0 - np.asarray(r, dtype=float) ** 2)
+    * np.exp(-np.asarray(r, dtype=float) ** 2),
+    "zero": lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+}
+
+
+@pytest.mark.parametrize("profile", sorted(_LAMBDA_PROFILES))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_moments_match_radial_quadrature(profile, d):
+    # quad is the oracle of the closed forms
+    from scipy.integrate import quad
+
+    v = InteractionSpec(profile, beta=0.2)
+
+    def radial(fn):
+        return sphere_area(d) * quad(fn, 0.0, np.inf, limit=200)[0]
+
+    pairs = [
+        (v.integral(d), radial(lambda r: v.radial(r) * r ** (d - 1))),
+        (v.first_moment(d), radial(lambda r: abs(v.radial(r)) * r ** d)),
+        (v.l2_norm(d), math.sqrt(radial(lambda r: v.radial(r) ** 2 * r ** (d - 1)))),
+    ]
+    for closed, oracle in pairs:
+        # the zero profile and the hollow profile's 2D integral are exactly 0
+        assert closed == pytest.approx(oracle, rel=1e-13, abs=1e-13 if closed == 0 else 0)
+
+
+def test_moments_hold_their_exact_bits():
+    assert InteractionSpec("hollow_gaussian").integral(2) == 0.0
+    assert InteractionSpec("gaussian").integral(1) == math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("profile", sorted(_LAMBDA_PROFILES))
+def test_kernel_on_grid_keeps_the_lambda_bits(profile):
+    v = InteractionSpec(profile, beta=0.2)
+    for grid, N in ((make_grid(1, 64, 8.0), 64), (make_grid(3, 16, 3.0), 512)):
+        r = np.sqrt(grid.r2)
+        expected = float(N) ** (grid.d * 0.2) * _LAMBDA_PROFILES[profile](float(N) ** 0.2 * r)
+        np.testing.assert_array_equal(v.kernel_on_grid(grid, N).values, expected.astype(complex))
+
+
 def test_kernel_on_grid_scaling():
     v = InteractionSpec("gaussian", beta=0.25)
     g = make_grid(1, 256, 8.0)
@@ -188,6 +233,8 @@ def test_take_types_values_by_their_defaults():
         ({"grid": {"half_width": "8"}}, "'half_width' must be of type float"),
         ({"name": 3}, "'name' must be of type str"),
         ({"opt": "1"}, "'opt' must be of type float"),
+        ({"grid": {"n": 10**400}}, "'n' must be finite"),
+        ({"grid": {"half_width": 10**400}}, "'half_width' must be finite"),
         ({"grid": {"m": 1}}, r"unknown grid key\(s\): \['m'\]"),
         ({"zzz": 1}, r"unknown config key\(s\): \['zzz'\]"),
     ]
