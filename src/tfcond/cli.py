@@ -87,9 +87,14 @@ def _cmd_groundstate(args) -> int:
     grid = make_grid(**cfg["grid"])
     trap = TrapSpec(**cfg["trap"])
     G, tol, k = cfg["G"], cfg["tol"], cfg["spectrum_k"]
-    res = gs.gp_minimize(grid, trap, G, tol=tol)
-    lines = [
-        f"grid: {grid.d}D n={grid.n} half_width={grid.half_width}",
+    header = [f"grid: {grid.d}D n={grid.n} half_width={grid.half_width}"]
+    try:
+        res = gs.gp_minimize(grid, trap, G, tol=tol)
+        spec = gs.hgp_spectrum(grid, trap, G, res.field, k=k) if k > 0 else None
+    except RuntimeError as exc:  # the box, the flow or the spectrum refused the run
+        _write_json(args.out, "groundstate.json", {"error": str(exc), "passed": False})
+        return _report(header + [f"failed check: {exc}"], False)
+    lines = header + [
         f"G={G} energy={res.energy:.12g} mu={res.mu:.12g} "
         f"residual={res.residual:.3e} iterations={res.iterations} "
         f"newton_steps={res.newton_steps}",
@@ -106,8 +111,7 @@ def _cmd_groundstate(args) -> int:
         "newton_steps": res.newton_steps,
         "boundary_mass": res.boundary_mass,
     }
-    if k > 0:
-        spec = gs.hgp_spectrum(grid, trap, G, res.field, k=k)
+    if spec is not None:
         lines.append(
             "spectrum: "
             + " ".join(f"{v:.10g}" for v in spec.eigenvalues)

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .grids import Field, Grid, _ParitySector, apply_symbol, norm
 from .model import InteractionSpec, TrapSpec, sphere_area
@@ -431,8 +430,9 @@ class SpectrumResult:
     ``residuals`` are ||h v - lambda v|| / ||v|| of the eigenvectors, copies
     included, unfolded to the full grid, with h applied there without any
     symmetry, and ``converged`` is read from them. ``iterations`` counts the
-    LOBPCG iterations of the fine-grid representative solves; ``warnings``
-    holds the messages LOBPCG raised in every solve, in order.
+    iterations of the fine-grid representative solves of this module's
+    block-size-1 :func:`lobpcg`; ``warnings`` holds the messages it raised
+    in every solve, in order, as ``"UserWarning: ..."``.
     """
 
     eigenvalues: np.ndarray
@@ -480,7 +480,10 @@ def hgp_spectrum(
     splits into the 2^d sectors of :class:`_ParitySector`, and sectors that
     an axis permutation maps onto each other share their spectrum. One
     representative per orbit of sectors, the one with its odd axes first,
-    is solved by LOBPCG with the potential-aware preconditioner
+    is solved one vector at a time by this module's :func:`lobpcg` (block
+    size 1, Knyazev's algorithm as ``scipy.sparse.linalg.lobpcg`` runs it,
+    which the tests keep as its oracle; no dense switch, so sectors of a
+    few points work too) with the potential-aware preconditioner
     S (c - Lap)^{-1} S, S = diag(sqrt(c / (c + W))), c = max(1, <phi, h phi>)
     (:meth:`_ParitySector.preconditioner`, after Antoine, Levitt and Tang,
     J. Comput. Phys. 343, 92 (2017)), which the Newton polish of
@@ -595,7 +598,7 @@ def _sector_solves(grid, W, base, k, rng, starts=None):
             iterations += 1  # LOBPCG preconditions once per iteration it does not stop
             return scaled(X)
 
-        return _operator(sec.dim, h), _operator(sec.dim, precond)
+        return h, precond
 
     def guess(sec, factors, noisy=True):
         # the sector vector of base times the factors, which have the sector's
@@ -635,9 +638,7 @@ def _sector_solves(grid, W, base, k, rng, starts=None):
             # phi is the all-even sector's ground state, sharper than any prolongation
             warm = starts is not None and j < starts[i].shape[1] and (j or any(sectors[i].parity))
             start = starts[i][:, j : j + 1] if warm else guesses[i]
-            w, v = lobpcg(
-                A, start, M=M, Y=Y, tol=_SPECTRUM_TOL, maxiter=_SPECTRUM_MAXITER, largest=False
-            )
+            w, v = lobpcg(A, start, M=M, Y=Y, tol=_SPECTRUM_TOL, maxiter=_SPECTRUM_MAXITER)
             values[i] = np.append(values[i], w)
             vectors[i] = np.column_stack([vectors[i], v])
         found = np.sort(np.concatenate([np.repeat(v, len(c)) for v, c in zip(values, copies)]))
@@ -658,8 +659,167 @@ def _sector_solves(grid, W, base, k, rng, starts=None):
     return sectors, copies, values, vectors, iterations
 
 
-def _operator(dim: int, fn) -> LinearOperator:
-    return LinearOperator((dim, dim), matvec=fn, matmat=fn, dtype=np.float64)
+# LOBPCG: below this residual the Gram matrices are formed explicitly; a
+# residual this many times the smallest so far recomputes A x
+_EXPLICIT_GRAM = math.sqrt(np.finfo(float).eps)
+_RESTART_GROWTH = 2.0 ** 20
+
+
+def _lowest_ritz(gram_a, gram_b):
+    """Lowest eigenpair of the pencil (gram_a, gram_b) through the Cholesky
+    factor of gram_b; ``LinAlgError`` unless gram_b is positive definite."""
+    inv_l = np.linalg.inv(np.linalg.cholesky(gram_b))
+    vals, vecs = np.linalg.eigh(inv_l @ gram_a @ inv_l.T)
+    return float(vals[0]), inv_l.T @ vecs[:, 0]
+
+
+def lobpcg(A, X, M, Y=None, *, tol, maxiter):
+    """Lowest eigenpair of a symmetric operator by block-size-1 LOBPCG.
+
+    Knyazev's locally optimal block preconditioned conjugate gradient (SIAM
+    J. Sci. Comput. 23, 517 (2001)) with B = I and one vector, step for step
+    as ``scipy.sparse.linalg.lobpcg`` takes it with ``largest=False``, but
+    with no switch to a dense solver on small problems. ``A`` and the
+    preconditioner ``M`` are callables on one vector; ``X`` is the start, one
+    column; the columns of ``Y`` are constraints: the start, every
+    preconditioned residual and the returned vector are projected off their
+    span with the Cholesky factor of Y^T Y. Each iteration that does not
+    stop applies M once, to the residual. Its Rayleigh-Ritz step solves the
+    3 x 3 pencil of the iterate, the normalized preconditioned residual and
+    the previous step, with the Gram matrices taken as exact (identity
+    metric, the Ritz value on the diagonal) until the residual falls below
+    sqrt(eps) and computed from then on; if that pencil is not positive
+    definite, the step drops the previous step and restarts. The iterate of
+    smallest residual is kept, projected once more and normalized, and its
+    Rayleigh quotient returned.
+
+    Returns (eigenvalue as a length-1 array, eigenvector as one column). A
+    residual still above ``tol`` raises scipy's ``UserWarning`` texts, each
+    naming the "requested tolerance": at a failed orthonormalization, at
+    the end of the iterations and after the final Rayleigh quotient.
+    """
+
+    def failed(iteration, res_norm):
+        warnings.warn(
+            f"Failed at iteration {iteration} with accuracies [{res_norm}]\n"
+            f" not reaching the requested tolerance {tol}.",
+            UserWarning,
+            stacklevel=3,
+        )
+
+    if Y is None:
+        project = None
+    else:
+        try:
+            inv_l = np.linalg.inv(np.linalg.cholesky(Y.T @ Y))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("Linearly dependent constraints") from exc
+        gram_inv = inv_l.T @ inv_l
+
+        def project(v):
+            return v - Y @ (gram_inv @ (Y.T @ v))
+
+    x = X.reshape(-1) if project is None else project(X.reshape(-1))
+    xx = float(x @ x)
+    if not xx > 0:
+        raise ValueError("Linearly dependent initial approximations")
+    x = x / math.sqrt(xx)
+    ax = A(x)
+    lam = float(x @ ax)
+
+    best_norm, best_iteration, best_x = math.inf, maxiter, x
+    p = ap = None
+    restart = forced = explicit = False
+    iteration = -1
+    while iteration < maxiter:
+        iteration += 1
+        r = ax - lam * x
+        res_norm = math.sqrt(abs(float(r @ r)))
+        if res_norm < best_norm:
+            best_norm, best_iteration, best_x = res_norm, iteration, x
+        elif res_norm > _RESTART_GROWTH * best_norm:
+            forced = True  # and for the rest of the solve
+            ax = A(x)
+        if res_norm <= tol:
+            break
+
+        w = M(r) if project is None else project(M(r))
+        w = w - x * float(x @ w)
+        ww = float(w @ w)
+        if not ww > 0:
+            failed(iteration, res_norm)
+            break
+        w = w / math.sqrt(ww)
+        aw = A(w)
+        restart = True
+        if iteration > 0:
+            pp = float(p @ p)
+            if pp > 0:
+                scale = 1.0 / math.sqrt(pp)
+                p, ap = p * scale, ap * scale
+                restart = forced
+
+        explicit = explicit or res_norm <= _EXPLICIT_GRAM
+        xaw, waw = float(x @ aw), float(w @ aw)
+        if explicit:
+            xax, xx, ww, xw = float(x @ ax), float(x @ x), float(w @ w), float(x @ w)
+        else:
+            xax, xx, ww, xw = lam, 1.0, 1.0, 0.0
+        if not restart:
+            xap, wap, xp, wp = float(x @ ap), float(w @ ap), float(x @ p), float(w @ p)
+            pap, pbp = float(p @ ap), (float(p @ p) if explicit else 1.0)
+            try:
+                lam, c = _lowest_ritz(
+                    np.array([[xax, xaw, xap], [xaw, waw, wap], [xap, wap, pap]]),
+                    np.array([[xx, xw, xp], [xw, ww, wp], [xp, wp, pbp]]),
+                )
+            except np.linalg.LinAlgError:
+                restart = True  # drop p and solve again on x and w
+        if restart:
+            # positive definite metric, x and w being orthonormal: fails only on
+            # entries that are no longer finite
+            try:
+                lam, c = _lowest_ritz(
+                    np.array([[xax, xaw], [xaw, waw]]), np.array([[xx, xw], [xw, ww]])
+                )
+            except np.linalg.LinAlgError:
+                failed(iteration, res_norm)
+                break
+            p, ap = w * c[1], aw * c[1]
+        else:
+            p, ap = w * c[1] + p * c[2], aw * c[1] + ap * c[2]
+        x = x * c[0] + p
+        ax = ax * c[0] + ap
+
+    r = ax - lam * x
+    res_norm = math.sqrt(abs(float(r @ r)))
+    if res_norm < best_norm:
+        best_norm, best_iteration, best_x = res_norm, iteration + 1, x
+    if res_norm > tol:
+        warnings.warn(
+            f"Exited at iteration {iteration} with accuracies \n[{res_norm}]\n"
+            f"not reaching the requested tolerance {tol}.\n"
+            f"Use iteration {best_iteration} instead with accuracy \n{best_norm}.\n",
+            UserWarning,
+            stacklevel=2,
+        )
+
+    x = best_x if project is None else project(best_x)
+    ax = A(x)
+    xx = float(x @ x)
+    lam = float(x @ ax) / xx
+    scale = 1.0 / math.sqrt(xx)
+    x, ax = x * scale, ax * scale
+    r = ax - lam * x
+    res_norm = math.sqrt(abs(float(r @ r)))
+    if res_norm > tol:
+        warnings.warn(
+            f"Exited postprocessing with accuracies \n[{res_norm}]\n"
+            f"not reaching the requested tolerance {tol}.",
+            UserWarning,
+            stacklevel=2,
+        )
+    return np.array([lam]), x[:, None]
 
 
 # ---------------------------------------------------------------------------

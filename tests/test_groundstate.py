@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 from scipy.integrate import quad
+from scipy.sparse.linalg import lobpcg as scipy_lobpcg
 
 from tfcond import groundstate as gs
 from tfcond.grids import Field, apply_symbol, make_grid, norm
@@ -789,6 +790,105 @@ def test_spectrum_holds_one_full_grid_eigenvector_at_a_time():
         tracemalloc.stop()
     fields = peak / (8 * grid.n ** 3)
     assert fields <= 10.0, fields
+
+
+@pytest.mark.parametrize("d,k", [(1, 2), (1, 4), (1, 8), (2, 4), (2, 9)])
+def test_spectrum_on_the_smallest_grid_matches_dense_eigh(d, k):
+    # n = 8, the smallest grid make_grid takes: the sectors hold 5 and 3
+    # points per axis, so the growth solves run with fewer than five free
+    # dimensions, down to one (k = 8 in 1D asks for every level of the grid)
+    grid = make_grid(d, 8, 3.0)
+    bump = np.exp(-grid.r2 / 2.0)
+    phi = Field(grid, bump / math.sqrt(np.sum(bump ** 2) * grid.dv))
+    ref = np.linalg.eigvalsh(_dense_h(grid, TRAP.on_grid(grid)))[:k]
+    spec = hgp_spectrum(grid, TRAP, 0.0, phi, k=k)
+    err = float(np.max(np.abs(spec.eigenvalues - ref)))
+    assert err <= 1e-12 * ref[-1], (err, spec.eigenvalues, ref)
+    assert spec.converged
+    assert spec.warnings == ()
+
+
+@functools.lru_cache(maxsize=None)
+def _criterion03_case():
+    """(grid, G, phi) of criterion 03's strongest point: 64^3, half_width 10, g = 1000."""
+    grid = make_grid(3, 64, 10.0)
+    G = 1000.0 * InteractionSpec(profile="gaussian", beta=0.2).integral(3)
+    return grid, G, gp_minimize(grid, TRAP, G).field
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded_solves(case):
+    """The arguments of every ``lobpcg`` call of hgp_spectrum (k = 4), coarse
+    and fine, the arrays copied as they came in."""
+    if case == "gs3d":
+        G, (grid, _, phi) = 100.0, _gs3d_case()
+    else:
+        grid, G, phi = _criterion03_case()
+    calls = []
+    solve = gs.lobpcg
+
+    def recorded(A, X, M=None, Y=None, **kwargs):
+        calls.append((A, X.copy(), M, None if Y is None else Y.copy(), kwargs))
+        return solve(A, X, M=M, Y=Y, **kwargs)
+
+    gs.lobpcg = recorded
+    try:
+        hgp_spectrum(grid, TRAP, G, phi, k=4)
+    finally:
+        gs.lobpcg = solve
+    return calls
+
+
+def _counted_solve(solver, A, X, M, Y, **kwargs):
+    """(eigenvalue, eigenvector, preconditioner calls, warning texts) of one solve."""
+    calls = 0
+
+    def counted(V):
+        nonlocal calls
+        calls += 1
+        return M(V)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lam, v = solver(A, X.copy(), M=counted, Y=Y, **kwargs)
+    assert lam.shape == (1,) and v.shape == (X.shape[0], 1)
+    return lam[0], v[:, 0], calls, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("case", ["gs3d", "criterion03"])
+def test_lobpcg_matches_the_scipy_oracle(case):
+    # every solve of the spectrum, constrained growth solves included, run
+    # again by scipy's lobpcg from the same start with the same M and Y: the
+    # same iterations, eigenvalue and eigenvector, and no warning from either
+    calls = _recorded_solves(case)
+    assert len(calls) == 10  # 5 per grid: one per sector, one growth solve
+    assert sum(Y is not None for *_, Y, _ in calls) == 2
+    for A, X, M, Y, kwargs in calls:
+        lam, v, iters, warned = _counted_solve(gs.lobpcg, A, X, M, Y, **kwargs)
+        ref_lam, ref_v, ref_iters, ref_warned = _counted_solve(
+            scipy_lobpcg, A, X, M, Y, largest=False, **kwargs
+        )
+        assert abs(lam - ref_lam) <= 1e-12 * abs(ref_lam), (lam, ref_lam)
+        assert iters == ref_iters > 0
+        err = min(np.linalg.norm(v - ref_v), np.linalg.norm(v + ref_v))
+        assert err <= 1e-9, err
+        assert warned == ref_warned == []
+
+
+def test_lobpcg_warns_like_the_scipy_oracle_when_stopped_early():
+    # the fine all-even solve of gs3d takes 4 iterations; stopped after 2,
+    # both solvers warn at the end of the iterations and after the final
+    # Rayleigh quotient, naming the requested tolerance each time
+    A, X, M, Y, kwargs = _recorded_solves("gs3d")[5]
+    assert Y is None and X.shape[0] == 33 ** 3
+    kwargs = dict(kwargs, maxiter=2)
+    *_, iters, warned = _counted_solve(gs.lobpcg, A, X, M, Y, **kwargs)
+    *_, ref_iters, ref_warned = _counted_solve(scipy_lobpcg, A, X, M, Y, largest=False, **kwargs)
+    assert iters == ref_iters == 3
+    assert len(warned) == len(ref_warned) == 2
+    for text, ref_text in zip(warned, ref_warned):
+        assert "requested tolerance" in text
+        assert text.split(" with accuracies")[0] == ref_text.split(" with accuracies")[0]
 
 
 def test_spectrum_requires_two_levels():

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import difflib
 import importlib.util
 import inspect
 import json
@@ -519,9 +520,23 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lemma26_csv_keeps_its_bytes(self, workers):
-        assert run_study(_small_lemma26(workers=workers)).csv_text == _LEMMA26_GOLDEN_CSV_1D
+        # both sweeps run before either is compared, so a change that moves
+        # one golden shows at once whether it moved the other as well
         spec = StudySpec(kind="lemma26_vs_N", values=(64, 512, 4096), grid_d=3, workers=workers)
-        assert run_study(spec).csv_text == _LEMMA26_GOLDEN_CSV_3D
+        runs = {
+            "1D": (run_study(_small_lemma26(workers=workers)).csv_text, _LEMMA26_GOLDEN_CSV_1D),
+            "3D": (run_study(spec).csv_text, _LEMMA26_GOLDEN_CSV_3D),
+        }
+        moved = [
+            f"{name} golden moved:\n" + "\n".join(
+                difflib.unified_diff(
+                    golden.splitlines(), got.splitlines(), "golden", "run", lineterm=""
+                )
+            )
+            for name, (got, golden) in runs.items()
+            if got != golden
+        ]
+        assert not moved, "\n".join(moved)
 
     def test_lemma26_computes_the_gradient_once_per_sweep(self, monkeypatch):
         # the state's sup norms do not depend on N: one gradient per sweep,
@@ -612,95 +627,194 @@ def _readme_configs():
     return configs
 
 
+# Every case of test_bad_config_value_exits_2 and
+# test_bad_number_error_names_the_key carries its test id, so that adding a
+# case renames no other test. The cases written before the ids were explicit
+# keep the positional names pytest had given them (`study-config52`), under
+# which their results are already tracked; a new case takes the key it
+# breaks plus a short reason, such as `values-not-finite`.
+
 # study configs that set a field their kind does not read, or one out of its
-# range, with the field the error must name
+# range, with the field the error must name and the case's id in
+# test_bad_config_value_exits_2
 _STUDY_FIELD_CASES = [
     (
         "trap_s",
         {"study": {"kind": "lemma26_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 512,
-                   "dt": 5.0, "mb_trials": 7, "g": -3.0, "trap_s": 9.0}},
+                   "dt": 5.0, "mb_trials": 7, "g": -3.0, "trap_s": 9.0}}, "study-config32",
     ),
-    ("beta", {"kind": "gap_vs_g", "values": [0.5, 1.0, 2.0], "grid_n": 16, "beta": 0.3}),
-    ("dt", {"kind": "linf_vs_g", "values": [0.5, 1.0, 2.0], "grid_n": 16, "dt": 1e-3}),
+    (
+        "beta",
+        {"kind": "gap_vs_g", "values": [0.5, 1.0, 2.0], "grid_n": 16, "beta": 0.3},
+        "study-config33",
+    ),
+    (
+        "dt",
+        {"kind": "linf_vs_g", "values": [0.5, 1.0, 2.0], "grid_n": 16, "dt": 1e-3},
+        "study-config34",
+    ),
     (
         "mb_trials",
         {"kind": "tf_convergence", "values": [0.5, 1.0, 2.0], "grid_n": 16, "mb_trials": 5},
+        "study-config35",
     ),
     (
         "lam",
         {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
-         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3, "lam": 0.9},
+         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3, "lam": 0.9}, "study-config36",
     ),
-    ("grid_d", {"kind": "manybody_suite", "values": ["appendix"], "mb_trials": 5, "grid_d": 2}),
-    ("lam", {"kind": "manybody_suite", "values": ["gapchain", "gronwall"], "lam": 0.0}),
-    ("lam", {"kind": "manybody_suite", "values": ["gapchain", "gronwall"], "lam": 1.5}),
+    (
+        "grid_d",
+        {"kind": "manybody_suite", "values": ["appendix"], "mb_trials": 5, "grid_d": 2},
+        "study-config37",
+    ),
+    (
+        "lam",
+        {"kind": "manybody_suite", "values": ["gapchain", "gronwall"], "lam": 0.0},
+        "study-config38",
+    ),
+    (
+        "lam",
+        {"kind": "manybody_suite", "values": ["gapchain", "gronwall"], "lam": 1.5},
+        "study-config39",
+    ),
     (
         "t_final",
         {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
-         "half_width": 8.0, "t_final": 0, "dt": 1e-3},
+         "half_width": 8.0, "t_final": 0, "dt": 1e-3}, "study-config40",
     ),
     # a coupling sweep runs at positive couplings only, an N sweep at g >= 0
-    ("values", {"kind": "tf_convergence", "values": [-2, -1, 0.5], "grid_n": 16}),
-    ("values", {"kind": "gap_vs_g", "values": [0, 1.0], "grid_n": 16}),
-    ("values", {"kind": "linf_vs_g", "values": [-1.0, 2.0], "grid_n": 16}),
+    (
+        "values",
+        {"kind": "tf_convergence", "values": [-2, -1, 0.5], "grid_n": 16},
+        "study-config41",
+    ),
+    ("values", {"kind": "gap_vs_g", "values": [0, 1.0], "grid_n": 16}, "study-config42"),
+    ("values", {"kind": "linf_vs_g", "values": [-1.0, 2.0], "grid_n": 16}, "study-config43"),
     (
         "g",
         {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
-         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3, "g": -3.0},
+         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3, "g": -3.0}, "study-config44",
     ),
     # particle numbers start at 1, refused before any point runs
     (
         "values",
         {"kind": "lemma26_vs_N", "values": [-64, 0, 64, 128], "grid_d": 1, "grid_n": 512,
-         "half_width": 8.0},
+         "half_width": 8.0}, "study-config45",
     ),
     (
         "values",
         {"kind": "hgp_rate_vs_N", "values": [0, 64, 128], "grid_d": 1, "grid_n": 256,
-         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3},
+         "half_width": 8.0, "t_final": 0.05, "dt": 1e-3}, "study-config46",
     ),
     # a value must be finite (JSON writes NaN and Infinity), and a time step positive
-    ("values", {"kind": "gap_vs_g", "values": [10, np.nan, 100], "grid_n": 16}),
-    ("values", {"kind": "gap_vs_g", "values": [10, np.inf], "grid_n": 16}),
-    ("half_width", {"kind": "linf_vs_g", "values": [1, 2], "grid_n": 16, "half_width": np.nan}),
+    ("values", {"kind": "gap_vs_g", "values": [10, np.nan, 100], "grid_n": 16}, "study-config47"),
+    ("values", {"kind": "gap_vs_g", "values": [10, np.inf], "grid_n": 16}, "study-config48"),
+    (
+        "half_width",
+        {"kind": "linf_vs_g", "values": [1, 2], "grid_n": 16, "half_width": np.nan},
+        "study-config49",
+    ),
     (
         "t_final",
         {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
-         "half_width": 8.0, "t_final": np.inf, "dt": 1e-3},
+         "half_width": 8.0, "t_final": np.inf, "dt": 1e-3}, "study-config50",
     ),
     (
         "dt",
         {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
-         "half_width": 8.0, "t_final": 0.05, "dt": 0},
+         "half_width": 8.0, "t_final": 0.05, "dt": 0}, "study-config51",
     ),
 ]
 
 # configs of the other commands with a value that is not finite, or a
-# comparison that steps nothing, with the key the error must name
+# comparison that steps nothing, with the key the error must name and the
+# case's ids in test_bad_config_value_exits_2 and
+# test_bad_number_error_names_the_key
 _SMALL_DYNAMICS = {
     "initial": "gaussian", "grid": {"d": 1, "n": 256, "half_width": 8.0}, "N": 128,
     "t_final": 0.05, "dt": 1e-3, "record_every": 10,
 }
 _BAD_NUMBER_CASES = [
-    ("dynamics", {**_SMALL_DYNAMICS, "t_final": np.nan}, "t_final"),
-    ("dynamics", {**_SMALL_DYNAMICS, "dt": np.inf}, "dt"),
-    ("dynamics", {**_SMALL_DYNAMICS, "t_final": 0}, "t_final"),
-    ("scattering", {"kappa": np.nan}, "kappa"),
-    ("scattering", {"kappa": [1e-3, -np.inf]}, "kappa"),
-    ("scattering", {"born_window": [0.9, np.nan]}, "born_window"),
-    ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "G": np.nan}, "G"),
-    ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "tol": np.nan}, "tol"),
+    (
+        "dynamics",
+        {**_SMALL_DYNAMICS, "t_final": np.nan},
+        "t_final",
+        "dynamics-config52",
+        "dynamics-config0-t_final",
+    ),
+    (
+        "dynamics",
+        {**_SMALL_DYNAMICS, "dt": np.inf},
+        "dt",
+        "dynamics-config53",
+        "dynamics-config1-dt",
+    ),
+    (
+        "dynamics",
+        {**_SMALL_DYNAMICS, "t_final": 0},
+        "t_final",
+        "dynamics-config54",
+        "dynamics-config2-t_final",
+    ),
+    ("scattering", {"kappa": np.nan}, "kappa", "scattering-config55", "scattering-config3-kappa"),
+    (
+        "scattering",
+        {"kappa": [1e-3, -np.inf]},
+        "kappa",
+        "scattering-config56",
+        "scattering-config4-kappa",
+    ),
+    (
+        "scattering",
+        {"born_window": [0.9, np.nan]},
+        "born_window",
+        "scattering-config57",
+        "scattering-config5-born_window",
+    ),
+    (
+        "groundstate",
+        {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "G": np.nan},
+        "G",
+        "groundstate-config58",
+        "groundstate-config6-G",
+    ),
+    (
+        "groundstate",
+        {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "tol": np.nan},
+        "tol",
+        "groundstate-config59",
+        "groundstate-config7-tol",
+    ),
     # JSON reads integer literals of any length: one too large for a float
-    ("scattering", {"kappa": 10**400}, "kappa"),
-    ("scattering", {"mesh": 10**400}, "mesh"),
-    ("dynamics", {**_SMALL_DYNAMICS, "N": 10**400}, "N"),
-    ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "G": 10**400}, "G"),
-    ("study", {"kind": "gap_vs_g", "values": [10, 10**400], "grid_n": 16}, "values"),
+    ("scattering", {"kappa": 10**400}, "kappa", "scattering-config60", "scattering-config8-kappa"),
+    ("scattering", {"mesh": 10**400}, "mesh", "scattering-config61", "scattering-config9-mesh"),
+    (
+        "dynamics",
+        {**_SMALL_DYNAMICS, "N": 10**400},
+        "N",
+        "dynamics-config62",
+        "dynamics-config10-N",
+    ),
+    (
+        "groundstate",
+        {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "G": 10**400},
+        "G",
+        "groundstate-config63",
+        "groundstate-config11-G",
+    ),
+    (
+        "study",
+        {"kind": "gap_vs_g", "values": [10, 10**400], "grid_n": 16},
+        "values",
+        "study-config64",
+        "study-config12-values",
+    ),
     (
         "study",
         {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 1, "grid_n": 256,
          "half_width": 8.0, "t_final": 10**400, "dt": 1e-3},
-        "t_final",
+        "t_final", "study-config65", "study-config13-t_final",
     ),
 ]
 
@@ -935,6 +1049,22 @@ class TestCli:
         payload = json.loads((tmp_path / "dynamics.json").read_text())
         assert payload == {"error": out[-2].removeprefix("failed check: "), "passed": False}
 
+    def test_groundstate_refused_run_is_a_failed_check(self, tmp_path, capsys):
+        # a box too small for the cloud (mass in the boundary shell) ends the
+        # run as a failed check with exit 1, not as a traceback
+        cfg = tmp_path / "gs.json"
+        cfg.write_text(
+            json.dumps({"grid": {"d": 1, "n": 8, "half_width": 8}, "G": 1.0, "spectrum_k": 4})
+        )
+        code = cli.main(["groundstate", "--config", str(cfg), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[-1] == "FAIL"
+        assert re.fullmatch(r"failed check: boundary-shell mass \S+ exceeds \S+; .*", lines[-2])
+        payload = json.loads((tmp_path / "groundstate.json").read_text())
+        assert payload == {"error": lines[-2].removeprefix("failed check: "), "passed": False}
+
     def test_bad_config_exits_2(self):
         # the module entry point turns main's return value into the exit code
         proc = _python("-m", "tfcond.cli", "study", "--config", "/nonexistent/cfg.json")
@@ -961,62 +1091,136 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, config",
         [
-            ("groundstate", {"grid": 5}),
-            ("groundstate", {"G": True}),
-            ("dynamics", {"grid": {"d": 1, "n": 64.9, "half_width": 8.0}}),
-            ("scattering", {"born_window": [0.9]}),
-            ("study", {"study": {"kind": "gap_vs_g", "values": 5}}),
-            ("study", {"kind": "gap_vs_g"}),
-            ("gap", {"g_values": [1, "x"]}),
-            ("manybody", {"N": 2, "M": 2, "g": "0.1"}),
+            pytest.param("groundstate", {"grid": 5}, id="groundstate-config0"),
+            pytest.param("groundstate", {"G": True}, id="groundstate-config1"),
+            pytest.param(
+                "dynamics",
+                {"grid": {"d": 1, "n": 64.9, "half_width": 8.0}},
+                id="dynamics-config2",
+            ),
+            pytest.param("scattering", {"born_window": [0.9]}, id="scattering-config3"),
+            pytest.param(
+                "study", {"study": {"kind": "gap_vs_g", "values": 5}}, id="study-config4",
+            ),
+            pytest.param("study", {"kind": "gap_vs_g"}, id="study-config5"),
+            pytest.param("gap", {"g_values": [1, "x"]}, id="gap-config6"),
+            pytest.param("manybody", {"N": 2, "M": 2, "g": "0.1"}, id="manybody-config7"),
             # the interaction given both as a block and as top-level keys
-            (
+            pytest.param(
                 "scattering",
                 {"interaction": {"profile": "gaussian"}, "profile": "hollow_gaussian",
-                 "kappa": 0.001},
+                 "kappa": 0.001}, id="scattering-config8",
             ),
             # gap runs gap_vs_g only
-            ("gap", {"study": {"kind": "lemma26_vs_N", "values": [64, 128, 256], "grid_d": 1}}),
+            pytest.param(
+                "gap",
+                {"study": {"kind": "lemma26_vs_N", "values": [64, 128, 256], "grid_d": 1}},
+                id="gap-config9",
+            ),
             # an empty coupling list computes nothing
-            ("scattering", {"kappa": []}),
+            pytest.param("scattering", {"kappa": []}, id="scattering-config10"),
             # the coupling sweeps run on one thread and read no workers, from
             # the config or the flag
-            ("gap", {"g_values": [0.5, 1.0, 2.0], "grid_n": 16, "workers": 7}),
-            ("study", {"study": {"kind": "linf_vs_g", "values": [1, 2, 4], "workers": 1}}),
-            ("study --workers 2", {"kind": "tf_convergence", "values": [1, 2, 4]}),
+            pytest.param(
+                "gap",
+                {"g_values": [0.5, 1.0, 2.0], "grid_n": 16, "workers": 7},
+                id="gap-config11",
+            ),
+            pytest.param(
+                "study",
+                {"study": {"kind": "linf_vs_g", "values": [1, 2, 4], "workers": 1}},
+                id="study-config12",
+            ),
+            pytest.param(
+                "study --workers 2",
+                {"kind": "tf_convergence", "values": [1, 2, 4]},
+                id="study --workers 2-config13",
+            ),
             # a manybody check rejects the keys and flags it does not read
-            ("manybody", {"check": "gapchain", "steps": 50, "t_final": 9.0}),
-            ("manybody --check appendix --modes planewave", {}),
-            ("manybody", {"check": "appendix", "g": 0.3}),
-            ("manybody --check gronwall --trials 5", {}),
-            ("manybody --seed 3", {"check": "gronwall"}),
+            pytest.param(
+                "manybody",
+                {"check": "gapchain", "steps": 50, "t_final": 9.0},
+                id="manybody-config14",
+            ),
+            pytest.param(
+                "manybody --check appendix --modes planewave",
+                {},
+                id="manybody --check appendix --modes planewave-config15",
+            ),
+            pytest.param("manybody", {"check": "appendix", "g": 0.3}, id="manybody-config16"),
+            pytest.param(
+                "manybody --check gronwall --trials 5",
+                {},
+                id="manybody --check gronwall --trials 5-config17",
+            ),
+            pytest.param(
+                "manybody --seed 3", {"check": "gronwall"}, id="manybody --seed 3-config18",
+            ),
             # the pair identities and the counting rate need two bosons
-            ("manybody --N 1 --check appendix", {}),
-            ("manybody --N 1 --check gronwall", {}),
+            pytest.param(
+                "manybody --N 1 --check appendix",
+                {},
+                id="manybody --N 1 --check appendix-config19",
+            ),
+            pytest.param(
+                "manybody --N 1 --check gronwall",
+                {},
+                id="manybody --N 1 --check gronwall-config20",
+            ),
             # the coupling sweeps run on a 3D grid, hgp_rate_vs_N on a 1D one
-            ("study", {"kind": "gap_vs_g", "values": [10], "grid_d": 1}),
-            ("study", {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 3}),
+            pytest.param(
+                "study", {"kind": "gap_vs_g", "values": [10], "grid_d": 1}, id="study-config21",
+            ),
+            pytest.param(
+                "study",
+                {"kind": "hgp_rate_vs_N", "values": [64, 128, 256], "grid_d": 3},
+                id="study-config22",
+            ),
             # an N sweep's values are particle numbers
-            ("study", {"kind": "lemma26_vs_N", "values": [64.5, 128, 256], "grid_d": 1}),
+            pytest.param(
+                "study",
+                {"kind": "lemma26_vs_N", "values": [64.5, 128, 256], "grid_d": 1},
+                id="study-config23",
+            ),
             # a many-body check needs at least one trial
-            ("manybody --check appendix --trials 0", {}),
-            ("manybody --check appendix --trials -3", {}),
-            ("manybody", {"check": "gapchain", "trials": 0}),
-            ("study", {"kind": "manybody_suite", "values": ["appendix"], "mb_trials": 0}),
+            pytest.param(
+                "manybody --check appendix --trials 0",
+                {},
+                id="manybody --check appendix --trials 0-config24",
+            ),
+            pytest.param(
+                "manybody --check appendix --trials -3",
+                {},
+                id="manybody --check appendix --trials -3-config25",
+            ),
+            pytest.param("manybody", {"check": "gapchain", "trials": 0}, id="manybody-config26"),
+            pytest.param(
+                "study",
+                {"kind": "manybody_suite", "values": ["appendix"], "mb_trials": 0},
+                id="study-config27",
+            ),
             # the tracked times are at least two, strictly increasing from 0
-            ("manybody", {"check": "gronwall", "steps": 0}),
-            ("manybody", {"check": "gronwall", "steps": 1}),
-            ("manybody", {"check": "gronwall", "t_final": -0.5}),
+            pytest.param("manybody", {"check": "gronwall", "steps": 0}, id="manybody-config28"),
+            pytest.param("manybody", {"check": "gronwall", "steps": 1}, id="manybody-config29"),
+            pytest.param(
+                "manybody", {"check": "gronwall", "t_final": -0.5}, id="manybody-config30",
+            ),
             # a gaussian initial state reads no trap
-            (
+            pytest.param(
                 "dynamics",
                 {"initial": "gaussian", "trap": {"strength": 50.0, "s": 4},
                  "grid": {"d": 1, "n": 512, "half_width": 8.0}, "N": 128,
-                 "t_final": 0.05, "dt": 1e-3, "record_every": 10},
+                 "t_final": 0.05, "dt": 1e-3, "record_every": 10}, id="dynamics-config31",
             ),
             # a study field its kind does not read, or out of its range
-            *(("study", config) for _, config in _STUDY_FIELD_CASES),
-            *((command, config) for command, config, _ in _BAD_NUMBER_CASES),
+            *(
+                pytest.param("study", config, id=test_id)
+                for _, config, test_id in _STUDY_FIELD_CASES
+            ),
+            *(
+                pytest.param(command, config, id=test_id)
+                for command, config, _, test_id, _ in _BAD_NUMBER_CASES
+            ),
         ],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, command, config):
@@ -1026,7 +1230,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command, config, key", _BAD_NUMBER_CASES)
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            pytest.param(command, config, key, id=test_id)
+            for command, config, key, _, test_id in _BAD_NUMBER_CASES
+        ],
+    )
     def test_bad_number_error_names_the_key(self, tmp_path, capsys, command, config, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -1085,7 +1295,7 @@ class TestCli:
         assert cli.main(["study", "--config", str(cfg)]) == 2
         assert "unknown" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, config", _STUDY_FIELD_CASES)
+    @pytest.mark.parametrize("field, config", [case[:2] for case in _STUDY_FIELD_CASES])
     def test_study_error_names_the_field(self, tmp_path, capsys, field, config):
         cfg = tmp_path / "study.json"
         cfg.write_text(json.dumps(config))
