@@ -87,6 +87,12 @@ def _cmd_groundstate(args) -> int:
     grid = make_grid(**cfg["grid"])
     trap = TrapSpec(**cfg["trap"])
     G, tol, k = cfg["G"], cfg["tol"], cfg["spectrum_k"]
+    # refused before the minimization runs, as gp_minimize refuses a bad tol
+    if k != 0 and not 2 <= k <= grid.n ** grid.d:
+        raise ValueError(
+            f"'spectrum_k' must be 0 (no spectrum) or from 2 to the grid's "
+            f"{grid.n ** grid.d} points, got {k!r}"
+        )
     header = [f"grid: {grid.d}D n={grid.n} half_width={grid.half_width}"]
     try:
         res = gs.gp_minimize(grid, trap, G, tol=tol)

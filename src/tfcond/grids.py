@@ -246,11 +246,17 @@ class _ParitySector:
     def unfold(self, X: np.ndarray) -> np.ndarray:
         """Full-grid fields (flattened, one per column) of sector vectors."""
         f = X.reshape(self.shape + X.shape[1:])
-        for ax, (plus, minus, w_plus, w_minus) in enumerate(self._axes):
+        half = self.n // 2
+        for ax, ((_, _, w_plus, w_minus), odd) in enumerate(zip(self._axes, self.parity)):
             out = np.zeros(f.shape[:ax] + (self.n,) + f.shape[ax + 1 :])
-            axis = (slice(None),) * ax
-            out[axis + (plus,)] = f * self._along(w_plus, ax, f.ndim)
-            out[axis + (minus,)] += f * self._along(w_minus, ax, f.ndim)
+            lead = (slice(None),) * ax
+            # the octant offsets 1..n/2-1 go to j = n/2 + o and to their mirrors n/2 - o
+            o = slice(None) if odd else slice(1, half)
+            for j, w in ((slice(half + 1, None), w_plus), (slice(half - 1, 0, -1), w_minus)):
+                np.multiply(f[lead + (o,)], self._along(w[o], ax, f.ndim), out=out[lead + (j,)])
+            if not odd:  # the origin o = 0 and the box edge o = n/2 are their own mirrors
+                for j, o in ((half, 0), (0, half)):
+                    out[lead + (j,)] = f[lead + (o,)] * w_plus[o] + f[lead + (o,)] * w_minus[o]
             f = out
         return f.reshape((-1,) + X.shape[1:])
 

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
 from scipy.special import comb, gammaln
 
 from .grids import Field, Grid, apply_symbol, make_grid, norm
@@ -347,6 +345,8 @@ def ground_state(H: ManyBodyHamiltonian) -> tuple[float, ManyBodyState]:
         # ARPACK's complex Hermitian driver needs D > k + 1 = 2
         vals, vecs = np.linalg.eigh(H.matrix.toarray())
     else:
+        from scipy.sparse.linalg import eigsh  # imported here: only the many-body runs load it
+
         v0 = np.random.default_rng(0).standard_normal(D)
         vals, vecs = eigsh(H.matrix, k=1, which="SA", v0=v0)
     return float(vals[0]), ManyBodyState(H.sector, vecs[:, 0])
@@ -392,6 +392,8 @@ def _string_modes(N: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     They do not depend on the angles, so each N decomposes its n + 1 tridiagonals
     once per process.  The arrays are read-only, since every caller shares them.
     """
+    from scipy.linalg import eigh_tridiagonal  # imported here: only the many-body runs load it
+
     out = []
     for n in range(N + 1):
         off = np.sqrt(np.arange(1, n + 1) * np.arange(n, 0, -1))  # sqrt(t (n + 1 - t))

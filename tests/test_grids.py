@@ -1,9 +1,11 @@
 """Tests for the spectral grid/field layer."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from tfcond.grids import Field, apply_symbol, make_grid, norm, normalize
+from tfcond.grids import Field, _ParitySector, apply_symbol, make_grid, norm, normalize
 from tfcond.groundstate import _grad_linf
 
 
@@ -163,3 +165,34 @@ def test_boundary_shell_mask():
     np.testing.assert_array_equal(
         g.boundary_shell, [True, True, False, False, False, False, True, True]
     )
+
+
+def _scatter_unfold(sec, X):
+    """Oracle: _ParitySector.unfold as a fancy-index scatter onto each axis's
+    octant points and their mirrors, weights from the sector's tables."""
+    f = X.reshape(sec.shape + X.shape[1:])
+    for ax, (plus, minus, w_plus, w_minus) in enumerate(sec._axes):
+        out = np.zeros(f.shape[:ax] + (sec.n,) + f.shape[ax + 1 :])
+        axis = (slice(None),) * ax
+        out[axis + (plus,)] = f * sec._along(w_plus, ax, f.ndim)
+        out[axis + (minus,)] += f * sec._along(w_minus, ax, f.ndim)
+        f = out
+    return f.reshape((-1,) + X.shape[1:])
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_unfold_matches_the_scatter_oracle(d, n):
+    grid = make_grid(d, n, 4.0)
+    rng = np.random.default_rng(d * n)
+    for parity in itertools.product((0, 1), repeat=d):
+        sec = _ParitySector(grid, parity)
+        for X in (rng.standard_normal(sec.dim), rng.standard_normal((sec.dim, 3))):
+            got = sec.unfold(X)
+            # equal values; an odd axis may leave -0.0 where the scatter added to +0.0
+            assert got.shape == (n ** d,) + X.shape[1:]
+            assert np.array_equal(got, _scatter_unfold(sec, X)), parity
+        # restrict is the adjoint of unfold: <unfold x, F> = <x, restrict F>
+        x, F = rng.standard_normal(sec.dim), rng.standard_normal(grid.shape)
+        lhs, rhs = sec.unfold(x) @ F.ravel(), x @ sec.restrict(F)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(F), parity

@@ -214,6 +214,9 @@ def test_gp_argument_validation():
     grid = make_grid(1, 512, 8.0)
     with pytest.raises(ValueError, match="nonnegative"):
         gp_minimize(grid, TRAP, -1.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            gp_minimize(grid, TRAP, 20.0, tol=tol)
 
 
 # Full-grid minimizer: the flow and Newton polish as they ran on the whole
@@ -362,6 +365,48 @@ def test_gp_matches_full_grid_oracle(d, n, G):
     assert res.energy == pytest.approx(energy, rel=1e-12)
     assert res.mu == pytest.approx(mu, rel=1e-12)
     assert residual < 1e-9
+
+
+# the README groundstate config and criterion 03's ends, g = 10 and g = 1000
+# (G = g * integral(v) of the gaussian, box half-width 10): 64^3 grids, where
+# gp_minimize runs its flow on the grid of the even points
+_TWO_GRID_CASES = {
+    "readme": (8.0, 100.0),
+    "criterion03-g10": (10.0, 10.0 * InteractionSpec(profile="gaussian").integral(3)),
+    "criterion03-g1000": (10.0, 1000.0 * InteractionSpec(profile="gaussian").integral(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_TWO_GRID_CASES))
+def test_two_grid_ground_state_matches_the_one_grid_oracle(monkeypatch, case):
+    # the oracle is the flow on the fine grid from its own start, as every
+    # grid without a coarse stage runs it
+    half_width, G = _TWO_GRID_CASES[case]
+    grid = make_grid(3, 64, half_width)
+    monkeypatch.setattr(gs, "_coarse_grid", lambda grid: None)
+    one = gp_minimize(grid, TRAP, G)
+    monkeypatch.undo()
+    flows = []
+    flow = gs._gradient_flow
+
+    def recorded(sec, *args):
+        flows.append(sec.n)
+        return flow(sec, *args)
+
+    monkeypatch.setattr(gs, "_gradient_flow", recorded)
+    two = gp_minimize(grid, TRAP, G)
+    # at g = 1000 the prolonged start is above the flow's hand-off, so the
+    # flow runs on the fine grid too before the polish
+    assert flows == ([32, 64] if case == "criterion03-g1000" else [32])
+
+    assert np.max(np.abs(two.field.values - one.field.values)) <= 1e-8
+    assert two.energy == pytest.approx(one.energy, rel=1e-13)
+    assert two.mu == pytest.approx(one.mu, rel=1e-8)
+    assert max(one.residual, two.residual) <= 1e-6
+    hist = two.energy_history
+    assert np.all(np.diff(hist) <= 0.0), hist
+    spectra = [hgp_spectrum(grid, TRAP, G, res.field, k=4) for res in (one, two)]
+    assert np.max(np.abs(spectra[1].eigenvalues / spectra[0].eigenvalues - 1.0)) <= 1e-8
 
 
 def test_suggested_half_width():
@@ -896,6 +941,8 @@ def test_spectrum_requires_two_levels():
     res = gp_minimize(grid, TRAP, 0.0, tol=1e-8)
     with pytest.raises(ValueError, match="two eigenvalues"):
         hgp_spectrum(grid, TRAP, 0.0, res.field, k=1)
+    with pytest.raises(ValueError, match="exceeds the 512 points"):
+        hgp_spectrum(grid, TRAP, 0.0, res.field, k=513)
 
 
 # ---------------------------------------------------------------------------

@@ -816,6 +816,18 @@ _BAD_NUMBER_CASES = [
          "half_width": 8.0, "t_final": 10**400, "dt": 1e-3},
         "t_final", "study-config65", "study-config13-t_final",
     ),
+    # a tolerance no residual can reach, and a spectrum of no or too many
+    # levels, refused before the minimization runs
+    *(
+        ("groundstate", {"grid": {"d": 1, "n": 64, "half_width": 8.0}, "tol": tol}, "tol",
+         f"groundstate-tol-{why}", f"groundstate-tol-{why}")
+        for tol, why in ((0, "zero"), (-1, "negative"))
+    ),
+    *(
+        ("groundstate", {"grid": {"d": 1, "n": 16, "half_width": 8.0}, "spectrum_k": k},
+         "spectrum_k", f"groundstate-spectrum_k-{why}", f"groundstate-spectrum_k-{why}")
+        for k, why in ((-3, "negative"), (40, "above-the-grid-points"))
+    ),
 ]
 
 
@@ -841,9 +853,12 @@ class TestCli:
         assert proc.stdout.strip() == "False"
 
     def test_runs_leave_scipy_integrate_and_optimize_out(self, tmp_path):
-        # the interaction moments are closed forms: a flow, a scattering run
-        # and a Lemma 2.6 sweep load neither quad nor the optimizers
+        # the interaction moments are closed forms: a ground state, a flow, a
+        # scattering run and a Lemma 2.6 sweep load neither quad nor the
+        # optimizers, and only the many-body engine loads scipy's linalg
         configs = {
+            "groundstate": {"grid": {"d": 3, "n": 16, "half_width": 6.0}, "G": 20.0,
+                            "spectrum_k": 4},
             "dynamics": _SMALL_DYNAMICS,
             "scattering": {"kappa": [1e-3]},
             "study": {"study": {"kind": "lemma26_vs_N", "values": [64, 128], "grid_d": 1,
@@ -856,7 +871,7 @@ class TestCli:
             script += [
                 f"assert cli.main([{command!r}, '--config', {str(path)!r}]) == 0",
                 f"print('loaded after', {command!r}, [m for m in ('scipy.integrate',"
-                " 'scipy.optimize') if m in sys.modules])",
+                " 'scipy.optimize', 'scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])",
             ]
         proc = _python("-c", "\n".join(script))
         assert proc.returncode == 0, proc.stderr
